@@ -318,13 +318,11 @@ class _Solver:
                     self.lbd[ci] = lbd
                     self._enqueue(learnt[0], ci)
                 self.var_inc /= 0.95
-                if self.conflicts % 256 == 0:
-                    if deadline is not None and time.monotonic() > deadline:
-                        return SatResult("UNKNOWN", conflicts=self.conflicts,
-                                         decisions=self.decisions, propagations=self.propagations)
-                    if conflict_budget is not None and self.conflicts >= conflict_budget:
-                        return SatResult("UNKNOWN", conflicts=self.conflicts,
-                                         decisions=self.decisions, propagations=self.propagations)
+                if (deadline is not None and time.monotonic() > deadline) or (
+                    conflict_budget is not None and self.conflicts >= conflict_budget
+                ):
+                    return SatResult("UNKNOWN", conflicts=self.conflicts,
+                                     decisions=self.decisions, propagations=self.propagations)
                 if self.conflicts - conflicts_at_restart >= restart_budget:
                     restart_round += 1
                     restart_budget = 100 * _luby(restart_round)

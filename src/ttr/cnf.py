@@ -4,26 +4,49 @@ One boolean variable per placement.  Per cell: an at-least-one clause over
 the placements covering it plus pairwise at-most-one clauses, so models
 correspond exactly to complete tilings.  AP blocking adds one clause per
 window of l equally spaced same-orientation placements.
+
+When both sides are multiples of 4, only placements in the Walkup classes
+(``grid.WALKUP_CLASSES``) get a variable: no complete tiling uses any other,
+so the models are the same tilings with a fraction of the variables.  The
+enumerator and ``has_tiling`` keep every placement and serve as the
+independent oracles for this restriction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import ParseError
-from .grid import ORIENTATIONS, Orientation, Rect, Tile, Tiling, rotate_tile_180, tile_cells
+from .grid import (
+    ORIENTATIONS,
+    WALKUP_CLASSES,
+    Orientation,
+    Rect,
+    Tile,
+    Tiling,
+    is_tileable,
+    rotate_tile_180,
+    tile_cells,
+)
 from .enumerator import placements
 
 Clause = tuple[int, ...]
 
 
 class PlacementIndex:
-    """Dense ids for every placement that fits in a rectangle, canonical order."""
+    """Dense ids for the placements that get a variable, canonical order.
+
+    Every placement that fits, restricted to the Walkup classes when both
+    sides of the rectangle are multiples of 4.
+    """
 
     def __init__(self, rect: Rect):
         self.rect = rect
-        self.tiles: tuple[Tile, ...] = placements(rect)
+        tiles = placements(rect)
+        if is_tileable(rect):
+            tiles = tuple(t for t in tiles if (t.orientation, t.row % 4, t.col % 4) in WALKUP_CLASSES)
+        self.tiles: tuple[Tile, ...] = tiles
         self.id_of: dict[Tile, int] = {t: i for i, t in enumerate(self.tiles)}
         by_cell: dict[tuple[int, int], list[int]] = {cell: [] for cell in rect.cells()}
         for i, t in enumerate(self.tiles):
@@ -47,15 +70,13 @@ class CNF:
     rect: Rect
     num_vars: int
     clauses: tuple[Clause, ...]
+    index: PlacementIndex = field(compare=False, repr=False)
     blocked_len: int | None = None
     rot180: bool = False
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-    def var_of(self, tile: Tile) -> int:
-        return PlacementIndex(self.rect).id_of[tile] + 1
 
 
 def build_cnf(rect: Rect) -> CNF:
@@ -74,63 +95,51 @@ def build_cnf(rect: Rect) -> CNF:
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 clauses.append((-(ids[a] + 1), -(ids[b] + 1)))
-    return CNF(rect, len(index), tuple(clauses))
-
-
-def ap_steps(rect: Rect, *, dxdy_filter: bool = False) -> list[tuple[int, int]]:
-    """Candidate AP steps, one direction per axis of symmetry.
-
-    ``dxdy_filter`` keeps only steps congruent to (0,0) or (2,2) mod 4; that
-    is sound for blocking length >= 3 but off by default so correctness never
-    depends on it.
-    """
-    steps = []
-    for dy in range(0, rect.height):
-        for dx in range(-rect.width + 1, rect.width):
-            if dy == 0 and dx <= 0:
-                continue
-            if dxdy_filter and (dy % 4, dx % 4) not in {(0, 0), (2, 2)}:
-                continue
-            steps.append((dy, dx))
-    return steps
+    return CNF(rect, len(index), tuple(clauses), index)
 
 
 def add_ap_blocking(cnf: CNF, l: int, *, dxdy_filter: bool = False) -> CNF:
     """Forbid every window of l equally spaced same-orientation placements.
 
-    The result is satisfiable exactly when a tiling without any l-term AP
-    exists.
+    A window is found from its first two anchors, an ordered pair in (row,
+    col) order whose difference is the step, extended by that step.  The
+    result is satisfiable exactly when a tiling without any l-term AP exists.
+    ``dxdy_filter`` keeps only steps congruent to (0,0) or (2,2) mod 4; that
+    is sound for l >= 3 but off by default so correctness never depends on it.
     """
     if l < 2:
         raise ValueError(f"l must be >= 2, got {l}")
-    index = PlacementIndex(cnf.rect)
-    anchors_by_orient: dict[Orientation, dict[tuple[int, int], int]] = {o: {} for o in ORIENTATIONS}
-    for i, t in enumerate(index.tiles):
-        anchors_by_orient[t.orientation][t.anchor] = i
+    anchors_by_orient: dict[Orientation, list[tuple[tuple[int, int], int]]] = {o: [] for o in ORIENTATIONS}
+    for i, t in enumerate(cnf.index.tiles):
+        anchors_by_orient[t.orientation].append((t.anchor, i))
     new_clauses: list[Clause] = []
     for orient in ORIENTATIONS:
-        anchors = anchors_by_orient[orient]
-        for dy, dx in ap_steps(cnf.rect, dxdy_filter=dxdy_filter):
-            for (r, c), first_id in anchors.items():
-                window = [first_id]
-                rr, cc = r, c
-                ok = True
-                for _ in range(l - 1):
+        anchors = sorted(anchors_by_orient[orient])
+        id_at = dict(anchors)
+        for k, ((r0, c0), first) in enumerate(anchors):
+            for (r1, c1), second in anchors[k + 1:]:
+                dy, dx = r1 - r0, c1 - c0
+                if r0 + (l - 1) * dy >= cnf.rect.height:
+                    break  # rows only grow from here on, so no later pair fits either
+                if dxdy_filter and (dy % 4, dx % 4) not in {(0, 0), (2, 2)}:
+                    continue
+                window = [-(first + 1), -(second + 1)]
+                rr, cc = r1, c1
+                for _ in range(l - 2):
                     rr += dy
                     cc += dx
-                    nxt = anchors.get((rr, cc))
+                    nxt = id_at.get((rr, cc))
                     if nxt is None:
-                        ok = False
                         break
-                    window.append(nxt)
-                if ok:
-                    new_clauses.append(tuple(-(i + 1) for i in window))
+                    window.append(-(nxt + 1))
+                else:
+                    new_clauses.append(tuple(window))
     return replace(cnf, clauses=cnf.clauses + tuple(new_clauses), blocked_len=l)
 
 
 def add_rot180_symmetry(cnf: CNF) -> CNF:
     """Constrain models to 180-degree rotationally symmetric tilings."""
-    index = PlacementIndex(cnf.rect)
+    index = cnf.index
     new_clauses: list[Clause] = []
     for i, t in enumerate(index.tiles):
         j = index.id_of[rotate_tile_180(cnf.rect, t)]
@@ -142,8 +151,7 @@ def add_rot180_symmetry(cnf: CNF) -> CNF:
 
 def decode_model(cnf: CNF, model: Sequence[bool]) -> Tiling:
     """Rebuild the tiling from a satisfying assignment (model[v] for var v)."""
-    index = PlacementIndex(cnf.rect)
-    tiles = [index.tiles[v - 1] for v in range(1, cnf.num_vars + 1) if model[v]]
+    tiles = [cnf.index.tiles[v - 1] for v in range(1, cnf.num_vars + 1) if model[v]]
     return Tiling(cnf.rect, tiles)
 
 
@@ -165,10 +173,9 @@ def to_dimacs(cnf: CNF, comments: Sequence[str] = ()) -> str:
 
 def var_map_sidecar(cnf: CNF) -> str:
     """One line per variable: ``<var> <orient-letter> <row> <col>``."""
-    index = PlacementIndex(cnf.rect)
     lines = [
         f"{i + 1} {t.orientation.value} {t.row} {t.col}"
-        for i, t in enumerate(index.tiles)
+        for i, t in enumerate(cnf.index.tiles)
     ]
     return "\n".join(lines) + "\n"
 

@@ -298,6 +298,22 @@ CUT_CLASSES = frozenset({(0, 0), (2, 2)})
 #: Classes where no tile corner may lie.
 CORNERLESS_CLASSES = frozenset({(0, 2), (2, 0)})
 
+#: The placement classes (orientation, anchor row mod 4, anchor col mod 4)
+#: that occur in complete tilings of rectangles with both sides divisible by
+#: 4: the cut structure of Walkup's theorem (D. W. Walkup, "Covering a
+#: rectangle with T-tetrominoes", Amer. Math. Monthly 72, 1965), checked
+#: against every tiling of the desk-scale rectangles in the tests.
+WALKUP_CLASSES = frozenset(
+    (o, r, c)
+    for o, cells in (
+        (Orientation.D, ((0, 0), (0, 1), (2, 2), (2, 3))),
+        (Orientation.U, ((0, 2), (0, 3), (2, 0), (2, 1))),
+        (Orientation.L, ((0, 2), (1, 2), (2, 0), (3, 0))),
+        (Orientation.R, ((0, 0), (1, 0), (2, 2), (3, 2))),
+    )
+    for r, c in cells
+)
+
 
 def cut_cornerless_ok(tiling: Tiling) -> bool:
     """Structural self-check on the forced corner pattern of complete tilings.

@@ -121,7 +121,7 @@ def test_verify_max_ap_failure_exits_1(tmp_path, capsys):
 
 
 def test_budget_exhaustion_exits_4(capsys):
-    code = main(["apfree", "--height", "20", "--width", "20", "--len", "3",
+    code = main(["apfree", "--height", "24", "--width", "24", "--len", "3",
                  "--budget-seconds", "0.05"])
     assert code == 4
     assert "UNKNOWN" in capsys.readouterr().out

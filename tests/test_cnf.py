@@ -5,12 +5,13 @@ import itertools
 import pytest
 
 from ttr.errors import ParseError
-from ttr.grid import ORIENTATIONS, TILE_BBOX, Rect
+from ttr.enumerator import count_tilings, enumerate_tilings
+from ttr.grid import ORIENTATIONS, TILE_BBOX, Rect, rotate_tile_180
 from ttr.cnf import (
+    CNF,
     PlacementIndex,
     add_ap_blocking,
     add_rot180_symmetry,
-    ap_steps,
     build_cnf,
     clauses_to_dimacs,
     decode_model,
@@ -30,9 +31,54 @@ def brute_force_placement_count(rect: Rect) -> int:
     return total
 
 
-def test_4x4_has_24_placement_variables():
+def placements_of_all_tilings(rect: Rect) -> set:
+    return {t for tiling in enumerate_tilings(rect) for t in tiling.tiles}
+
+
+def test_4x4_has_8_placement_variables():
+    # The Walkup classes keep exactly the placements of the two pinwheels.
     cnf = build_cnf(Rect(4, 4))
-    assert cnf.num_vars == brute_force_placement_count(Rect(4, 4)) == 24
+    assert set(cnf.index.tiles) == placements_of_all_tilings(Rect(4, 4))
+    assert cnf.num_vars == 8
+
+
+@pytest.mark.parametrize("h, w", [(4, 6), (6, 6), (2, 2), (5, 8)])
+def test_untileable_rectangles_keep_every_placement(h, w):
+    rect = Rect(h, w)
+    assert len(PlacementIndex(rect)) == brute_force_placement_count(rect)
+
+
+def test_corpus_tilings_use_only_indexed_placements(corpus):
+    for (h, w), tilings in corpus.items():
+        allowed = set(PlacementIndex(Rect(h, w)).tiles)
+        for tiling in tilings:
+            assert set(tiling.tiles) <= allowed, tiling
+
+
+def _count_models(cnf: CNF) -> int:
+    # Blocking-clause loop: forbid each found tiling's placement set in turn.
+    clauses = list(cnf.clauses)
+    models = 0
+    while True:
+        result = solve_clauses(cnf.num_vars, clauses)
+        if result.status == "UNSAT":
+            return models
+        models += 1
+        clauses.append(tuple(-v for v in range(1, cnf.num_vars + 1) if result.model[v]))
+
+
+@pytest.mark.parametrize("h, w", [(4, 8), (8, 8)])
+def test_restricted_models_match_tiling_count(h, w):
+    rect = Rect(h, w)
+    assert _count_models(build_cnf(rect)) == count_tilings(rect)
+
+
+def test_index_closed_under_rotation():
+    for h in range(4, 25, 4):
+        for w in range(4, 25, 4):
+            rect = Rect(h, w)
+            tiles = set(PlacementIndex(rect).tiles)
+            assert {rotate_tile_180(rect, t) for t in tiles} == tiles, rect
 
 
 def test_cell_clauses_shapes():
@@ -84,11 +130,67 @@ def test_blocking_clauses_cover_every_window():
 
 
 def test_dxdy_filter_is_a_subset():
-    rect = Rect(8, 12)
-    full = set(ap_steps(rect))
-    filtered = set(ap_steps(rect, dxdy_filter=True))
+    # At l = 2 the restricted anchors still pair up with unfiltered steps.
+    base = build_cnf(Rect(8, 12))
+    full = set(add_ap_blocking(base, 2).clauses)
+    filtered = set(add_ap_blocking(base, 2, dxdy_filter=True).clauses)
     assert filtered < full
-    assert all((dy % 4, dx % 4) in {(0, 0), (2, 2)} for dy, dx in filtered)
+    index = base.index
+    for clause in filtered - set(base.clauses):
+        a, b = (index.tiles[-lit - 1].anchor for lit in clause)
+        assert ((b[0] - a[0]) % 4, (b[1] - a[1]) % 4) in {(0, 0), (2, 2)}
+
+
+def ap_steps(rect: Rect, *, dxdy_filter: bool = False) -> list[tuple[int, int]]:
+    """Every AP step, one direction per axis of symmetry."""
+    steps = []
+    for dy in range(0, rect.height):
+        for dx in range(-rect.width + 1, rect.width):
+            if dy == 0 and dx <= 0:
+                continue
+            if dxdy_filter and (dy % 4, dx % 4) not in {(0, 0), (2, 2)}:
+                continue
+            steps.append((dy, dx))
+    return steps
+
+
+def blocking_clauses_by_step(cnf: CNF, l: int, *, dxdy_filter: bool = False) -> set:
+    """Reference AP-blocking windows: every step from every anchor."""
+    index = cnf.index
+    anchors_by_orient = {o: {} for o in ORIENTATIONS}
+    for i, t in enumerate(index.tiles):
+        anchors_by_orient[t.orientation][t.anchor] = i
+    clauses = set()
+    for orient in ORIENTATIONS:
+        anchors = anchors_by_orient[orient]
+        for dy, dx in ap_steps(cnf.rect, dxdy_filter=dxdy_filter):
+            for (r, c), first_id in anchors.items():
+                window = [first_id]
+                rr, cc = r, c
+                ok = True
+                for _ in range(l - 1):
+                    rr += dy
+                    cc += dx
+                    nxt = anchors.get((rr, cc))
+                    if nxt is None:
+                        ok = False
+                        break
+                    window.append(nxt)
+                if ok:
+                    clauses.add(tuple(-(i + 1) for i in window))
+    return clauses
+
+
+@pytest.mark.parametrize("h, w, l", [
+    (4, 8, 2), (8, 12, 3), (12, 20, 3), (20, 20, 3), (4, 36, 3), (6, 6, 3), (8, 8, 4),
+])
+@pytest.mark.parametrize("dxdy_filter", [False, True])
+def test_anchor_pair_windows_match_step_oracle(h, w, l, dxdy_filter):
+    base = build_cnf(Rect(h, w))
+    blocked = add_ap_blocking(base, l, dxdy_filter=dxdy_filter)
+    added = blocked.clauses[base.num_clauses:]
+    assert len(set(added)) == len(added)
+    assert set(added) == blocking_clauses_by_step(base, l, dxdy_filter=dxdy_filter)
 
 
 def test_rot180_symmetry_clauses_pair_variables():
@@ -120,11 +222,14 @@ def test_dimacs_parse_errors():
 def test_var_map_sidecar_lines():
     cnf = build_cnf(Rect(4, 4))
     lines = var_map_sidecar(cnf).splitlines()
-    assert len(lines) == 24
-    assert lines[0] == "1 u 0 0"
-    index = PlacementIndex(Rect(4, 4))
+    expected = placements_of_all_tilings(Rect(4, 4))
+    assert len(lines) == len(expected) == 8
+    assert {tuple(line.split()[1:]) for line in lines} == {
+        (t.orientation.value, str(t.row), str(t.col)) for t in expected
+    }
+    assert [int(line.split()[0]) for line in lines] == list(range(1, 9))
     var, letter, row, col = lines[7].split()
-    t = index.tiles[int(var) - 1]
+    t = cnf.index.tiles[int(var) - 1]
     assert (t.orientation.value, str(t.row), str(t.col)) == (letter, row, col)
 
 

@@ -11,6 +11,7 @@ from ttr.grid import (
     Rect,
     Tile,
     Tiling,
+    WALKUP_CLASSES,
     ViolationKind,
     cut_cornerless_ok,
     is_tileable,
@@ -117,6 +118,17 @@ def test_cut_cornerless_all_small_rects(corpus):
     for (h, w), tilings in corpus.items():
         for t in tilings:
             assert cut_cornerless_ok(t), (h, w, t.tiles)
+
+
+def test_walkup_classes_are_the_classes_seen(corpus):
+    seen = {
+        (t.orientation, t.row % 4, t.col % 4)
+        for tilings in corpus.values()
+        for tiling in tilings
+        for t in tiling.tiles
+    }
+    assert seen == WALKUP_CLASSES
+    assert len(WALKUP_CLASSES) == 16
 
 
 def test_rotate_tile_180_involution():
