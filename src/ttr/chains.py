@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ParseError, ResourceLimitError, StructureError
-from .grid import Cell, Orientation, Rect, Tile, Tiling, tile_cells
+from .grid import Cell, Orientation, Rect, Tile, Tiling, read_header, tile_cells
 from .aps import maximal_runs
 
 Block = tuple[int, int]
@@ -351,21 +351,9 @@ def write_chain(graph: ChainGraph) -> str:
 
 
 def read_chain(data: str | bytes) -> ChainGraph:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = data.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != CHAIN_MAGIC:
-        raise ParseError(1, 1, f"expected header {CHAIN_MAGIC!r}")
-    if len(lines) < 2:
-        raise ParseError(2, 1, "missing dimensions line")
-    dims = lines[1].split()
-    if len(dims) != 2 or not all(t.isdigit() for t in dims):
-        raise ParseError(2, 1, "expected '<h> <w>' with decimal dimensions")
-    h, w = int(dims[0]), int(dims[1])
+    h, w, body = read_header(data, CHAIN_MAGIC)
     edges = []
-    for i, line in enumerate(lines[2:], start=3):
+    for i, line in enumerate(body, start=3):
         toks = line.split()
         if len(toks) != 4 or not all(t.lstrip("-").isdigit() for t in toks):
             raise ParseError(i, 1, "expected 'r1 c1 r2 c2'")

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 when the computation completed (including negative answers
-such as AVOIDABLE or "no tiling"), 1 for invalid input data, 2 for usage
-errors, 3 for solver failures, 4 when a budget ran out before an answer
-(bracketing information is printed when available).
+Each subcommand accepts only the options its handler reads.  Exit codes: 0
+when the computation completed (including negative answers such as
+AVOIDABLE or "no tiling"), 1 for invalid input data or a file that cannot be
+read or written, 2 for usage errors, 3 for solver failures, 4 when a budget
+ran out before an answer (bracketing information is printed when available).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .chains import build_chain_graph, write_chain
 from .cnf import add_ap_blocking, add_rot180_symmetry, build_cnf
 from .decide import compute_L, compute_T, decide_forces
 from .render import RenderOptions, render
-from .solver import SearchConfig, SolverStatus, solve
+from .solver import DEFAULT_INTERNAL_VAR_LIMIT, SearchConfig, SolverStatus, solve
 from .vdw import compute_Lvdw, vdw_number
 
 EXIT_OK = 0
@@ -30,34 +31,35 @@ EXIT_SOLVER = 3
 EXIT_UNKNOWN = 4
 
 
-def _add_common(p: argparse.ArgumentParser, *, rect: bool = False, length: bool = False) -> None:
-    if rect:
-        p.add_argument("--height", type=int, required=True)
-        p.add_argument("--width", type=int, required=True)
-    if length:
-        p.add_argument("--len", dest="length", type=int, required=True)
+def _add_rect(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--width", type=int, required=True)
+
+
+def _add_len(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--len", dest="length", type=int, required=True)
+
+
+def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None, help="write the main artifact here")
+
+
+def _add_search(p: argparse.ArgumentParser, *, engine: str | None = None) -> None:
+    """The flags ``_config`` reads; ``engine`` is the --engine default, None for no --engine."""
+    if engine is not None:
+        p.add_argument("--engine", choices=["sat", "internal-backtracking"], default=engine)
     p.add_argument("--solver", default=None, help="external DIMACS solver command (overrides TTR_SOLVER)")
-    p.add_argument("--engine", choices=["sat", "internal-backtracking"], default="sat")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--internal-cap", type=int, default=5000,
+    p.add_argument("--internal-cap", type=int, default=DEFAULT_INTERNAL_VAR_LIMIT,
                    help="variable limit for the built-in solver")
-    p.add_argument("--dxdy-filter", action="store_true",
-                   help="restrict AP-blocking steps to the (0,0)/(2,2) mod-4 classes "
-                        "(sound for --len >= 3; off by default)")
 
 
 def _config(args: argparse.Namespace) -> SearchConfig:
     return SearchConfig(
         engine=getattr(args, "engine", "sat"),
-        solver_cmd=getattr(args, "solver", None),
-        time_budget_s=getattr(args, "budget_seconds", None),
-        jobs=getattr(args, "jobs", 1),
-        seed=getattr(args, "seed", 0),
-        internal_var_limit=getattr(args, "internal_cap", 5000),
-        dxdy_step_filter=getattr(args, "dxdy_filter", False),
+        solver_cmd=args.solver,
+        time_budget_s=args.budget_seconds,
+        internal_var_limit=args.internal_cap,
     )
 
 
@@ -73,38 +75,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tile", help="produce one tiling of the rectangle")
-    _add_common(p, rect=True)
-    p.set_defaults(engine="internal-backtracking")  # plain existence; no CNF needed
+    _add_rect(p)
+    _add_out(p)
+    _add_search(p, engine="internal-backtracking")  # plain existence; no CNF needed
 
     p = sub.add_parser("apfree", help="search for a tiling with no L-term AP")
-    _add_common(p, rect=True, length=True)
+    _add_rect(p)
+    _add_len(p)
+    _add_out(p)
+    _add_search(p)
     p.add_argument("--symmetry", choices=["rot180"], default=None)
 
     p = sub.add_parser("decide", help="FORCED/AVOIDABLE: must every tiling contain an L-term AP?")
-    _add_common(p, rect=True, length=True)
+    _add_rect(p)
+    _add_len(p)
+    _add_out(p)
+    _add_search(p, engine="sat")
 
     p = sub.add_parser("tvalue", help="least length forcing an L-term AP at the given width")
     p.add_argument("--width", type=int, required=True)
-    _add_common(p, length=True)
+    _add_len(p)
+    _add_search(p, engine="sat")
 
     p = sub.add_parser("lvalue", help="greatest AP length forced by the rectangle")
-    _add_common(p, rect=True)
+    _add_rect(p)
+    _add_search(p, engine="sat")
 
     p = sub.add_parser("vdw", help="classical two-color van der Waerden number W(2, L)")
-    _add_common(p, length=True)
+    _add_len(p)
 
     p = sub.add_parser("vdw2d", help="greatest forced monochromatic AP length in a 2-colored grid")
-    _add_common(p, rect=True)
+    _add_rect(p)
+    _add_out(p)
+    _add_search(p)
 
     p = sub.add_parser("chaingraph", help="chain graph of a tiling, in CHAIN format")
     p.add_argument("--in", dest="infile", type=Path, required=True)
-    _add_common(p)
+    _add_out(p)
 
     p = sub.add_parser("verify", help="validate a TTILING file and report its AP structure")
     p.add_argument("--in", dest="infile", type=Path, required=True)
     p.add_argument("--max-ap", type=int, default=None,
                    help="fail when an AP of at least this length is present")
-    _add_common(p)
 
     p = sub.add_parser("render", help="render a TTILING file")
     p.add_argument("--in", dest="infile", type=Path, required=True)
@@ -112,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--highlight-ap", action="store_true", help="stroke the longest AP (svg)")
     p.add_argument("--cell-size", type=int, default=20)
     p.add_argument("--borders", action="store_true", help="draw tile boundaries (ascii)")
-    _add_common(p)
+    _add_out(p)
 
     return parser
 
@@ -137,11 +149,10 @@ def _cmd_tile(args: argparse.Namespace) -> int:
 
 def _cmd_apfree(args: argparse.Namespace) -> int:
     rect = Rect(args.height, args.width)
-    config = _config(args)
-    cnf = add_ap_blocking(build_cnf(rect), args.length, dxdy_filter=config.dxdy_step_filter)
+    cnf = add_ap_blocking(build_cnf(rect), args.length)
     if args.symmetry == "rot180":
         cnf = add_rot180_symmetry(cnf)
-    verdict = solve(cnf, config)
+    verdict = solve(cnf, _config(args))
     if verdict.status is SolverStatus.UNKNOWN:
         print(f"UNKNOWN (budget exhausted; no {args.length}-AP-free tiling of {rect} found,"
               f" none ruled out)")
@@ -204,13 +215,13 @@ def _cmd_vdw2d(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaingraph(args: argparse.Namespace) -> int:
-    tiling = read_tiling(args.infile.read_text(encoding="utf-8"))
+    tiling = read_tiling(args.infile.read_bytes())
     _emit(write_chain(build_chain_graph(tiling)), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tiling = read_tiling(args.infile.read_text(encoding="utf-8"))
+    tiling = read_tiling(args.infile.read_bytes())
     structural = cut_cornerless_ok(tiling)
     ap = longest_ap(tiling)
     print(f"OK {tiling.rect} tiles={tiling.tile_count} structure={'ok' if structural else 'BROKEN'}")
@@ -224,7 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    tiling = read_tiling(args.infile.read_text(encoding="utf-8"))
+    tiling = read_tiling(args.infile.read_bytes())
     highlight = ()
     if args.highlight_ap:
         best = longest_ap(tiling)
@@ -268,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SOLVER
     except (ParseError, TilingError) as e:
         print(f"input error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as e:
+        print(f"file error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ResourceLimitError, TtrError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -98,14 +98,12 @@ def build_cnf(rect: Rect) -> CNF:
     return CNF(rect, len(index), tuple(clauses), index)
 
 
-def add_ap_blocking(cnf: CNF, l: int, *, dxdy_filter: bool = False) -> CNF:
+def add_ap_blocking(cnf: CNF, l: int) -> CNF:
     """Forbid every window of l equally spaced same-orientation placements.
 
     A window is found from its first two anchors, an ordered pair in (row,
     col) order whose difference is the step, extended by that step.  The
     result is satisfiable exactly when a tiling without any l-term AP exists.
-    ``dxdy_filter`` keeps only steps congruent to (0,0) or (2,2) mod 4; that
-    is sound for l >= 3 but off by default so correctness never depends on it.
     """
     if l < 2:
         raise ValueError(f"l must be >= 2, got {l}")
@@ -121,8 +119,6 @@ def add_ap_blocking(cnf: CNF, l: int, *, dxdy_filter: bool = False) -> CNF:
                 dy, dx = r1 - r0, c1 - c0
                 if r0 + (l - 1) * dy >= cnf.rect.height:
                     break  # rows only grow from here on, so no later pair fits either
-                if dxdy_filter and (dy % 4, dx % 4) not in {(0, 0), (2, 2)}:
-                    continue
                 window = [-(first + 1), -(second + 1)]
                 rr, cc = r1, c1
                 for _ in range(l - 2):

@@ -9,10 +9,8 @@ forcing length and the greatest forced AP length.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import IndeterminateError, LemmaViolationError, ResourceLimitError
 from .enumerator import DEFAULT_ENUM_AREA, _candidates_by_first_cell
@@ -131,16 +129,16 @@ def decide_forces(
         # A bad hint proves nothing; fall through to the search.
 
     if config.engine == "internal-backtracking":
-        return _decide_by_enumeration(h, w, l, config)
+        return _decide_by_enumeration(h, w, l)
 
-    cnf = add_ap_blocking(build_cnf(Rect(h, w)), l, dxdy_filter=config.dxdy_step_filter)
+    cnf = add_ap_blocking(build_cnf(Rect(h, w)), l)
     verdict = solve(cnf, config)
     if verdict.status is SolverStatus.UNKNOWN:
         raise IndeterminateError(f"budget exhausted deciding ({h},{w}) -> {l}")
     result = DecideResult(h, w, l, forced=verdict.status is SolverStatus.UNSAT,
                           witness=verdict.witness, method="sat")
-    if config.oracle_cross_check and h * w <= config.oracle_area_limit:
-        oracle = _decide_by_enumeration(h, w, l, config)
+    if config.oracle_cross_check and h * w <= DEFAULT_ENUM_AREA:
+        oracle = _decide_by_enumeration(h, w, l)
         if oracle.forced != result.forced:
             raise LemmaViolationError(
                 f"solver and enumerator disagree on ({h},{w}) -> {l}: "
@@ -149,9 +147,9 @@ def decide_forces(
     return result
 
 
-def _decide_by_enumeration(h: int, w: int, l: int, config: SearchConfig) -> DecideResult:
+def _decide_by_enumeration(h: int, w: int, l: int) -> DecideResult:
     rect = Rect(h, w)
-    if rect.area > max(config.oracle_area_limit, DEFAULT_ENUM_AREA) and rect.height > 4:
+    if rect.area > DEFAULT_ENUM_AREA and rect.height > 4:
         raise ResourceLimitError(
             f"exhaustive decision for {rect} exceeds the enumeration bound; use the sat engine"
         )
@@ -173,44 +171,6 @@ class ScanResult:
         return self.value is not None
 
 
-def _decide_task(args: tuple[int, int, int, SearchConfig]) -> bool | None:
-    h, w, l, config = args
-    try:
-        return decide_forces(h, w, l, config).forced
-    except IndeterminateError:
-        return None
-
-
-def _scan_forced(
-    questions: Sequence[tuple[int, int, int]],
-    config: SearchConfig,
-) -> Iterator[bool | None]:
-    """Answer (h, w, l) forcing questions in order; None marks budget exhaustion.
-
-    With ``config.jobs > 1``, a sliding window of that many questions runs
-    speculatively on worker processes; answers still stream back in order, so
-    scans that stop at the first forced answer give identical results.
-    """
-    if config.jobs <= 1:
-        for h, w, l in questions:
-            yield _decide_task((h, w, l, config))
-        return
-    tasks = [(h, w, l, config) for h, w, l in questions]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        pending = deque(pool.submit(_decide_task, t) for t in tasks[: config.jobs])
-        next_idx = len(pending)
-        try:
-            while pending:
-                yield pending.popleft().result()
-                if next_idx < len(tasks):
-                    pending.append(pool.submit(_decide_task, tasks[next_idx]))
-                    next_idx += 1
-        finally:
-            for fut in pending:
-                fut.cancel()
-            pool.shutdown(wait=True, cancel_futures=True)
-
-
 def compute_T(w: int, l: int, config: SearchConfig | None = None, *, max_length: int = 400) -> ScanResult:
     """Least length N (multiple of 4) such that (w, N) forces an l-term AP.
 
@@ -225,9 +185,11 @@ def compute_T(w: int, l: int, config: SearchConfig | None = None, *, max_length:
     ceiling: int | None = None
     if w in (4, 8, 12, 16) and 3 <= l <= 4:
         ceiling = 4 * vdw_number(l)
-    lengths = list(range(4, (ceiling or max_length) + 1, 4))
-    for n, forced in zip(lengths, _scan_forced([(w, n, l) for n in lengths], config)):
-        if forced is None:
+    lengths = range(4, (ceiling or max_length) + 1, 4)
+    for n in lengths:
+        try:
+            forced = decide_forces(w, n, l, config).forced
+        except IndeterminateError:
             return ScanResult(None, n, ceiling)
         if forced:
             return ScanResult(n, n, n)
@@ -249,9 +211,10 @@ def compute_L(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:
         raise ValueError(f"sides must be multiples of 4, got {h}x{w}")
     config = config or SearchConfig()
     ceiling = h * w // 4 + 1  # more terms than tiles is trivially avoidable
-    lengths = list(range(2, ceiling + 1))
-    for l, forced in zip(lengths, _scan_forced([(h, w, l) for l in lengths], config)):
-        if forced is None:
+    for l in range(2, ceiling + 1):
+        try:
+            forced = decide_forces(h, w, l, config).forced
+        except IndeterminateError:
             return ScanResult(None, l - 1, None)
         if not forced:
             return ScanResult(l - 1, l - 1, l - 1)

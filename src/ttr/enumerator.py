@@ -10,6 +10,7 @@ makes emptiness proofs (non-tileable rectangles) fast.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -48,6 +49,19 @@ def _candidates_by_first_cell(rect: Rect) -> list[list[tuple[int, Tile]]]:
     return by_cell
 
 
+@contextmanager
+def _recursion_limit_at_least(depth: int) -> Iterator[None]:
+    """Raise the interpreter's recursion limit to ``depth`` and restore it on exit."""
+    old_limit = sys.getrecursionlimit()
+    if old_limit < depth:
+        sys.setrecursionlimit(depth)
+    try:
+        yield
+    finally:
+        if old_limit < depth:
+            sys.setrecursionlimit(old_limit)
+
+
 def enumerate_tilings(
     rect: Rect,
     limit: int | None = None,
@@ -79,10 +93,6 @@ def enumerate_tilings(
     stack: list[Tile] = []
     yielded = 0
 
-    depth = area // 4 + 16
-    if sys.getrecursionlimit() < depth + 64:
-        sys.setrecursionlimit(depth + 64)
-
     def search(covered: int, first_free: int) -> Iterator[Tiling]:
         nonlocal yielded
         if covered == full:
@@ -106,10 +116,11 @@ def enumerate_tilings(
         if yielded == produced:
             dead.add(key)
 
-    for tiling in search(0, 0):
-        yield tiling
-        if limit is not None and yielded >= limit:
-            return
+    with _recursion_limit_at_least(area // 4 + 80):
+        for tiling in search(0, 0):
+            yield tiling
+            if limit is not None and yielded >= limit:
+                return
 
 
 def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
@@ -148,15 +159,8 @@ def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
         memo[key] = total
         return total
 
-    old_limit = sys.getrecursionlimit()
-    depth = area // 4 + 64
-    if old_limit < depth:
-        sys.setrecursionlimit(depth)
-    try:
+    with _recursion_limit_at_least(area // 4 + 64):
         return count(0, 0)
-    finally:
-        if old_limit < depth:
-            sys.setrecursionlimit(old_limit)
 
 
 def has_tiling(rect: Rect, *, max_area: int = 4096) -> bool:

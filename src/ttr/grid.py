@@ -349,6 +349,43 @@ def cut_cornerless_ok(tiling: Tiling) -> bool:
 FORMAT_MAGIC = "TTILING 1"
 
 
+def _is_decimal(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
+def read_header(data: str | bytes, magic: str) -> tuple[int, int, list[str]]:
+    """Decode a text file and parse its ``<magic>`` and ``<h> <w>`` lines.
+
+    The TTILING, TCOLOR and CHAIN readers share these rules: bytes must be
+    valid UTF-8, lines end in LF only, and both dimensions are decimal and
+    >= 1.  Returns (h, w, the lines after the dimensions line); line i of
+    that list is line i + 3 of the file.  Raises :class:`ParseError`.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(1, 1, f"not valid UTF-8: {e}") from None
+    if "\r" in data:
+        at = data.index("\r")
+        line = data.count("\n", 0, at) + 1
+        raise ParseError(line, 1, "CR line endings are not allowed (LF only)")
+    lines = data.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != magic:
+        raise ParseError(1, 1, f"expected header {magic!r}")
+    if len(lines) < 2:
+        raise ParseError(2, 1, "missing dimensions line")
+    dims = lines[1].split()
+    if len(dims) != 2 or not all(_is_decimal(t) for t in dims):
+        raise ParseError(2, 1, "expected '<h> <w>' with decimal dimensions")
+    h, w = int(dims[0]), int(dims[1])
+    if h < 1 or w < 1:
+        raise ParseError(2, 1, "dimensions must be >= 1")
+    return h, w, lines[2:]
+
+
 def write_tiling(tiling: Tiling) -> str:
     """Serialize with canonical tile ids 0..n-1 (canonical tile order)."""
     h, w = tiling.rect.height, tiling.rect.width
@@ -364,41 +401,20 @@ def read_tiling(data: str | bytes) -> Tiling:
     Raises :class:`ParseError` for syntax problems (with line/column) and
     :class:`TilingError` when the id regions do not form valid tiles.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(1, 1, f"not valid UTF-8: {e}") from None
-    if "\r" in data:
-        at = data.index("\r")
-        line = data.count("\n", 0, at) + 1
-        raise ParseError(line, 1, "CR line endings are not allowed (LF only)")
-    lines = data.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != FORMAT_MAGIC:
-        raise ParseError(1, 1, f"expected header {FORMAT_MAGIC!r}")
-    if len(lines) < 2:
-        raise ParseError(2, 1, "missing dimensions line")
-    dims = lines[1].split()
-    if len(dims) != 2 or not all(t.isdigit() for t in dims):
-        raise ParseError(2, 1, "expected '<h> <w>' with decimal dimensions")
-    h, w = int(dims[0]), int(dims[1])
-    if h < 1 or w < 1:
-        raise ParseError(2, 1, "dimensions must be >= 1")
-    if len(lines) > h + 2:
+    h, w, body = read_header(data, FORMAT_MAGIC)
+    if len(body) > h:
         raise ParseError(h + 3, 1, f"unexpected content after {h} grid rows")
 
     cells_by_id: dict[int, list[Cell]] = {}
     for r in range(h):
-        if 2 + r >= len(lines):
-            raise ParseError(len(lines) + 1, 1, f"expected {h} grid rows, found {r}")
-        row_tokens = lines[2 + r].split()
+        if r >= len(body):
+            raise ParseError(len(body) + 3, 1, f"expected {h} grid rows, found {r}")
+        row_tokens = body[r].split()
         if len(row_tokens) != w:
             raise ParseError(3 + r, 1, f"expected {w} ids, found {len(row_tokens)}")
         for c, token in enumerate(row_tokens):
-            if not token.isdigit():
-                col = lines[2 + r].index(token) + 1
+            if not _is_decimal(token):
+                col = body[r].index(token) + 1
                 raise ParseError(3 + r, col, f"bad tile id {token!r}")
             cells_by_id.setdefault(int(token), []).append((r, c))
 

@@ -37,24 +37,23 @@ class SolverStatus(Enum):
 
 @dataclass
 class SearchConfig:
-    """Knobs shared by the decision procedures.
+    """Settings shared by the decision procedures; each one changes what runs.
 
     ``engine`` selects between the CNF/SAT pipeline and the exhaustive
     internal backtracker for decide-style questions.  ``solver_cmd`` (or the
     TTR_SOLVER environment variable) switches SAT solving to an external
-    DIMACS command.
+    DIMACS command.  ``time_budget_s`` bounds each solver call, and
+    ``internal_var_limit`` refuses instances too large for the built-in CDCL
+    solver.  ``oracle_cross_check`` re-decides SAT answers with the
+    enumerator on rectangles of at most ``enumerator.DEFAULT_ENUM_AREA``
+    cells.
     """
 
     engine: str = "sat"  # "sat" or "internal-backtracking"
     solver_cmd: str | None = None
     time_budget_s: float | None = None
-    jobs: int = 1
-    deterministic: bool = True
-    seed: int = 0
     internal_var_limit: int = DEFAULT_INTERNAL_VAR_LIMIT
     oracle_cross_check: bool = True
-    oracle_area_limit: int = 96
-    dxdy_step_filter: bool = False
 
     def __post_init__(self):
         if self.engine not in ("sat", "internal-backtracking"):

@@ -18,7 +18,6 @@ from .solver import SearchConfig, SolverStatus, run_sat
 from .width4 import read_tcolor, write_tcolor
 
 MAX_VDW_LEN = 4
-BRUTE_FORCE_CELLS = 25
 
 
 def _has_ap_ending_at(colors: list[int], pos: int, l: int) -> bool:
@@ -174,7 +173,12 @@ def grid_mono_ap(coloring: GridColoring, l: int) -> GridAP | None:
 
 
 def _forced_brute(h: int, w: int, l: int) -> tuple[bool, GridColoring | None]:
-    """(every coloring has a mono l-AP, an avoiding coloring if one exists)."""
+    """(every coloring has a mono l-AP, an avoiding coloring if one exists).
+
+    Scans all 2^(h*w - 1) colorings, so its cost doubles with every cell.
+    Production goes through :func:`_forced_sat`; this scan is the
+    independent oracle the tests compare that route against.
+    """
     masks: list[int] = []
     for cells in _ap_candidates(h, w, l):
         m = 0
@@ -221,12 +225,11 @@ def _forced_sat(h: int, w: int, l: int, config: SearchConfig) -> tuple[bool | No
 def mono_ap_forced(h: int, w: int, l: int, config: SearchConfig | None = None) -> tuple[bool, GridColoring | None]:
     """Whether every 2-coloring of the h x w grid has a monochromatic l-AP.
 
-    Returns the forced flag plus an avoiding coloring when not forced.
-    Brute force below ``BRUTE_FORCE_CELLS`` cells; SAT beyond.
+    Returns the forced flag plus an avoiding coloring when not forced.  The
+    question goes to the SAT route; any avoiding coloring it returns is
+    re-checked with :func:`grid_mono_ap` before it is returned.
     """
     config = config or SearchConfig()
-    if h * w <= BRUTE_FORCE_CELLS:
-        return _forced_brute(h, w, l)
     forced, coloring = _forced_sat(h, w, l, config)
     if forced is None:
         raise IndeterminateError(f"budget exhausted on L_vdW({h},{w}) at l={l}")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import CatalogError, ParseError, ResourceLimitError, StructureError
 from .enumerator import enumerate_tilings
-from .grid import TILE_BBOX, Orientation, Rect, Tile, Tiling, tile_cells
+from .grid import TILE_BBOX, Orientation, Rect, Tile, Tiling, read_header, tile_cells
 from .aps import has_ap_of_length, maximal_runs
 
 UNIT_A_TILES: tuple[Tile, ...] = (
@@ -303,24 +303,11 @@ def write_tcolor(rows: Sequence[str]) -> str:
 
 def read_tcolor(data: str | bytes) -> list[str]:
     """Parse TCOLOR; returns the rows as strings over {A, B}."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = data.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != TCOLOR_MAGIC:
-        raise ParseError(1, 1, f"expected header {TCOLOR_MAGIC!r}")
-    if len(lines) < 2:
-        raise ParseError(2, 1, "missing dimensions line")
-    dims = lines[1].split()
-    if len(dims) != 2 or not all(t.isdigit() for t in dims):
-        raise ParseError(2, 1, "expected '<h> <w>' with decimal dimensions")
-    h, w = int(dims[0]), int(dims[1])
-    if len(lines) != h + 2:
-        raise ParseError(len(lines) + 1, 1, f"expected {h} rows, found {len(lines) - 2}")
+    h, w, body = read_header(data, TCOLOR_MAGIC)
+    if len(body) != h:
+        raise ParseError(len(body) + 3, 1, f"expected {h} rows, found {len(body)}")
     rows = []
-    for r in range(h):
-        row = lines[2 + r]
+    for r, row in enumerate(body):
         if len(row) != w:
             raise ParseError(3 + r, 1, f"expected {w} characters, found {len(row)}")
         for c, ch in enumerate(row):

@@ -8,6 +8,7 @@ from ttr.cli import main
 from ttr.grid import read_tiling
 from ttr.aps import longest_ap
 from ttr.chains import read_chain
+from ttr.vdw import GridColoring, grid_mono_ap
 
 DIMACS_SOLVER = f"{sys.executable} -m ttr.dimacs"
 
@@ -80,6 +81,16 @@ def test_vdw2d(tmp_path, capsys):
     assert cert.read_text().startswith("TCOLOR 1\n3 5\n")
 
 
+@pytest.mark.parametrize("h, w", [(4, 6), (5, 5)])
+def test_vdw2d_answers_past_24_cells_with_verified_avoider(h, w, tmp_path, capsys):
+    cert = tmp_path / "grid.tcolor"
+    assert main(["vdw2d", "--height", str(h), "--width", str(w), "--out", str(cert)]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+    avoider = GridColoring.from_tcolor(cert.read_bytes())
+    assert (avoider.height, avoider.width) == (h, w)
+    assert grid_mono_ap(avoider, 4) is None
+
+
 def test_chaingraph_output_parses(tmp_path, capsys):
     src = tmp_path / "t.ttiling"
     main(["tile", "--height", "4", "--width", "8", "--out", str(src)])
@@ -114,6 +125,23 @@ def test_bad_input_file_exits_1(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_unreadable_input_or_unwritable_output_exits_1(tmp_path, capsys):
+    assert main(["verify", "--in", str(tmp_path / "missing.ttiling")]) == 1
+    assert "file error" in capsys.readouterr().err
+    assert main(["verify", "--in", str(tmp_path)]) == 1
+    assert "file error" in capsys.readouterr().err
+    assert main(["tile", "--height", "4", "--width", "4",
+                 "--out", str(tmp_path / "no-such-dir" / "t.ttiling")]) == 1
+    assert "file error" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.ttiling"
+    bad.write_bytes(b"TTILING 1\n\xff\n")
+    assert main(["verify", "--in", str(bad)]) == 1
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_verify_max_ap_failure_exits_1(tmp_path, capsys):
     src = tmp_path / "t.ttiling"
     main(["tile", "--height", "4", "--width", "8", "--out", str(src)])
@@ -146,14 +174,52 @@ def test_missing_solver_binary_exits_3(capsys):
     assert "solver error" in capsys.readouterr().err
 
 
-def test_dxdy_filter_flag_gives_same_answer(capsys):
-    assert main(["decide", "--height", "4", "--width", "36", "--len", "3",
-                 "--dxdy-filter"]) == 0
-    assert capsys.readouterr().out.strip() == "FORCED"
-
-
 def test_tile_handles_large_rectangles(tmp_path):
     out = tmp_path / "big.ttiling"
     assert main(["tile", "--height", "16", "--width", "136", "--out", str(out)]) == 0
     tiling = read_tiling(out.read_text())
     assert tiling.tile_count == 16 * 136 // 4
+
+
+# Each subcommand's required arguments, and the optional flags it reads.
+SUBCOMMAND_FLAGS = {
+    "tile": (["--height", "4", "--width", "4"],
+             {"--out", "--engine", "--solver", "--budget-seconds", "--internal-cap"}),
+    "decide": (["--height", "4", "--width", "4", "--len", "3"],
+               {"--out", "--engine", "--solver", "--budget-seconds", "--internal-cap"}),
+    "apfree": (["--height", "4", "--width", "4", "--len", "3"],
+               {"--out", "--solver", "--budget-seconds", "--internal-cap", "--symmetry"}),
+    "vdw2d": (["--height", "2", "--width", "2"],
+              {"--out", "--solver", "--budget-seconds", "--internal-cap"}),
+    "tvalue": (["--width", "4", "--len", "2"],
+               {"--engine", "--solver", "--budget-seconds", "--internal-cap"}),
+    "lvalue": (["--height", "4", "--width", "4"],
+               {"--engine", "--solver", "--budget-seconds", "--internal-cap"}),
+    "chaingraph": (["--in", "t.ttiling"], {"--out"}),
+    "render": (["--in", "t.ttiling"], {"--out", "--format", "--highlight-ap", "--cell-size", "--borders"}),
+    "verify": (["--in", "t.ttiling"], {"--max-ap"}),
+    "vdw": (["--len", "3"], set()),
+}
+# The options shared between subcommands, plus three that no subcommand accepts.
+SHARED_FLAGS = {"--out", "--engine", "--solver", "--budget-seconds", "--internal-cap",
+                "--jobs", "--seed", "--dxdy-filter"}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_read(command, capsys):
+    required, flags = SUBCOMMAND_FLAGS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = {tok.rstrip(",") for tok in capsys.readouterr().out.split() if tok.startswith("--")}
+    assert listed == flags | {flag for flag in required if flag.startswith("--")} | {"--help"}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_flag_outside_a_subcommands_row_exits_2(command, capsys):
+    required, flags = SUBCOMMAND_FLAGS[command]
+    for flag in sorted(SHARED_FLAGS - flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, flag, "1"])
+        assert exc.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -124,14 +124,9 @@ def test_width8_monotonicity_in_length():
     assert values == sorted(values)
 
 
-def test_parallel_scan_matches_sequential():
-    assert compute_T(4, 3, SearchConfig(jobs=3)).value == compute_T(4, 3).value == 36
-    assert compute_L(8, 8, SearchConfig(jobs=2)).value == 2
-
-
 def test_theorem_equality_at_width_8():
     # The width-8 threshold equals four times the two-color van der Waerden
     # number, computed end to end through the scan.
     from ttr.vdw import vdw_number
 
-    assert compute_T(8, 3, SearchConfig(jobs=4)).value == 4 * vdw_number(3)
+    assert compute_T(8, 3).value == 4 * vdw_number(3)

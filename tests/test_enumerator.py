@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from ttr.errors import ResourceLimitError
@@ -75,3 +77,10 @@ def test_all_yielded_tilings_are_valid_objects():
     for t in enumerate_tilings(Rect(4, 8)):
         assert isinstance(t, Tiling)
         assert t.tile_count == 8
+
+
+def test_recursion_limit_restored():
+    # The 64x64 search needs a recursion limit above the default 1000.
+    before = sys.getrecursionlimit()
+    assert has_tiling(Rect(64, 64))
+    assert sys.getrecursionlimit() == before

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from ttr.chains import build_chain_graph, read_chain, write_chain
 from ttr.errors import ParseError, TilingError
 from ttr.grid import (
     ORIENTATIONS,
@@ -21,6 +22,7 @@ from ttr.grid import (
     validate,
     write_tiling,
 )
+from ttr.width4 import read_tcolor, write_tcolor
 
 from conftest import PINWHEEL_A, PINWHEEL_B
 
@@ -176,10 +178,50 @@ def test_read_tiling_parse_errors_carry_position():
     assert exc.value.line == 3
     with pytest.raises(ParseError):
         read_tiling(b"TTILING 1\r\n4 4\r\n")
+    with pytest.raises(ParseError) as exc:
+        read_tiling("TTILING 1\n1 4\n0 0 \u00b2 0\n")  # a digit, but not a decimal one
+    assert (exc.value.line, exc.value.column) == (3, 5)
 
 
 def test_read_tiling_accepts_bytes(pinwheel_b):
     assert read_tiling(write_tiling(pinwheel_b).encode()) == pinwheel_b
+
+
+# One valid file per text format that shares the header rules, with its reader.
+HEADER_FORMATS = {
+    "TTILING": (read_tiling, write_tiling(Tiling(Rect(4, 4), PINWHEEL_A))),
+    "TCOLOR": (read_tcolor, write_tcolor(["ABBA", "BAAB"])),
+    "CHAIN": (read_chain, write_chain(build_chain_graph(Tiling(Rect(4, 4), PINWHEEL_B)))),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
+def test_header_rejects_invalid_utf8(fmt):
+    reader, text = HEADER_FORMATS[fmt]
+    assert reader(text.encode()) == reader(text)
+    for data in (b"\xff", text.encode() + b"\xff\n"):
+        with pytest.raises(ParseError) as exc:
+            reader(data)
+        assert "UTF-8" in str(exc.value)
+
+
+@pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
+def test_header_rejects_cr_line_endings(fmt):
+    reader, text = HEADER_FORMATS[fmt]
+    for data in (text.replace("\n", "\r\n"), text.replace("\n", "\r"), text + "\r"):
+        with pytest.raises(ParseError) as exc:
+            reader(data)
+        assert "CR" in str(exc.value)
+
+
+@pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
+def test_header_dimensions_are_decimal_and_positive(fmt):
+    reader, text = HEADER_FORMATS[fmt]
+    magic, _dims, body = text.split("\n", 2)
+    for dims in ("0 4", "4 0", "0 0", "-4 4", "+4 4", "4", "4 4 4", "4 x", "4 \u0664", "4 \u00b2"):
+        with pytest.raises(ParseError) as exc:
+            reader(f"{magic}\n{dims}\n{body}")
+        assert exc.value.line == 2, dims
 
 
 def test_cut_cornerless_precondition_surfaces_at_construction():

@@ -98,19 +98,20 @@ def test_1d_consistency_with_vdw_numbers():
 
 
 def test_sat_route_matches_brute_force():
+    # Every grid of at most 16 cells, against the exhaustive oracle.
     config = SearchConfig()
-    for l in (3, 4):
-        brute_forced, brute_avoider = _forced_brute(3, 5, l)
-        sat_forced, sat_avoider = _forced_sat(3, 5, l, config)
-        assert brute_forced == sat_forced
-        if not brute_forced:
-            assert grid_mono_ap(sat_avoider, l) is None
-
-
-def test_mono_ap_forced_uses_sat_beyond_brute_range():
-    # 2x13 = 26 cells > brute bound; rows alone already force a 3-term AP.
-    forced, _ = mono_ap_forced(2, 13, 3)
-    assert forced is True
+    for h in range(1, 17):
+        for w in range(1, 16 // h + 1):
+            for l in (2, 3, 4):
+                brute_forced, brute_avoider = _forced_brute(h, w, l)
+                sat_forced, sat_avoider = _forced_sat(h, w, l, config)
+                assert brute_forced == sat_forced, (h, w, l)
+                assert brute_forced == mono_ap_forced(h, w, l, config)[0]
+                if brute_forced:
+                    assert sat_avoider is None
+                else:
+                    assert grid_mono_ap(brute_avoider, l) is None
+                    assert grid_mono_ap(sat_avoider, l) is None
 
 
 def test_verify_lvdw_pair():
