@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ParseError, ResourceLimitError, StructureError
-from .grid import Cell, Orientation, Rect, Tile, Tiling, read_header, tile_cells
+from .grid import Cell, Orientation, Rect, Tile, Tiling, _is_decimal, read_header, tile_cells
 from .aps import maximal_runs
 
 Block = tuple[int, int]
@@ -337,8 +337,9 @@ def hv_enumerate(rect: Rect, *, max_area: int = DEFAULT_HV_AREA) -> Iterator[Cha
 # CHAIN text format
 #
 #   line 1:  CHAIN 1
-#   line 2:  <h> <w>            (cell dimensions of the rectangle)
-#   then one line per edge: r1 c1 r2 c2  (block indices, lexicographic order)
+#   line 2:  <h> <w>            (cell dimensions of the rectangle, both even)
+#   then one line per edge: r1 c1 r2 c2  (block indices, lexicographic order;
+#   ASCII decimal, rows below h/2 and cols below w/2)
 
 CHAIN_MAGIC = "CHAIN 1"
 
@@ -351,12 +352,18 @@ def write_chain(graph: ChainGraph) -> str:
 
 
 def read_chain(data: str | bytes) -> ChainGraph:
+    """Parse the CHAIN format; every malformed line is a :class:`ParseError`."""
     h, w, body = read_header(data, CHAIN_MAGIC)
+    if h % 2 or w % 2:
+        raise ParseError(2, 1, f"dimensions must be even, got {h} {w}")
+    block_rows, block_cols = h // 2, w // 2
     edges = []
     for i, line in enumerate(body, start=3):
         toks = line.split()
-        if len(toks) != 4 or not all(t.lstrip("-").isdigit() for t in toks):
-            raise ParseError(i, 1, "expected 'r1 c1 r2 c2'")
+        if len(toks) != 4 or not all(_is_decimal(t) for t in toks):
+            raise ParseError(i, 1, "expected 'r1 c1 r2 c2' in decimal digits")
         r1, c1, r2, c2 = (int(t) for t in toks)
+        if max(r1, r2) >= block_rows or max(c1, c2) >= block_cols:
+            raise ParseError(i, 1, f"block outside the {block_rows}x{block_cols} block grid")
         edges.append(((r1, c1), (r2, c2)))
     return ChainGraph(Rect(h, w), edges)

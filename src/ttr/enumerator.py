@@ -1,10 +1,12 @@
-"""Exhaustive backtracking enumeration of complete tilings.
+"""Exhaustive backtracking enumeration and counting of complete tilings.
 
-The search always fills the first uncovered cell in row-major order and tries
-candidate placements in canonical order (orientation U < D < L < R, then row,
-then col), so the output stream is itself canonically ordered.  Subtrees that
-are known to contain no completion are memoized on their frontier state, which
-makes emptiness proofs (non-tileable rectangles) fast.
+Both searches fill the first uncovered cell in row-major order and memoize
+on the frontier state: the first free cell plus the next ``2*width + 2``
+cover bits.  :func:`enumerate_tilings` tries candidate placements in
+canonical order (orientation U < D < L < R, then row, then col), so its
+output stream is itself canonically ordered; subtrees known to contain no
+completion are memoized, which makes emptiness proofs (non-tileable
+rectangles) fast.  :func:`count_tilings` promises only the number.
 """
 
 from __future__ import annotations
@@ -127,7 +129,11 @@ def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
     """Number of complete tilings, via a memoized frontier count.
 
     Much faster than draining :func:`enumerate_tilings` because equal
-    frontier states are counted once.
+    frontier states are counted once.  A rectangle wider than it is tall is
+    counted as its transpose: transposition maps T-tilings to T-tilings
+    (U <-> L, D <-> R), so the number is the same, and the frontier key then
+    spans the short side.  Keyed on the long side, frontier states rarely
+    repeat and the work grows exponentially with the width.
     """
     if rect.area > max_area:
         raise ResourceLimitError(
@@ -136,6 +142,8 @@ def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
         )
     if rect.area % 4:
         return 0
+    if rect.width > rect.height:
+        rect = Rect(rect.width, rect.height)
     area = rect.area
     by_cell = _candidates_by_first_cell(rect)
     window_bits = 2 * rect.width + 2

@@ -8,7 +8,7 @@ anchor by the same vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -18,48 +18,36 @@ Cell = tuple[int, int]
 
 
 class Orientation(Enum):
-    """The four T-tetromino orientations, named by where the stem points."""
+    """The four T-tetromino orientations, named by where the stem points.
 
-    U = "u"
-    D = "d"
-    L = "l"
-    R = "r"
+    Each member's value is its letter.  Its position in the canonical order
+    U < D < L < R (``index``), its cell offsets from the anchor (``offsets``)
+    and its bounding box (``bbox``, rows and cols) are plain attributes, so
+    per-tile loops read them without hashing the member (``Enum.__hash__``
+    runs in Python).
+    """
 
-    @property
-    def index(self) -> int:
-        """Position in the canonical order U < D < L < R."""
-        return _ORIENT_INDEX[self]
+    # Offsets are fixed by the orientation: the bar plus a centered stem.
+    U = ("u", ((0, 1), (1, 0), (1, 1), (1, 2)), (2, 3))
+    D = ("d", ((0, 0), (0, 1), (0, 2), (1, 1)), (2, 3))
+    L = ("l", ((0, 1), (1, 0), (1, 1), (2, 1)), (3, 2))
+    R = ("r", ((0, 0), (1, 0), (1, 1), (2, 0)), (3, 2))
 
-    @property
-    def offsets(self) -> tuple[Cell, ...]:
-        """Cell offsets from the anchor."""
-        return TILE_OFFSETS[self]
+    def __new__(cls, letter: str, offsets: tuple[Cell, ...], bbox: tuple[int, int]):
+        member = object.__new__(cls)
+        member._value_ = letter
+        member.index = len(cls.__members__)
+        member.offsets = offsets
+        member.bbox = bbox
+        return member
 
 
-ORIENTATIONS: tuple[Orientation, ...] = (
-    Orientation.U,
-    Orientation.D,
-    Orientation.L,
-    Orientation.R,
-)
+ORIENTATIONS: tuple[Orientation, ...] = tuple(Orientation)
 
-_ORIENT_INDEX = {o: i for i, o in enumerate(ORIENTATIONS)}
-
-# Offsets are fixed by the orientation: the bar plus a centered stem.
-TILE_OFFSETS: dict[Orientation, tuple[Cell, ...]] = {
-    Orientation.U: ((0, 1), (1, 0), (1, 1), (1, 2)),
-    Orientation.D: ((0, 0), (0, 1), (0, 2), (1, 1)),
-    Orientation.L: ((0, 1), (1, 0), (1, 1), (2, 1)),
-    Orientation.R: ((0, 0), (1, 0), (1, 1), (2, 0)),
-}
+TILE_OFFSETS: dict[Orientation, tuple[Cell, ...]] = {o: o.offsets for o in ORIENTATIONS}
 
 # Bounding box (rows, cols) per orientation.
-TILE_BBOX: dict[Orientation, tuple[int, int]] = {
-    Orientation.U: (2, 3),
-    Orientation.D: (2, 3),
-    Orientation.L: (3, 2),
-    Orientation.R: (3, 2),
-}
+TILE_BBOX: dict[Orientation, tuple[int, int]] = {o: o.bbox for o in ORIENTATIONS}
 
 _OFFSETS_TO_ORIENT = {frozenset(v): k for k, v in TILE_OFFSETS.items()}
 
@@ -95,7 +83,7 @@ class Tile:
 def tile_cells(tile: Tile) -> frozenset[Cell]:
     """The four cells covered by ``tile``."""
     r, c = tile.row, tile.col
-    return frozenset((r + dr, c + dc) for dr, dc in TILE_OFFSETS[tile.orientation])
+    return frozenset([(r + dr, c + dc) for dr, dc in tile.orientation.offsets])
 
 
 @dataclass(frozen=True)
@@ -162,9 +150,14 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """All violations found in a candidate tiling; ``ok`` iff there are none."""
+    """All violations found in a candidate tiling; ``ok`` iff there are none.
+
+    ``owner`` maps each in-bounds covered cell to the index of the first tile
+    that covers it; it takes no part in comparison.
+    """
 
     violations: tuple[Violation, ...]
+    owner: dict[Cell, int] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -178,25 +171,36 @@ def validate(rect: Rect, tiles: Sequence[Tile]) -> ValidityReport:
     """Check bounds, disjointness, and complete cover; collects all violations.
 
     Violations are data rather than failures so that partially built tile
-    sets (and decoded solver witnesses) can be inspected.
+    sets (and decoded solver witnesses) can be inspected.  A tile's
+    violations are listed in the iteration order of its ``tile_cells``, then
+    uncovered cells in row-major order.
     """
+    h, w = rect.height, rect.width
     violations: list[Violation] = []
     owner: dict[Cell, int] = {}
     for i, tile in enumerate(tiles):
-        for cell in tile_cells(tile):
-            if cell not in rect:
-                violations.append(Violation(ViolationKind.OUT_OF_BOUNDS, cell=cell, tiles=(i,)))
+        o, r, c = tile.orientation, tile.row, tile.col
+        rows, cols = o.bbox
+        if 0 <= r and r + rows <= h and 0 <= c and c + cols <= w:
+            before = len(owner)
+            for dr, dc in o.offsets:
+                owner.setdefault((r + dr, c + dc), i)
+            if len(owner) - before == 4:
                 continue
-            if cell in owner:
+        # Out of bounds or overlapping: report this tile cell by cell.
+        for cell in tile_cells(tile):
+            x, y = cell
+            if not (0 <= x < h and 0 <= y < w):
+                violations.append(Violation(ViolationKind.OUT_OF_BOUNDS, cell=cell, tiles=(i,)))
+            elif owner.setdefault(cell, i) != i:
                 violations.append(
                     Violation(ViolationKind.OVERLAP, cell=cell, tiles=(owner[cell], i))
                 )
-            else:
-                owner[cell] = i
-    for cell in rect.cells():
-        if cell not in owner:
-            violations.append(Violation(ViolationKind.UNCOVERED, cell=cell))
-    return ValidityReport(tuple(violations))
+    if len(owner) != h * w:
+        for cell in rect.cells():
+            if cell not in owner:
+                violations.append(Violation(ViolationKind.UNCOVERED, cell=cell))
+    return ValidityReport(tuple(violations), owner)
 
 
 class Tiling:
@@ -204,7 +208,8 @@ class Tiling:
 
     Tiles are stored in canonical order (by anchor row, then anchor col) and
     the object is immutable; construction fails with :class:`TilingError`
-    unless ``validate`` reports ok.
+    unless ``validate`` reports ok.  The cell-to-tile map is the one
+    ``validate`` built; the hash is computed on first use.
     """
 
     __slots__ = ("rect", "tiles", "_owner", "_hash")
@@ -216,12 +221,8 @@ class Tiling:
             raise TilingError(report)
         self.rect = rect
         self.tiles = ordered
-        owner: dict[Cell, int] = {}
-        for i, tile in enumerate(ordered):
-            for cell in tile_cells(tile):
-                owner[cell] = i
-        self._owner = owner
-        self._hash = hash((rect, ordered))
+        self._owner = report.owner
+        self._hash = None
 
     @property
     def tile_count(self) -> int:
@@ -251,6 +252,8 @@ class Tiling:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.rect, self.tiles))
         return self._hash
 
     def __repr__(self) -> str:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from ttr.errors import ResourceLimitError, StructureError
+from ttr.errors import ParseError, ResourceLimitError, StructureError
 from ttr.grid import Orientation, Rect, Tile
 from ttr.aps import enumerate_aps
 from ttr.chains import (
@@ -173,6 +173,29 @@ def test_chain_format_round_trip(corpus):
         assert lines[2:] == sorted(lines[2:])
         back = read_chain(text)
         assert back == g
+
+
+@pytest.mark.parametrize("token", ["-1", "+1", "\u0661", "\u00b2", "1.0", "x"])
+def test_read_chain_edge_tokens_are_ascii_decimal(token):
+    with pytest.raises(ParseError) as exc:
+        read_chain(f"CHAIN 1\n4 4\n0 0 0 1\n{token} 0 0 0\n")
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("edge", ["2 0 1 0", "0 3 0 2", "1 0 2 0", "0 2 0 3", "0 0 9 9"])
+def test_read_chain_edges_stay_in_the_block_grid(edge):
+    # 4x6 cells have a 2x3 block grid.
+    with pytest.raises(ParseError) as exc:
+        read_chain(f"CHAIN 1\n4 6\n0 0 0 1\n{edge}\n")
+    assert exc.value.line == 4
+    assert read_chain("CHAIN 1\n4 6\n1 2 0 2\n").edges == {((1, 2), (0, 2))}
+
+
+@pytest.mark.parametrize("dims", ["3 3", "3 4", "4 3"])
+def test_read_chain_odd_dimensions_are_a_parse_error(dims):
+    with pytest.raises(ParseError) as exc:
+        read_chain(f"CHAIN 1\n{dims}\n")
+    assert exc.value.line == 2
 
 
 def test_hv_resource_bound():

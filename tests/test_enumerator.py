@@ -27,14 +27,26 @@ def test_strip_counts_match_unit_compositions(catalog):
     by_len: dict[int, int] = {}
     for u in catalog.units:
         by_len[u.length // 4] = by_len.get(u.length // 4, 0) + 1
+    # The catalog stops at length 16 with two units of each length; strips up
+    # to 4x40 use Walkup's two fault-free units per length beyond that.
+    assert by_len == {1: 2, 2: 2, 3: 2, 4: 2}
+    by_len.update({k: 2 for k in range(5, 11)})
 
     def compositions(n: int) -> int:
         if n == 0:
             return 1
         return sum(m * compositions(n - k) for k, m in by_len.items() if k <= n)
 
-    for n in range(1, 5):
-        assert count_tilings(Rect(4, 4 * n)) == compositions(n)
+    for n in range(1, 11):
+        rect = Rect(4, 4 * n)
+        assert count_tilings(rect, max_area=rect.area) == compositions(n)
+    assert compositions(10) == 39366
+
+
+def test_count_is_transpose_invariant(corpus):
+    rects = set(corpus) | {(6, 6), (4, 6), (8, 12)}
+    for h, w in rects:
+        assert count_tilings(Rect(h, w), max_area=128) == count_tilings(Rect(w, h), max_area=128), (h, w)
 
 
 def test_enumeration_and_count_agree(corpus):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -8,11 +9,13 @@ from ttr.chains import build_chain_graph, read_chain, write_chain
 from ttr.errors import ParseError, TilingError
 from ttr.grid import (
     ORIENTATIONS,
+    TILE_OFFSETS,
     Orientation,
     Rect,
     Tile,
     Tiling,
     WALKUP_CLASSES,
+    Violation,
     ViolationKind,
     cut_cornerless_ok,
     is_tileable,
@@ -97,6 +100,64 @@ def test_validate_overlap_cells():
 def test_validate_out_of_bounds():
     report = validate(Rect(4, 4), [Tile(Orientation.D, 0, 2)])
     assert report.by_kind(ViolationKind.OUT_OF_BOUNDS)
+
+
+def reference_validate(rect: Rect, tiles) -> tuple[Violation, ...]:
+    """The one-cell-at-a-time ``validate``: the oracle for the violations and their order."""
+    violations: list[Violation] = []
+    owner: dict = {}
+    for i, tile in enumerate(tiles):
+        r, c = tile.row, tile.col
+        for cell in frozenset((r + dr, c + dc) for dr, dc in TILE_OFFSETS[tile.orientation]):
+            if cell not in rect:
+                violations.append(Violation(ViolationKind.OUT_OF_BOUNDS, cell=cell, tiles=(i,)))
+                continue
+            if cell in owner:
+                violations.append(
+                    Violation(ViolationKind.OVERLAP, cell=cell, tiles=(owner[cell], i))
+                )
+            else:
+                owner[cell] = i
+    for cell in rect.cells():
+        if cell not in owner:
+            violations.append(Violation(ViolationKind.UNCOVERED, cell=cell))
+    return tuple(violations)
+
+
+def random_tile_lists(seed: int, count: int):
+    """Seeded (rect, tiles) cases: out of bounds, overlapping, uncovered and empty."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rect = Rect(rng.randint(1, 9), rng.randint(1, 9))
+        n = rng.choice([0, 1, 2, rect.area // 4, rect.area // 4 + 1, rng.randint(0, 30)])
+        tiles = [
+            Tile(rng.choice(ORIENTATIONS), rng.randint(-3, rect.height), rng.randint(-3, rect.width))
+            for _ in range(n)
+        ]
+        if tiles and rng.random() < 0.3:
+            tiles.append(rng.choice(tiles))
+        yield rect, tiles
+
+
+def test_validate_matches_reference_in_order(corpus):
+    kinds = set()
+    for rect, tiles in random_tile_lists(seed=20221, count=3000):
+        got = validate(rect, tiles).violations
+        assert got == reference_validate(rect, tiles), (rect, tiles)
+        kinds.update(v.kind for v in got)
+    assert kinds == {ViolationKind.OUT_OF_BOUNDS, ViolationKind.OVERLAP, ViolationKind.UNCOVERED}
+    for (h, w), tilings in corpus.items():
+        for tiling in tilings[:50]:
+            assert validate(Rect(h, w), tiling.tiles).violations == ()
+            assert reference_validate(Rect(h, w), tiling.tiles) == ()
+
+
+def test_owner_index_agrees_with_tile_cells(corpus):
+    for tilings in corpus.values():
+        for tiling in tilings:
+            owner = {cell: i for i, tile in enumerate(tiling.tiles) for cell in tile_cells(tile)}
+            assert len(owner) == tiling.rect.area
+            assert all(tiling.owner_index(cell) == i for cell, i in owner.items())
 
 
 @pytest.mark.parametrize(
