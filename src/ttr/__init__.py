@@ -58,7 +58,6 @@ from .vdw import (
     extremal_coloring,
     grid_mono_ap,
     vdw_number,
-    verify_lvdw_pair,
 )
 from .render import RenderOptions, render
 
@@ -128,7 +127,6 @@ __all__ = [
     "tiling_to_coloring",
     "validate",
     "vdw_number",
-    "verify_lvdw_pair",
     "write_tiling",
     "__version__",
 ]

@@ -10,10 +10,10 @@ forcing length and the greatest forced AP length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Sequence
 
 from .errors import IndeterminateError, LemmaViolationError, ResourceLimitError
-from .enumerator import DEFAULT_ENUM_AREA, _candidates_by_first_cell
+from .enumerator import DEFAULT_ENUM_AREA, frontier_search, placements
 from .grid import Rect, Tile, Tiling
 from .aps import longest_ap
 from .cnf import add_ap_blocking, build_cnf
@@ -36,26 +36,16 @@ class DecideResult:
         return self.forced
 
 
-def _apfree_enumerate(rect: Rect, l: int, limit: int | None = None) -> Iterator[Tiling]:
-    """Complete tilings whose longest AP is < l, by pruned backtracking.
+def _completes_ap(l: int) -> Callable[[Tile, Sequence[Tile]], bool]:
+    """Prune hook: does the new tile complete l equally spaced same-orientation anchors?
 
-    Prunes a branch as soon as the newest placement completes a window of l
-    equally spaced same-orientation anchors, so only AP-free partial tilings
-    are explored.
+    Cutting such a placement as soon as it is tried keeps every partial
+    tiling the search explores free of l-term APs.
     """
-    area = rect.area
-    if area % 4:
-        return
-    by_cell = _candidates_by_first_cell(rect)
-    full = (1 << area) - 1
-    anchors: dict = {}
-    stack: list[Tile] = []
-    found = 0
 
-    def completes_window(tile: Tile) -> bool:
-        same = anchors.get(tile.orientation)
-        if not same:
-            return False
+    def completes(tile: Tile, placed: Sequence[Tile]) -> bool:
+        o = tile.orientation
+        same = {t.anchor for t in placed if t.orientation is o}
         r, c = tile.row, tile.col
         for (br, bc) in same:
             dy, dx = r - br, c - bc
@@ -75,28 +65,7 @@ def _apfree_enumerate(rect: Rect, l: int, limit: int | None = None) -> Iterator[
                 return True
         return False
 
-    def search(covered: int, first_free: int) -> Iterator[Tiling]:
-        nonlocal found
-        if covered == full:
-            found += 1
-            yield Tiling(rect, stack)
-            return
-        while (covered >> first_free) & 1:
-            first_free += 1
-        for mask, tile in by_cell[first_free]:
-            if covered & mask:
-                continue
-            if completes_window(tile):
-                continue
-            anchors.setdefault(tile.orientation, set()).add(tile.anchor)
-            stack.append(tile)
-            yield from search(covered | mask, first_free + 1)
-            stack.pop()
-            anchors[tile.orientation].discard(tile.anchor)
-            if limit is not None and found >= limit:
-                return
-
-    yield from search(0, 0)
+    return completes
 
 
 def decide_forces(
@@ -153,7 +122,7 @@ def _decide_by_enumeration(h: int, w: int, l: int) -> DecideResult:
         raise ResourceLimitError(
             f"exhaustive decision for {rect} exceeds the enumeration bound; use the sat engine"
         )
-    for tiling in _apfree_enumerate(rect, l, limit=1):
+    for tiling in frontier_search(rect, placements(rect), prune=_completes_ap(l), limit=1):
         return DecideResult(h, w, l, forced=False, witness=tiling, method="enumeration")
     return DecideResult(h, w, l, forced=True, method="enumeration")
 

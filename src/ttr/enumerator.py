@@ -1,19 +1,31 @@
-"""Exhaustive backtracking enumeration and counting of complete tilings.
+"""Exhaustive row-major frontier search over complete tilings.
 
-Both searches fill the first uncovered cell in row-major order and memoize
-on the frontier state: the first free cell plus the next ``2*width + 2``
-cover bits.  :func:`enumerate_tilings` tries candidate placements in
-canonical order (orientation U < D < L < R, then row, then col), so its
-output stream is itself canonically ordered; subtrees known to contain no
-completion are memoized, which makes emptiness proofs (non-tileable
-rectangles) fast.  :func:`count_tilings` promises only the number.
+:func:`frontier_search` is the one tiling search in the package.  It fills
+the first uncovered cell in row-major order with each placement whose first
+covered cell is there, tried in canonical order (orientation U < D < L < R,
+then row, then col), so its output stream is itself canonically ordered.  It
+searches over a given tuple of placements and takes an optional
+``prune(tile, placed)`` hook that cuts a candidate given the tiles already
+placed; :mod:`ttr.decide` passes its AP-window check there.
+
+The frontier state is the first free cell plus the next ``2*width + 2``
+cover bits.  The search memoizes dead states, which makes emptiness proofs
+(non-tileable rectangles) fast.  A state is recorded as dead only when its
+subtree yielded no tiling *and* the hook cut nothing inside it: only then
+was the subtree searched in full, so no completion exists from that state
+whatever was placed before it.  With no hook this is the plain dead-state
+memo.
+
+:func:`enumerate_tilings` is the search over every placement.
+:func:`count_tilings` shares the candidate table, the frontier window and
+the recursion guard, memoizes counts instead, and promises only the number.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .grid import ORIENTATIONS, TILE_BBOX, Rect, Tile, Tiling, tile_cells
@@ -32,14 +44,16 @@ def placements(rect: Rect) -> tuple[Tile, ...]:
     return tuple(out)
 
 
-def _candidates_by_first_cell(rect: Rect) -> list[list[tuple[int, Tile]]]:
-    """For each cell index, the placements whose first covered cell is there.
+def _frontier(rect: Rect, tiles: Sequence[Tile]) -> tuple[list[list[tuple[int, Tile]]], int, int]:
+    """Candidate table, frontier window mask and full cover mask of a search.
 
-    "First" means smallest row-major index; masks use bit ``r*w + c``.
+    The table lists, for each cell index, the ``(mask, tile)`` pairs of the
+    placements in ``tiles`` whose first covered cell ("first" means smallest
+    row-major index) is there, in canonical order; masks use bit ``r*w + c``.
     """
     w = rect.width
     by_cell: list[list[tuple[int, Tile]]] = [[] for _ in range(rect.area)]
-    for tile in placements(rect):
+    for tile in tiles:
         cells = sorted(tile_cells(tile))
         mask = 0
         for r, c in cells:
@@ -48,12 +62,13 @@ def _candidates_by_first_cell(rect: Rect) -> list[list[tuple[int, Tile]]]:
         by_cell[first].append((mask, tile))
     for lst in by_cell:
         lst.sort(key=lambda mt: (mt[1].orientation.index, mt[1].row, mt[1].col))
-    return by_cell
+    return by_cell, (1 << (2 * w + 2)) - 1, (1 << rect.area) - 1
 
 
 @contextmanager
-def _recursion_limit_at_least(depth: int) -> Iterator[None]:
-    """Raise the interpreter's recursion limit to ``depth`` and restore it on exit."""
+def _deep_enough(rect: Rect) -> Iterator[None]:
+    """Let the recursion reach one frame per tile of ``rect``; restore the limit on exit."""
+    depth = rect.area // 4 + 80
     old_limit = sys.getrecursionlimit()
     if old_limit < depth:
         sys.setrecursionlimit(depth)
@@ -62,6 +77,63 @@ def _recursion_limit_at_least(depth: int) -> Iterator[None]:
     finally:
         if old_limit < depth:
             sys.setrecursionlimit(old_limit)
+
+
+def frontier_search(
+    rect: Rect,
+    tiles: Sequence[Tile],
+    *,
+    prune: Callable[[Tile, Sequence[Tile]], bool] | None = None,
+    limit: int | None = None,
+) -> Iterator[Tiling]:
+    """Yield every tiling of ``rect`` by placements from ``tiles``, in canonical order.
+
+    ``prune(tile, placed)`` cuts a candidate placement that the caller rules
+    out given the tiles placed so far; ``limit`` stops the stream after that
+    many tilings.  The area is not bounded here; callers bound it.
+    """
+    if limit is not None and limit <= 0:
+        return
+    if rect.area % 4:
+        return
+
+    by_cell, window_mask, full = _frontier(rect, tiles)
+    dead: set[tuple[int, int]] = set()
+    placed: list[Tile] = []
+    yielded = 0
+    cuts = 0
+
+    def search(covered: int, first_free: int) -> Iterator[Tiling]:
+        nonlocal yielded, cuts
+        if covered == full:
+            yielded += 1
+            yield Tiling(rect, placed)
+            return
+        while (covered >> first_free) & 1:
+            first_free += 1
+        key = (first_free, (covered >> first_free) & window_mask)
+        if key in dead:
+            return
+        before = (yielded, cuts)
+        for mask, tile in by_cell[first_free]:
+            if covered & mask:
+                continue
+            if prune is not None and prune(tile, placed):
+                cuts += 1
+                continue
+            placed.append(tile)
+            yield from search(covered | mask, first_free + 1)
+            placed.pop()
+            if limit is not None and yielded >= limit:
+                return
+        if (yielded, cuts) == before:
+            dead.add(key)
+
+    with _deep_enough(rect):
+        for tiling in search(0, 0):
+            yield tiling
+            if limit is not None and yielded >= limit:
+                return
 
 
 def enumerate_tilings(
@@ -81,48 +153,7 @@ def enumerate_tilings(
             f"enumeration of {rect} ({rect.area} cells) exceeds the configured "
             f"bound of {max_area} cells"
         )
-    if limit is not None and limit <= 0:
-        return
-    if rect.area % 4:
-        return
-
-    area = rect.area
-    by_cell = _candidates_by_first_cell(rect)
-    window_bits = 2 * rect.width + 2
-    window_mask = (1 << window_bits) - 1
-    full = (1 << area) - 1
-    dead: set[tuple[int, int]] = set()
-    stack: list[Tile] = []
-    yielded = 0
-
-    def search(covered: int, first_free: int) -> Iterator[Tiling]:
-        nonlocal yielded
-        if covered == full:
-            yielded += 1
-            yield Tiling(rect, stack)
-            return
-        while (covered >> first_free) & 1:
-            first_free += 1
-        key = (first_free, (covered >> first_free) & window_mask)
-        if key in dead:
-            return
-        produced = yielded
-        for mask, tile in by_cell[first_free]:
-            if covered & mask:
-                continue
-            stack.append(tile)
-            yield from search(covered | mask, first_free + 1)
-            stack.pop()
-            if limit is not None and yielded >= limit:
-                return
-        if yielded == produced:
-            dead.add(key)
-
-    with _recursion_limit_at_least(area // 4 + 80):
-        for tiling in search(0, 0):
-            yield tiling
-            if limit is not None and yielded >= limit:
-                return
+    yield from frontier_search(rect, placements(rect), limit=limit)
 
 
 def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
@@ -140,15 +171,16 @@ def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
             f"counting for {rect} ({rect.area} cells) exceeds the configured "
             f"bound of {max_area} cells"
         )
-    if rect.area % 4:
-        return 0
     if rect.width > rect.height:
         rect = Rect(rect.width, rect.height)
-    area = rect.area
-    by_cell = _candidates_by_first_cell(rect)
-    window_bits = 2 * rect.width + 2
-    window_mask = (1 << window_bits) - 1
-    full = (1 << area) - 1
+    return _count(rect, placements(rect))
+
+
+def _count(rect: Rect, tiles: Sequence[Tile]) -> int:
+    """Number of tilings of ``rect`` that use only placements from ``tiles`` (no transpose)."""
+    if rect.area % 4:
+        return 0
+    by_cell, window_mask, full = _frontier(rect, tiles)
     memo: dict[tuple[int, int], int] = {}
 
     def count(covered: int, first_free: int) -> int:
@@ -167,7 +199,7 @@ def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
         memo[key] = total
         return total
 
-    with _recursion_limit_at_least(area // 4 + 64):
+    with _deep_enough(rect):
         return count(0, 0)
 
 

@@ -10,7 +10,6 @@ steps included).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import IndeterminateError, ResourceLimitError
 from .grid import Cell
@@ -35,7 +34,7 @@ def vdw_number(l: int, r: int = 2) -> int:
         raise ResourceLimitError(f"only r=2 colors supported, got r={r}")
     if l < 2 or l > MAX_VDW_LEN:
         raise ResourceLimitError(f"l must be in 2..{MAX_VDW_LEN}, got {l}")
-    return _longest_apfree_length(l) + 1
+    return len(_longest_apfree_length(l)) + 1
 
 
 def extremal_coloring(l: int, r: int = 2) -> tuple[int, ...]:
@@ -44,20 +43,22 @@ def extremal_coloring(l: int, r: int = 2) -> tuple[int, ...]:
         raise ResourceLimitError(f"only r=2 colors supported, got r={r}")
     if l < 2 or l > MAX_VDW_LEN:
         raise ResourceLimitError(f"l must be in 2..{MAX_VDW_LEN}, got {l}")
-    target = _longest_apfree_length(l)
-    for coloring in _apfree_colorings(l, target):
-        return coloring
-    raise AssertionError("extremal coloring must exist at length W-1")
+    return _longest_apfree_length(l)
 
 
-def _longest_apfree_length(l: int) -> int:
-    best = 0
+def _longest_apfree_length(l: int) -> tuple[int, ...]:
+    """The first longest l-AP-free 2-coloring in depth-first order; its length is W(2, l) - 1.
+
+    The first color is fixed to 0 by symmetry, and color 0 is tried before 1.
+    """
+    best: tuple[int, ...] = ()
     colors: list[int] = []
 
     def extend() -> None:
         nonlocal best
-        best = max(best, len(colors))
-        for c in (0, 1) if colors else (0,):  # fix the first color by symmetry
+        if len(colors) > len(best):
+            best = tuple(colors)
+        for c in (0, 1) if colors else (0,):
             colors.append(c)
             if not _has_ap_ending_at(colors, len(colors) - 1, l):
                 extend()
@@ -65,22 +66,6 @@ def _longest_apfree_length(l: int) -> int:
 
     extend()
     return best
-
-
-def _apfree_colorings(l: int, length: int) -> Iterator[tuple[int, ...]]:
-    colors: list[int] = []
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        if len(colors) == length:
-            yield tuple(colors)
-            return
-        for c in (0, 1) if colors else (0,):
-            colors.append(c)
-            if not _has_ap_ending_at(colors, len(colors) - 1, l):
-                yield from extend()
-            colors.pop()
-
-    yield from extend()
 
 
 @dataclass(frozen=True)
@@ -258,34 +243,3 @@ def compute_Lvdw(h: int, w: int, config: SearchConfig | None = None) -> LvdwResu
         if not forced:
             return LvdwResult(l - 1, avoider)
         l += 1
-
-
-@dataclass
-class PairVerdict:
-    """Outcome of checking a claimed L_vdW(h, w) = l."""
-
-    status: str  # "CONFIRMED", "REFUTED", or "UNKNOWN"
-    forced_at_l: bool | None
-    avoider: GridColoring | None  # (l+1)-AP-free coloring when found
-
-
-def verify_lvdw_pair(h: int, w: int, l: int, config: SearchConfig | None = None) -> PairVerdict:
-    """Check L_vdW(h, w) >= l and exhibit an (l+1)-AP-free coloring.
-
-    Both directions together confirm equality; budget exhaustion on either
-    side yields UNKNOWN.
-    """
-    config = config or SearchConfig()
-    try:
-        forced, _ = mono_ap_forced(h, w, l, config)
-    except IndeterminateError:
-        return PairVerdict("UNKNOWN", None, None)
-    if not forced:
-        return PairVerdict("REFUTED", False, None)
-    try:
-        forced_next, avoider = mono_ap_forced(h, w, l + 1, config)
-    except IndeterminateError:
-        return PairVerdict("UNKNOWN", True, None)
-    if forced_next:
-        return PairVerdict("REFUTED", True, None)
-    return PairVerdict("CONFIRMED", True, avoider)

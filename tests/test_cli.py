@@ -35,6 +35,17 @@ def test_decide_avoidable_writes_verifying_certificate(tmp_path, capsys):
     assert main(["verify", "--in", str(cert), "--max-ap", "3"]) == 0
 
 
+def test_backtracking_engine_reaches_long_strips(tmp_path, capsys):
+    # 1,200 tiles deep: the search raises the recursion limit and restores it.
+    before = sys.getrecursionlimit()
+    cert = tmp_path / "cert.ttiling"
+    assert main(["decide", "--height", "4", "--width", "1200", "--len", "400",
+                 "--engine", "internal-backtracking", "--out", str(cert)]) == 0
+    assert capsys.readouterr().out.startswith("AVOIDABLE")
+    assert sys.getrecursionlimit() == before
+    assert longest_ap(read_tiling(cert.read_text())).length < 400
+
+
 def test_tile_round_trips_through_reader(tmp_path, capsys):
     out = tmp_path / "t.ttiling"
     assert main(["tile", "--height", "8", "--width", "8", "--out", str(out)]) == 0

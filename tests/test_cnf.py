@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from ttr.errors import ParseError
-from ttr.enumerator import count_tilings, enumerate_tilings
+from ttr.enumerator import _count, count_tilings, enumerate_tilings
 from ttr.grid import ORIENTATIONS, TILE_BBOX, Rect, is_tileable, rotate_tile_180
 from ttr.cnf import (
     CNF,
@@ -71,6 +71,21 @@ def _count_models(cnf: CNF) -> int:
 def test_restricted_models_match_tiling_count(h, w):
     rect = Rect(h, w)
     assert _count_models(build_cnf(rect)) == count_tilings(rect)
+
+
+@pytest.mark.parametrize("h, w, tilings", [
+    (12, 12, 78_696),
+    (16, 16, None),
+    (24, 12, None),
+    (20, 20, 804_175_873_700_640),
+])
+def test_restricted_placements_keep_every_tiling(h, w, tilings):
+    # Equal exact counts prove that no tiling of the rectangle uses a
+    # placement outside the Walkup classes.
+    rect = Rect(h, w)
+    unrestricted = count_tilings(rect, max_area=rect.area)
+    assert _count(rect, PlacementIndex(rect).tiles) == unrestricted
+    assert tilings is None or unrestricted == tilings
 
 
 def test_index_closed_under_rotation():

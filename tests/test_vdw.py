@@ -15,7 +15,6 @@ from ttr.vdw import (
     grid_mono_ap,
     mono_ap_forced,
     vdw_number,
-    verify_lvdw_pair,
 )
 
 
@@ -112,12 +111,6 @@ def test_sat_route_matches_brute_force():
                 else:
                     assert grid_mono_ap(brute_avoider, l) is None
                     assert grid_mono_ap(sat_avoider, l) is None
-
-
-def test_verify_lvdw_pair():
-    assert verify_lvdw_pair(3, 5, 3).status == "CONFIRMED"
-    assert verify_lvdw_pair(2, 2, 2).status == "CONFIRMED"
-    assert verify_lvdw_pair(3, 5, 4).status == "REFUTED"
 
 
 def test_grid_coloring_tcolor_round_trip():
