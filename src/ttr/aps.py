@@ -8,10 +8,10 @@ tiles in an AP share one orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import LemmaViolationError
-from .grid import Cell, Orientation, Tile, Tiling
+from .grid import ORIENTATIONS, Cell, Orientation, Tile, Tiling
 
 Step = tuple[int, int]
 
@@ -45,14 +45,26 @@ class APWitness:
         )
 
 
-def _canonical_steps(anchors: frozenset[Cell] | set[Cell]) -> set[Step]:
-    """Positive-direction steps spanned by some anchor pair."""
-    steps: set[Step] = set()
+def _runs(anchors: set[Cell] | frozenset[Cell]) -> Iterator[tuple[Cell, Step, int]]:
+    """Every maximal run of length >= 2, in (start, step) order.
+
+    Each such run has exactly one first pair (a, a + step): the one whose
+    ``a - step`` is absent.  Walking the sorted anchor pairs therefore visits
+    each run once, and in order, since for a fixed ``a`` the partners ``b``
+    and the steps ``b - a`` sort alike.
+    """
     pts = sorted(anchors)
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            steps.add((b[0] - a[0], b[1] - a[1]))
-    return steps
+    for i, (r, c) in enumerate(pts):
+        for br, bc in pts[i + 1 :]:
+            dy, dx = br - r, bc - c
+            if (r - dy, c - dx) in anchors:
+                continue  # (a, b) is not the first pair of its run
+            length = 2
+            nxt = (br + dy, bc + dx)
+            while nxt in anchors:
+                length += 1
+                nxt = (nxt[0] + dy, nxt[1] + dx)
+            yield (r, c), (dy, dx), length
 
 
 def maximal_runs(anchors: set[Cell], min_len: int) -> list[tuple[Cell, Step, int]]:
@@ -60,23 +72,11 @@ def maximal_runs(anchors: set[Cell], min_len: int) -> list[tuple[Cell, Step, int
 
     A run is maximal when it extends in neither direction.  Steps are taken
     positive in (row, col) lexicographic order, so each run is reported once.
+    Runs come sorted by (start, step).  Requires ``min_len >= 2``.
     """
-    out: list[tuple[Cell, Step, int]] = []
-    steps = _canonical_steps(anchors)
-    for start in anchors:
-        for dy, dx in steps:
-            prev = (start[0] - dy, start[1] - dx)
-            if prev in anchors:
-                continue  # not the first element of its run
-            length = 1
-            nxt = (start[0] + dy, start[1] + dx)
-            while nxt in anchors:
-                length += 1
-                nxt = (nxt[0] + dy, nxt[1] + dx)
-            if length >= min_len:
-                out.append((start, (dy, dx), length))
-    out.sort(key=lambda rsl: (rsl[0], rsl[1]))
-    return out
+    if min_len < 2:
+        raise ValueError(f"min_len must be >= 2, got {min_len}")
+    return [run for run in _runs(anchors) if run[2] >= min_len]
 
 
 def enumerate_aps(tiling: Tiling, min_len: int) -> list[APWitness]:
@@ -90,7 +90,7 @@ def enumerate_aps(tiling: Tiling, min_len: int) -> list[APWitness]:
         raise ValueError(f"min_len must be >= 2, got {min_len}")
     witnesses: list[APWitness] = []
     by_orient = tiling.anchors_by_orientation()
-    for orient in sorted(by_orient, key=lambda o: o.index):
+    for orient in ORIENTATIONS:
         for start, step, length in maximal_runs(by_orient[orient], min_len):
             witnesses.append(APWitness(orient, start, step, length))
     return witnesses
@@ -101,23 +101,32 @@ def longest_ap(tiling: Tiling) -> APWitness:
 
     Tie-break: orientation U < D < L < R, then start row, start col, then
     step, all ascending.  A tiling with four distinct orientations and no
-    repeats yields a length-1 witness with step (0, 0).
+    repeats yields a length-1 witness with step (0, 0).  The runs are
+    scanned in that order and only a strictly longer one replaces the best,
+    so no list of APs is built.
     """
     if not tiling.tiles:
         raise ValueError("tiling has no tiles")
-    candidates = enumerate_aps(tiling, 2)
-    if not candidates:
+    by_orient = tiling.anchors_by_orientation()
+    best_len = 1
+    best = None
+    for orient in ORIENTATIONS:
+        for start, step, length in _runs(by_orient[orient]):
+            if length > best_len:
+                best_len, best = length, (orient, start, step)
+    if best is None:
         first = min(tiling.tiles, key=lambda t: (t.orientation.index, t.row, t.col))
         return APWitness(first.orientation, first.anchor, (0, 0), 1)
-    return min(
-        candidates,
-        key=lambda ap: (-ap.length, ap.orientation.index, ap.start, ap.step),
-    )
+    return APWitness(best[0], best[1], best[2], best_len)
 
 
 def has_ap_of_length(tiling: Tiling, l: int) -> bool:
-    """Whether any AP of length >= l exists (l >= 2)."""
-    return any(ap.length >= l for ap in enumerate_aps(tiling, 2))
+    """Whether any AP of length >= l exists (l >= 2); stops at the first one."""
+    return any(
+        length >= l
+        for anchors in tiling.anchors_by_orientation().values()
+        for _start, _step, length in _runs(anchors)
+    )
 
 
 def mod4_class(terms: Sequence[int]) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ParseError, ResourceLimitError, StructureError
-from .grid import Cell, Orientation, Rect, Tile, Tiling, _is_decimal, read_header, tile_cells
+from .grid import ORIENTATIONS, Cell, Orientation, Rect, Tile, Tiling, _is_decimal, read_header, tile_cells
 from .aps import maximal_runs
 
 Block = tuple[int, int]
@@ -105,8 +105,8 @@ def antiblock_coloring(rect: Rect) -> list[Antiblock]:
     return out
 
 
-def majority_minority(tile: Tile) -> tuple[Block, Block]:
-    """The blocks holding three cells and one cell of the tile."""
+def _split_blocks(tile: Tile) -> tuple[Block, Block]:
+    """Count the tile's cells per block; raises unless they split 3+1 across adjacent blocks."""
     counts: dict[Block, int] = {}
     for r, c in tile_cells(tile):
         blk = (r // 2, c // 2)
@@ -118,6 +118,37 @@ def majority_minority(tile: Tile) -> tuple[Block, Block]:
     if abs(maj[0] - mino[0]) + abs(maj[1] - mino[1]) != 1:
         raise StructureError(f"tile {tile} majority/minority blocks are not adjacent")
     return maj, mino
+
+
+def _split_table() -> dict[tuple[int, int, int], tuple[Block, Block]]:
+    """(orientation index, row & 1, col & 1) -> block offsets of (majority, minority).
+
+    Moving a tile by an even vector moves its blocks by half that vector, so
+    the anchor's parities fix the split.  A class left out does not split 3+1.
+    """
+    table = {}
+    for o in ORIENTATIONS:
+        for pr in (0, 1):
+            for pc in (0, 1):
+                try:
+                    table[(o.index, pr, pc)] = _split_blocks(Tile(o, pr, pc))
+                except StructureError:
+                    pass
+    return table
+
+
+_SPLITS = _split_table()
+
+
+def majority_minority(tile: Tile) -> tuple[Block, Block]:
+    """The blocks holding three cells and one cell of the tile."""
+    r, c = tile.row, tile.col
+    split = _SPLITS.get((tile.orientation.index, r & 1, c & 1))
+    if split is None:
+        return _split_blocks(tile)  # raises StructureError
+    (mr, mc), (nr, nc) = split
+    br, bc = r >> 1, c >> 1
+    return (br + mr, bc + mc), (br + nr, bc + nc)
 
 
 def build_chain_graph(tiling: Tiling) -> ChainGraph:
@@ -185,28 +216,42 @@ def arrow_for_tile(tiling: Tiling, tile: Tile) -> ShadedArrow:
     return ShadedArrow(edge, _gray_side(tiling.rect, edge))
 
 
-def tile_for_arrow(rect: Rect, arrow: ShadedArrow) -> Tile:
-    """The unique tile realizing a shaded arrow; inverse of :func:`arrow_for_tile`."""
-    (r1, c1), (r2, c2) = arrow.edge
+def _checked_direction(rect: Rect, edge: Edge) -> tuple[int, int]:
+    """The block step of ``edge``; raises unless it joins adjacent blocks inside ``rect``."""
+    (r1, c1), (r2, c2) = edge
     d = (r2 - r1, c2 - c1)
     if abs(d[0]) + abs(d[1]) != 1:
-        raise StructureError(f"edge {arrow.edge} endpoints are not adjacent blocks")
-    for blk in arrow.edge:
+        raise StructureError(f"edge {edge} endpoints are not adjacent blocks")
+    for blk in edge:
         if not (0 <= blk[0] < rect.height // 2 and 0 <= blk[1] < rect.width // 2):
             raise StructureError(f"block {blk} outside {rect}")
+    return d
+
+
+def tile_for_arrow(rect: Rect, arrow: ShadedArrow) -> Tile:
+    """The unique tile realizing a shaded arrow; inverse of :func:`arrow_for_tile`."""
+    d = _checked_direction(rect, arrow.edge)
     if _gray_side(rect, arrow.edge) != arrow.side:
         raise StructureError(f"arrow {arrow} shading inconsistent with the antiblock coloring")
     orient, (dr, dc) = ARROW_TILE_TABLE[(d, arrow.side)]
+    r1, c1 = arrow.source
     return Tile(orient, 2 * r1 + dr, 2 * c1 + dc)
 
 
 def chain_to_tiling(graph: ChainGraph) -> Tiling:
-    """Map every edge to its tile; valid exactly for HV-constructible graphs."""
-    tiles = [
-        tile_for_arrow(graph.rect, ShadedArrow(e, _gray_side(graph.rect, e)))
-        for e in graph.canonical_edges()
-    ]
-    return Tiling(graph.rect, tiles)
+    """Map every edge to its tile; valid exactly for HV-constructible graphs.
+
+    Each edge is shaded by its own gray side, so only the edge checks of
+    :func:`tile_for_arrow` apply.
+    """
+    rect = graph.rect
+    tiles = []
+    for edge in graph.canonical_edges():
+        side = _gray_side(rect, edge)
+        orient, (dr, dc) = ARROW_TILE_TABLE[(_checked_direction(rect, edge), side)]
+        (r1, c1), _ = edge
+        tiles.append(Tile(orient, 2 * r1 + dr, 2 * c1 + dc))
+    return Tiling(rect, tiles)
 
 
 def shaded_arrows(graph: ChainGraph) -> list[ShadedArrow]:

@@ -238,8 +238,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     tiling = read_tiling(args.infile.read_bytes())
     highlight = ()
     if args.highlight_ap:
-        best = longest_ap(tiling)
-        highlight = tuple(ap for ap in enumerate_aps(tiling, 2) if ap.length == best.length) or (best,)
+        aps = enumerate_aps(tiling, 2)
+        top = max((ap.length for ap in aps), default=0)
+        highlight = tuple(ap for ap in aps if ap.length == top) or (longest_ap(tiling),)
     opts = RenderOptions(
         format=args.format,
         cell_size=args.cell_size,

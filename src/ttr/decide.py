@@ -176,6 +176,7 @@ def compute_L(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:
     ascends l = 2, 3, ... until an AP-free-at-l tiling exists (a tiling that
     avoids l-APs also avoids longer ones, so the first avoidable l pins L).
     """
+    Rect(h, w)  # rejects a side <= 0, which the % 4 test lets through
     if h % 4 or w % 4:
         raise ValueError(f"sides must be multiples of 4, got {h}x{w}")
     config = config or SearchConfig()

@@ -49,7 +49,8 @@ TILE_OFFSETS: dict[Orientation, tuple[Cell, ...]] = {o: o.offsets for o in ORIEN
 # Bounding box (rows, cols) per orientation.
 TILE_BBOX: dict[Orientation, tuple[int, int]] = {o: o.bbox for o in ORIENTATIONS}
 
-_OFFSETS_TO_ORIENT = {frozenset(v): k for k, v in TILE_OFFSETS.items()}
+# Cell offsets in row-major order -> orientation.
+_OFFSETS_TO_ORIENT = {tuple(sorted(o.offsets)): o for o in ORIENTATIONS}
 
 
 @dataclass(frozen=True)
@@ -281,15 +282,14 @@ def rotate_tile_180(rect: Rect, tile: Tile) -> Tile:
 def _corner_count_at(tiling: Tiling, point: Cell) -> int:
     """Number of tile outline corners meeting at an interior grid point."""
     r, c = point
-    quads = ((r - 1, c - 1), (r - 1, c), (r, c - 1), (r, c))
-    owners = [tiling.owner_index(q) for q in quads]
+    owner = tiling._owner
+    quad = (owner[(r - 1, c - 1)], owner[(r - 1, c)], owner[(r, c - 1)], owner[(r, c)])
     corners = 0
-    for t in set(owners):
-        mask = tuple(o == t for o in owners)
-        covered = sum(mask)
+    for t in set(quad):
+        covered = quad.count(t)
         if covered in (1, 3):
             corners += 1
-        elif covered == 2 and mask in ((True, False, False, True), (False, True, True, False)):
+        elif covered == 2 and (quad[0] == quad[3] == t or quad[1] == quad[2] == t):
             # Two diagonal cells of one tile meet point-wise: two corners.
             corners += 2
     return corners
@@ -330,15 +330,12 @@ def cut_cornerless_ok(tiling: Tiling) -> bool:
     rect = tiling.rect
     if rect.height % 4 or rect.width % 4:
         raise ValueError(f"rectangle {rect} does not have both sides divisible by 4")
-    for r in range(1, rect.height):
-        for c in range(1, rect.width):
-            cls = (r % 4, c % 4)
-            if cls in CUT_CLASSES:
-                if _corner_count_at(tiling, (r, c)) != 4:
-                    return False
-            elif cls in CORNERLESS_CLASSES:
-                if _corner_count_at(tiling, (r, c)) != 0:
-                    return False
+    # The interior even-even points are exactly those in CUT_CLASSES or CORNERLESS_CLASSES.
+    for r in range(2, rect.height, 2):
+        for c in range(2, rect.width, 2):
+            expected = 4 if (r % 4, c % 4) in CUT_CLASSES else 0
+            if _corner_count_at(tiling, (r, c)) != expected:
+                return False
     return True
 
 
@@ -392,9 +389,10 @@ def read_header(data: str | bytes, magic: str) -> tuple[int, int, list[str]]:
 def write_tiling(tiling: Tiling) -> str:
     """Serialize with canonical tile ids 0..n-1 (canonical tile order)."""
     h, w = tiling.rect.height, tiling.rect.width
+    owner = tiling._owner
     lines = [FORMAT_MAGIC, f"{h} {w}"]
     for r in range(h):
-        lines.append(" ".join(str(tiling.owner_index((r, c))) for c in range(w)))
+        lines.append(" ".join([str(owner[(r, c)]) for c in range(w)]))
     return "\n".join(lines) + "\n"
 
 
@@ -415,11 +413,16 @@ def read_tiling(data: str | bytes) -> Tiling:
         row_tokens = body[r].split()
         if len(row_tokens) != w:
             raise ParseError(3 + r, 1, f"expected {w} ids, found {len(row_tokens)}")
-        for c, token in enumerate(row_tokens):
-            if not _is_decimal(token):
-                col = body[r].index(token) + 1
-                raise ParseError(3 + r, col, f"bad tile id {token!r}")
-            cells_by_id.setdefault(int(token), []).append((r, c))
+        if not _is_decimal("".join(row_tokens)):
+            # Some token is bad: find the first one to report its column.
+            token = next(t for t in row_tokens if not _is_decimal(t))
+            raise ParseError(3 + r, body[r].index(token) + 1, f"bad tile id {token!r}")
+        for c, tid in enumerate(map(int, row_tokens)):
+            cells = cells_by_id.get(tid)
+            if cells is None:
+                cells_by_id[tid] = [(r, c)]
+            else:
+                cells.append((r, c))
 
     violations: list[Violation] = []
     n_expected = (h * w) // 4 if (h * w) % 4 == 0 else -1
@@ -438,10 +441,12 @@ def read_tiling(data: str | bytes) -> Tiling:
                 Violation(ViolationKind.BAD_SHAPE, cell=cells[0], note=f"id {tid} covers {len(cells)} cells")
             )
             continue
-        r0 = min(r for r, _ in cells)
-        c0 = min(c for _, c in cells)
-        shape = frozenset((r - r0, c - c0) for r, c in cells)
-        orient = _OFFSETS_TO_ORIENT.get(shape)
+        # Cells arrive in row-major order, so the first one has the top row.
+        (r0, a), (r1, b), (r2, c), (r3, d) = cells
+        c0 = min(a, b, c, d)
+        orient = _OFFSETS_TO_ORIENT.get(
+            ((0, a - c0), (r1 - r0, b - c0), (r2 - r0, c - c0), (r3 - r0, d - c0))
+        )
         if orient is None:
             violations.append(
                 Violation(ViolationKind.BAD_SHAPE, cell=(r0, c0), note=f"id {tid} is not a T-tetromino")

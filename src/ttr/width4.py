@@ -7,10 +7,14 @@ exhaustively up to the catalog bound): one whose first column matches unit A
 (a D bar cell above an R tile).  Replacing each unit by a run of A's or B's
 according to that first column is the A/B projection; it fixes every d1 tile,
 which is what makes the projection preserve the existence of long APs.
+
+``decompose`` and ``concatenate`` called without a catalog share one default
+catalog (every unit up to ``MAX_UNIT_LEN``), built once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -181,13 +185,19 @@ class UnitCatalog:
         return self._by_tiles.get(tiles)
 
 
+@functools.cache
+def _default_catalog() -> UnitCatalog:
+    """The full catalog, built on first use; units are immutable, so it is shared."""
+    return UnitCatalog()
+
+
 def decompose(tiling: Tiling, catalog: UnitCatalog | None = None) -> UnitString:
     """Express a height-4 tiling as a concatenation of catalog units.
 
     Raises :class:`CatalogError` if a fault-free segment is longer than the
     catalog covers, reporting the required length.
     """
-    catalog = catalog or UnitCatalog()
+    catalog = catalog or _default_catalog()
     kinds: list[str] = []
     lengths: list[int] = []
     for left, seg in _segments(tiling):
@@ -202,7 +212,7 @@ def decompose(tiling: Tiling, catalog: UnitCatalog | None = None) -> UnitString:
 
 def concatenate(kinds: Sequence[str], catalog: UnitCatalog | None = None) -> Tiling:
     """Inverse of :func:`decompose`: lay out the named units left to right."""
-    catalog = catalog or UnitCatalog()
+    catalog = catalog or _default_catalog()
     tiles: list[Tile] = []
     col = 0
     for kind in kinds:

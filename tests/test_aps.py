@@ -1,11 +1,65 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from ttr.decide import decide_forces
 from ttr.errors import LemmaViolationError
 from ttr.grid import Orientation, Rect, Tiling
-from ttr.aps import APWitness, dxdy_class, enumerate_aps, longest_ap, mod4_class
+from ttr.aps import (
+    APWitness,
+    dxdy_class,
+    enumerate_aps,
+    has_ap_of_length,
+    longest_ap,
+    maximal_runs,
+    mod4_class,
+)
 from ttr.width4 import UNIT_A_TILES
+
+
+def reference_maximal_runs(anchors, min_len):
+    """The step-set scan: try every pair step from every start, then sort."""
+    pts = sorted(anchors)
+    steps = {(b[0] - a[0], b[1] - a[1]) for i, a in enumerate(pts) for b in pts[i + 1 :]}
+    out = []
+    for start in anchors:
+        for dy, dx in steps:
+            if (start[0] - dy, start[1] - dx) in anchors:
+                continue
+            length = 1
+            nxt = (start[0] + dy, start[1] + dx)
+            while nxt in anchors:
+                length += 1
+                nxt = (nxt[0] + dy, nxt[1] + dx)
+            if length >= min_len:
+                out.append((start, (dy, dx), length))
+    out.sort(key=lambda rsl: (rsl[0], rsl[1]))
+    return out
+
+
+def reference_longest(tiling):
+    aps = enumerate_aps(tiling, 2)
+    if not aps:
+        return None
+    return min(aps, key=lambda ap: (-ap.length, ap.orientation.index, ap.start, ap.step))
+
+
+def random_anchor_sets(seed=7):
+    rng = random.Random(seed)
+    yield set()
+    yield {(3, 5)}
+    yield {(0, 0), (0, 4), (0, 8), (0, 12)}  # one collinear run
+    yield {(i, 2 * i) for i in range(9)} | {(2 * i, 0) for i in range(6)}  # two crossing runs
+    yield {(0, 4 * i) for i in range(12) if i != 5}  # a run with a hole
+    for _ in range(300):
+        size = rng.randrange(12)
+        box = rng.choice((3, 6, 12))
+        yield {(rng.randrange(box), rng.randrange(-box, box)) for _ in range(size)}
+    for _ in range(60):  # runs along a random step, thinned out
+        dy, dx = rng.choice([(0, rng.randrange(1, 5)), (rng.randrange(1, 4), rng.randrange(-4, 5))])
+        yield {(i * dy, i * dx) for i in range(rng.randrange(2, 15)) if rng.random() < 0.8}
 
 
 def test_pinwheel_has_no_pairs(pinwheel_a):
@@ -116,3 +170,34 @@ def test_canonical_output_order(corpus):
 def test_longest_ap_requires_tiles():
     with pytest.raises(ValueError):
         longest_ap.__call__(type("T", (), {"tiles": ()})())
+
+
+def test_maximal_runs_match_step_set_reference(corpus):
+    for tilings in corpus.values():
+        for tiling in tilings:
+            for anchors in tiling.anchors_by_orientation().values():
+                for min_len in (2, 3):
+                    assert maximal_runs(anchors, min_len) == reference_maximal_runs(anchors, min_len)
+    for anchors in random_anchor_sets():
+        for min_len in (2, 3, 5):
+            assert maximal_runs(anchors, min_len) == reference_maximal_runs(anchors, min_len)
+    with pytest.raises(ValueError):
+        maximal_runs({(0, 0), (0, 1)}, 1)
+
+
+def test_longest_ap_is_the_canonical_minimum(corpus):
+    for tilings in corpus.values():
+        for tiling in tilings:
+            best = longest_ap(tiling)
+            expected = reference_longest(tiling)
+            if expected is None:
+                assert best.length == 1 and best.step == (0, 0)
+            else:
+                assert best == expected
+            for l in (2, 3, 4, 5):
+                assert has_ap_of_length(tiling, l) == (best.length >= l)
+
+
+def test_longest_ap_on_long_strip_certificate():
+    witness = decide_forces(4, 1200, 400).witness
+    assert longest_ap(witness).render() == "AP u start=(2, 1) step=(0,4) len=300"

@@ -85,6 +85,12 @@ def test_tvalue_and_lvalue(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize("height", ["0", "-4"])
+def test_lvalue_rejects_nonpositive_side(height, capsys):
+    assert main(["lvalue", "--height", height, "--width", "4"]) == 1
+    assert capsys.readouterr().err.strip() == f"error: rectangle sides must be >= 1, got {height}x4"
+
+
 def test_vdw2d(tmp_path, capsys):
     cert = tmp_path / "grid.tcolor"
     assert main(["vdw2d", "--height", "3", "--width", "5", "--out", str(cert)]) == 0

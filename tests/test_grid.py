@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ttr import grid
 from ttr.chains import build_chain_graph, read_chain, write_chain
 from ttr.errors import ParseError, TilingError
 from ttr.grid import (
@@ -16,6 +17,7 @@ from ttr.grid import (
     Tiling,
     WALKUP_CLASSES,
     Violation,
+    _corner_count_at,
     ViolationKind,
     cut_cornerless_ok,
     is_tileable,
@@ -183,6 +185,21 @@ def test_cut_cornerless_all_small_rects(corpus):
             assert cut_cornerless_ok(t), (h, w, t.tiles)
 
 
+def test_cut_check_visits_exactly_the_checked_classes(monkeypatch, corpus):
+    checked = grid.CUT_CLASSES | grid.CORNERLESS_CLASSES
+    visited = []
+
+    def corner_count(tiling, point):
+        visited.append(point)
+        return 4 if (point[0] % 4, point[1] % 4) in grid.CUT_CLASSES else 0
+
+    monkeypatch.setattr(grid, "_corner_count_at", corner_count)
+    assert cut_cornerless_ok(corpus[(8, 12)][0])
+    assert visited == [
+        (r, c) for r in range(1, 8) for c in range(1, 12) if (r % 4, c % 4) in checked
+    ]
+
+
 def test_walkup_classes_are_the_classes_seen(corpus):
     seen = {
         (t.orientation, t.row % 4, t.col % 4)
@@ -242,6 +259,66 @@ def test_read_tiling_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         read_tiling("TTILING 1\n1 4\n0 0 \u00b2 0\n")  # a digit, but not a decimal one
     assert (exc.value.line, exc.value.column) == (3, 5)
+
+
+@pytest.mark.parametrize(
+    "rows, line, column, token",
+    [
+        ("x 0 0 0", 3, 1, "x"),  # first in its row
+        ("0 0 a 0", 3, 5, "a"),  # mid-row
+        ("0 0 0 \u00e9", 3, 7, "\u00e9"),  # non-ASCII letter
+        ("0 \u0663 0 0", 3, 3, "\u0663"),  # non-ASCII decimal digit
+        ("0 x 0 x", 3, 3, "x"),  # the bad token repeats: the first one is reported
+        ("0 1x 1 1x", 3, 3, "1x"),  # starts with a digit
+        ("0\t0  -1 0", 3, 6, "-1"),  # mixed whitespace before it
+        ("1 1 1 1\n0 0 0 0x", 4, 7, "0x"),  # in a later row
+    ],
+)
+def test_read_tiling_reports_first_bad_token_position(rows, line, column, token):
+    h = rows.count("\n") + 1
+    with pytest.raises(ParseError) as exc:
+        read_tiling(f"TTILING 1\n{h} 4\n{rows}\n")
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value).endswith(f"bad tile id {token!r}")
+
+
+@pytest.mark.parametrize(
+    "rows, cells",
+    [
+        ("0 0 1 1\n0 0 1 1\n2 2 3 3\n2 2 3 3", [(0, (0, 0)), (1, (0, 2)), (2, (2, 0)), (3, (2, 2))]),
+        ("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3", [(0, (0, 0)), (1, (1, 0)), (2, (2, 0)), (3, (3, 0))]),
+        ("0 0 1 1\n2 0 0 1\n2 3 3 1\n2 2 3 3", [(0, (0, 0)), (1, (0, 2)), (2, (1, 0)), (3, (2, 1))]),
+        ("0 1 1 1\n2 2 1 0\n3 2 2 0\n3 3 3 0", [(0, (0, 0)), (2, (1, 0)), (3, (2, 0))]),
+    ],
+)
+def test_read_tiling_names_each_non_t_region(rows, cells):
+    with pytest.raises(TilingError) as exc:
+        read_tiling(f"TTILING 1\n4 4\n{rows}\n")
+    assert [str(v) for v in exc.value.report.violations] == [
+        f"BAD_SHAPE cell={cell} id {tid} is not a T-tetromino" for tid, cell in cells
+    ]
+
+
+def reference_corner_count(tiling, point):
+    """Corners meeting at ``point``, one tile of the four around it at a time."""
+    r, c = point
+    owners = [tiling.owner_index(q) for q in ((r - 1, c - 1), (r - 1, c), (r, c - 1), (r, c))]
+    corners = 0
+    for t in set(owners):
+        mask = tuple(o == t for o in owners)
+        if sum(mask) in (1, 3):
+            corners += 1
+        elif mask in ((True, False, False, True), (False, True, True, False)):
+            corners += 2
+    return corners
+
+
+def test_corner_count_matches_reference(corpus):
+    for tilings in corpus.values():
+        for tiling in tilings[:40]:
+            h, w = tiling.rect.height, tiling.rect.width
+            for point in itertools.product(range(1, h), range(1, w)):
+                assert _corner_count_at(tiling, point) == reference_corner_count(tiling, point)
 
 
 def test_read_tiling_accepts_bytes(pinwheel_b):

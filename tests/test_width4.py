@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from ttr import width4
 from ttr.errors import CatalogError, ParseError, StructureError
 from ttr.grid import Orientation, Rect
 from ttr.aps import has_ap_of_length, longest_ap
@@ -68,6 +69,24 @@ def test_decompose_concatenate_round_trip(catalog, corpus):
         us = decompose(tiling, catalog)
         assert concatenate(us.kinds, catalog) == tiling
         assert us.total_length == 12
+
+
+def test_default_catalog_is_built_once(monkeypatch, corpus):
+    calls = []
+
+    def counting(max_len):
+        calls.append(max_len)
+        return enumerate_units(max_len)
+
+    monkeypatch.setattr(width4, "enumerate_units", counting)
+    width4._default_catalog.cache_clear()
+    try:
+        for tiling in corpus[(4, 16)][:5]:
+            decompose(tiling)
+            assert concatenate(decompose(tiling).kinds) == tiling
+    finally:
+        width4._default_catalog.cache_clear()
+    assert calls == [16]
 
 
 def test_decompose_catalog_too_small(corpus):
