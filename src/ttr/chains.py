@@ -7,6 +7,12 @@ minority yields the chain graph.  The 2x2 boxes of block-centers are the
 *antiblocks*, checkerboard-colored so that the boxes centered at grid points
 congruent to (0,0) or (2,2) mod 4 are gray.  Each edge then has exactly one
 gray antiblock beside it, and (edge, gray side) determines the tile.
+
+For an edge between adjacent blocks, the gray side depends only on the
+direction and on the parities of the source block, so the edge-to-tile step
+is one lookup in a parity table keyed by (dy, dx, r1 & 1, c1 & 1).  The table
+is built at import from ``_gray_side`` and ``ARROW_TILE_TABLE``, which stay as
+its derivation and as the test oracle.
 """
 
 from __future__ import annotations
@@ -179,7 +185,7 @@ def _edge_flanks(edge: Edge) -> tuple[Cell, Cell, Cell]:
     return mid, left, right
 
 
-def _gray_side(rect: Rect, edge: Edge) -> str:
+def _gray_side(edge: Edge) -> str:
     """Which side of the (directed) edge its gray antiblock lies on.
 
     The checkerboard pattern extends periodically past the rectangle edge, so
@@ -209,11 +215,44 @@ ARROW_TILE_TABLE: dict[tuple[tuple[int, int], str], tuple[Orientation, tuple[int
 }
 
 
+def _edge_tile_table() -> dict[tuple[int, int, int, int], tuple[str, Orientation, int, int]]:
+    """(dy, dx, r1 & 1, c1 & 1) -> (gray side, orientation, anchor row, anchor col offsets).
+
+    Keyed by the block step of an edge and the parities of its source block
+    (r1, c1); the anchor offsets are from the source block's top-left cell.
+    Moving an edge by an even block vector moves its flanks by a multiple of
+    4 cells, so these keys cover every edge between adjacent blocks.
+    """
+    table = {}
+    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        for pr in (0, 1):
+            for pc in (0, 1):
+                side = _gray_side(((pr, pc), (pr + dy, pc + dx)))
+                orient, (dr, dc) = ARROW_TILE_TABLE[((dy, dx), side)]
+                table[(dy, dx, pr, pc)] = (side, orient, dr, dc)
+    return table
+
+
+_EDGE_TILES = _edge_tile_table()
+
+
+def _edge_entry(edge: Edge) -> tuple[str, Orientation, int, int] | None:
+    """The parity-table entry of ``edge``; None unless it joins adjacent blocks."""
+    (r1, c1), (r2, c2) = edge
+    return _EDGE_TILES.get((r2 - r1, c2 - c1, r1 & 1, c1 & 1))
+
+
+def _shade(edge: Edge) -> str:
+    """The gray side of ``edge``; for any edge but a block step, whatever ``_gray_side`` says."""
+    entry = _edge_entry(edge)
+    return _gray_side(edge) if entry is None else entry[0]
+
+
 def arrow_for_tile(tiling: Tiling, tile: Tile) -> ShadedArrow:
     """The shaded arrow corresponding to a tile of a valid tiling."""
     maj, mino = majority_minority(tile)
     edge = (maj, mino)
-    return ShadedArrow(edge, _gray_side(tiling.rect, edge))
+    return ShadedArrow(edge, _shade(edge))
 
 
 def _checked_direction(rect: Rect, edge: Edge) -> tuple[int, int]:
@@ -230,10 +269,10 @@ def _checked_direction(rect: Rect, edge: Edge) -> tuple[int, int]:
 
 def tile_for_arrow(rect: Rect, arrow: ShadedArrow) -> Tile:
     """The unique tile realizing a shaded arrow; inverse of :func:`arrow_for_tile`."""
-    d = _checked_direction(rect, arrow.edge)
-    if _gray_side(rect, arrow.edge) != arrow.side:
+    _checked_direction(rect, arrow.edge)
+    side, orient, dr, dc = _edge_entry(arrow.edge)
+    if side != arrow.side:
         raise StructureError(f"arrow {arrow} shading inconsistent with the antiblock coloring")
-    orient, (dr, dc) = ARROW_TILE_TABLE[(d, arrow.side)]
     r1, c1 = arrow.source
     return Tile(orient, 2 * r1 + dr, 2 * c1 + dc)
 
@@ -245,17 +284,22 @@ def chain_to_tiling(graph: ChainGraph) -> Tiling:
     :func:`tile_for_arrow` apply.
     """
     rect = graph.rect
+    rows, cols = rect.height // 2, rect.width // 2
     tiles = []
     for edge in graph.canonical_edges():
-        side = _gray_side(rect, edge)
-        orient, (dr, dc) = ARROW_TILE_TABLE[(_checked_direction(rect, edge), side)]
-        (r1, c1), _ = edge
+        entry = _edge_entry(edge)
+        (r1, c1), (r2, c2) = edge
+        if entry is None or not (0 <= r1 < rows and 0 <= c1 < cols and 0 <= r2 < rows and 0 <= c2 < cols):
+            # A bad edge: raise what the per-edge checks raise, flanks first, then adjacency and bounds.
+            _gray_side(edge)
+            _checked_direction(rect, edge)
+        _side, orient, dr, dc = entry
         tiles.append(Tile(orient, 2 * r1 + dr, 2 * c1 + dc))
     return Tiling(rect, tiles)
 
 
 def shaded_arrows(graph: ChainGraph) -> list[ShadedArrow]:
-    return [ShadedArrow(e, _gray_side(graph.rect, e)) for e in graph.canonical_edges()]
+    return [ShadedArrow(e, _shade(e)) for e in graph.canonical_edges()]
 
 
 @dataclass(frozen=True)

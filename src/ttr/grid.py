@@ -4,12 +4,19 @@ Cells are addressed ``(row, col)`` with rows numbered top-down from 0 and
 columns left-to-right from 0.  A tile's *anchor* is the minimum-row,
 minimum-col corner of its bounding box, so translating a tile translates its
 anchor by the same vector.
+
+A :class:`Tiling` keeps its cell-to-tile map as one flat row-major list: the
+index of the tile covering cell (r, c) of an h x w rectangle sits at
+``r * w + c``.  ``validate`` builds the list, and the readers (``owner_index``,
+``tile_at``, ``owner_row``, the corner count of the cut check, ``write_tiling``
+and the renderers) index it or slice one row at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, TilingError
@@ -48,9 +55,6 @@ TILE_OFFSETS: dict[Orientation, tuple[Cell, ...]] = {o: o.offsets for o in ORIEN
 
 # Bounding box (rows, cols) per orientation.
 TILE_BBOX: dict[Orientation, tuple[int, int]] = {o: o.bbox for o in ORIENTATIONS}
-
-# Cell offsets in row-major order -> orientation.
-_OFFSETS_TO_ORIENT = {tuple(sorted(o.offsets)): o for o in ORIENTATIONS}
 
 
 @dataclass(frozen=True)
@@ -153,12 +157,13 @@ class Violation:
 class ValidityReport:
     """All violations found in a candidate tiling; ``ok`` iff there are none.
 
-    ``owner`` maps each in-bounds covered cell to the index of the first tile
-    that covers it; it takes no part in comparison.
+    ``owner`` is the flat row-major cell map: entry ``r * w + c`` is the
+    index of the first tile that covers cell (r, c), or -1 if none does.  It
+    takes no part in comparison.
     """
 
     violations: tuple[Violation, ...]
-    owner: dict[Cell, int] = field(default_factory=dict, compare=False, repr=False)
+    owner: list[int] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -177,31 +182,62 @@ def validate(rect: Rect, tiles: Sequence[Tile]) -> ValidityReport:
     uncovered cells in row-major order.
     """
     h, w = rect.height, rect.width
+    flat = _flat_steps(w)
     violations: list[Violation] = []
-    owner: dict[Cell, int] = {}
+    owner = [-1] * (h * w)
     for i, tile in enumerate(tiles):
         o, r, c = tile.orientation, tile.row, tile.col
         rows, cols = o.bbox
         if 0 <= r and r + rows <= h and 0 <= c and c + cols <= w:
-            before = len(owner)
-            for dr, dc in o.offsets:
-                owner.setdefault((r + dr, c + dc), i)
-            if len(owner) - before == 4:
+            k = r * w + c
+            a, b, d, e = flat[o.index]
+            a += k
+            b += k
+            d += k
+            e += k
+            if owner[a] == owner[b] == owner[d] == owner[e] == -1:
+                owner[a] = owner[b] = owner[d] = owner[e] = i
                 continue
         # Out of bounds or overlapping: report this tile cell by cell.
         for cell in tile_cells(tile):
             x, y = cell
             if not (0 <= x < h and 0 <= y < w):
                 violations.append(Violation(ViolationKind.OUT_OF_BOUNDS, cell=cell, tiles=(i,)))
-            elif owner.setdefault(cell, i) != i:
-                violations.append(
-                    Violation(ViolationKind.OVERLAP, cell=cell, tiles=(owner[cell], i))
-                )
-    if len(owner) != h * w:
-        for cell in rect.cells():
-            if cell not in owner:
-                violations.append(Violation(ViolationKind.UNCOVERED, cell=cell))
+                continue
+            first = owner[x * w + y]
+            if first == -1:
+                owner[x * w + y] = i
+            elif first != i:
+                violations.append(Violation(ViolationKind.OVERLAP, cell=cell, tiles=(first, i)))
+    if -1 in owner:
+        for k, first in enumerate(owner):
+            if first == -1:
+                violations.append(Violation(ViolationKind.UNCOVERED, cell=divmod(k, w)))
     return ValidityReport(tuple(violations), owner)
+
+
+@cache
+def _flat_steps(width: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per orientation index, its cell offsets as flat row-major steps at ``width`` columns."""
+    return tuple(tuple(dr * width + dc for dr, dc in o.offsets) for o in ORIENTATIONS)
+
+
+@cache
+def _flat_shapes(width: int) -> dict[tuple[int, int, int], tuple[Orientation, int]]:
+    """Shape key -> (orientation, column of its first cell from the anchor), at ``width`` columns.
+
+    A shape key is the flat steps from a tile's first cell to its other
+    three, in row-major order.  Only orientations that fit in ``width`` are
+    keyed.  The steps of a T wrap across rows only if its anchor column is
+    out of range, so a key match plus an anchor in ``[0, width - cols]`` is
+    a T.
+    """
+    shapes = {}
+    for o, steps in zip(ORIENTATIONS, _flat_steps(width)):
+        if o.bbox[1] <= width:
+            k0, k1, k2, k3 = sorted(steps)
+            shapes[(k1 - k0, k2 - k0, k3 - k0)] = (o, min(o.offsets)[1])
+    return shapes
 
 
 class Tiling:
@@ -209,8 +245,8 @@ class Tiling:
 
     Tiles are stored in canonical order (by anchor row, then anchor col) and
     the object is immutable; construction fails with :class:`TilingError`
-    unless ``validate`` reports ok.  The cell-to-tile map is the one
-    ``validate`` built; the hash is computed on first use.
+    unless ``validate`` reports ok.  The cell-to-tile map is the flat
+    row-major list ``validate`` built; the hash is computed on first use.
     """
 
     __slots__ = ("rect", "tiles", "_owner", "_hash")
@@ -230,16 +266,26 @@ class Tiling:
         return len(self.tiles)
 
     def owner_index(self, cell: Cell) -> int:
-        return self._owner[cell]
+        """Index in ``tiles`` of the tile covering ``cell``; ``KeyError`` outside the rectangle."""
+        r, c = cell
+        w = self.rect.width
+        if 0 <= r < self.rect.height and 0 <= c < w:
+            return self._owner[r * w + c]
+        raise KeyError(cell)
 
     def tile_at(self, cell: Cell) -> Tile:
-        return self.tiles[self._owner[cell]]
+        return self.tiles[self.owner_index(cell)]
+
+    def owner_row(self, r: int) -> list[int]:
+        """The tile indices of row ``r``, left to right (a fresh list)."""
+        w = self.rect.width
+        return self._owner[r * w : (r + 1) * w]
 
     def anchors_by_orientation(self) -> dict[Orientation, set[Cell]]:
-        out: dict[Orientation, set[Cell]] = {o: set() for o in ORIENTATIONS}
+        groups: tuple[set[Cell], ...] = tuple(set() for _ in ORIENTATIONS)
         for t in self.tiles:
-            out[t.orientation].add(t.anchor)
-        return out
+            groups[t.orientation.index].add((t.row, t.col))
+        return {o: groups[o.index] for o in ORIENTATIONS}
 
     def rotated_180(self) -> "Tiling":
         """The image of this tiling under 180-degree rotation of the rectangle."""
@@ -282,8 +328,9 @@ def rotate_tile_180(rect: Rect, tile: Tile) -> Tile:
 def _corner_count_at(tiling: Tiling, point: Cell) -> int:
     """Number of tile outline corners meeting at an interior grid point."""
     r, c = point
-    owner = tiling._owner
-    quad = (owner[(r - 1, c - 1)], owner[(r - 1, c)], owner[(r, c - 1)], owner[(r, c)])
+    owner, w = tiling._owner, tiling.rect.width
+    k = r * w + c
+    quad = (owner[k - w - 1], owner[k - w], owner[k - 1], owner[k])
     corners = 0
     for t in set(quad):
         covered = quad.count(t)
@@ -389,10 +436,9 @@ def read_header(data: str | bytes, magic: str) -> tuple[int, int, list[str]]:
 def write_tiling(tiling: Tiling) -> str:
     """Serialize with canonical tile ids 0..n-1 (canonical tile order)."""
     h, w = tiling.rect.height, tiling.rect.width
-    owner = tiling._owner
     lines = [FORMAT_MAGIC, f"{h} {w}"]
     for r in range(h):
-        lines.append(" ".join([str(owner[(r, c)]) for c in range(w)]))
+        lines.append(" ".join(map(str, tiling.owner_row(r))))
     return "\n".join(lines) + "\n"
 
 
@@ -406,7 +452,7 @@ def read_tiling(data: str | bytes) -> Tiling:
     if len(body) > h:
         raise ParseError(h + 3, 1, f"unexpected content after {h} grid rows")
 
-    cells_by_id: dict[int, list[Cell]] = {}
+    ids: list[int] = []
     for r in range(h):
         if r >= len(body):
             raise ParseError(len(body) + 3, 1, f"expected {h} grid rows, found {r}")
@@ -417,12 +463,15 @@ def read_tiling(data: str | bytes) -> Tiling:
             # Some token is bad: find the first one to report its column.
             token = next(t for t in row_tokens if not _is_decimal(t))
             raise ParseError(3 + r, body[r].index(token) + 1, f"bad tile id {token!r}")
-        for c, tid in enumerate(map(int, row_tokens)):
-            cells = cells_by_id.get(tid)
-            if cells is None:
-                cells_by_id[tid] = [(r, c)]
-            else:
-                cells.append((r, c))
+        ids.extend(map(int, row_tokens))
+    # Flat row-major cell indices per id.
+    cells_by_id: dict[int, list[int]] = {}
+    for k, tid in enumerate(ids):
+        cells = cells_by_id.get(tid)
+        if cells is None:
+            cells_by_id[tid] = [k]
+        else:
+            cells.append(k)
 
     violations: list[Violation] = []
     n_expected = (h * w) // 4 if (h * w) % 4 == 0 else -1
@@ -434,25 +483,29 @@ def read_tiling(data: str | bytes) -> Tiling:
                 f"got {len(cells_by_id)} distinct ids",
             )
         )
+    shapes = _flat_shapes(w)
     tiles: list[Tile] = []
     for tid, cells in sorted(cells_by_id.items()):
         if len(cells) != 4:
             violations.append(
-                Violation(ViolationKind.BAD_SHAPE, cell=cells[0], note=f"id {tid} covers {len(cells)} cells")
+                Violation(
+                    ViolationKind.BAD_SHAPE, cell=divmod(cells[0], w), note=f"id {tid} covers {len(cells)} cells"
+                )
             )
             continue
         # Cells arrive in row-major order, so the first one has the top row.
-        (r0, a), (r1, b), (r2, c), (r3, d) = cells
-        c0 = min(a, b, c, d)
-        orient = _OFFSETS_TO_ORIENT.get(
-            ((0, a - c0), (r1 - r0, b - c0), (r2 - r0, c - c0), (r3 - r0, d - c0))
+        k0, k1, k2, k3 = cells
+        r0, c = divmod(k0, w)
+        shape = shapes.get((k1 - k0, k2 - k0, k3 - k0))
+        if shape is not None:
+            orient, dc = shape
+            if dc <= c <= w - orient.bbox[1] + dc:
+                tiles.append(Tile(orient, r0, c - dc))
+                continue
+        c0 = min(k % w for k in cells)
+        violations.append(
+            Violation(ViolationKind.BAD_SHAPE, cell=(r0, c0), note=f"id {tid} is not a T-tetromino")
         )
-        if orient is None:
-            violations.append(
-                Violation(ViolationKind.BAD_SHAPE, cell=(r0, c0), note=f"id {tid} is not a T-tetromino")
-            )
-            continue
-        tiles.append(Tile(orient, r0, c0))
     if violations:
         raise TilingError(ValidityReport(tuple(violations)))
     return Tiling(Rect(h, w), tiles)

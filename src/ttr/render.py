@@ -44,21 +44,19 @@ def render(tiling: Tiling, opts: RenderOptions | None = None) -> str:
 def render_ascii(tiling: Tiling, *, borders: bool = False) -> str:
     """One orientation letter per cell; ``borders`` draws tile boundaries."""
     h, w = tiling.rect.height, tiling.rect.width
+    letters = [t.orientation.value for t in tiling.tiles]
+    rows = [tiling.owner_row(r) for r in range(h)]
     if not borders:
-        lines = [
-            "".join(tiling.tile_at((r, c)).orientation.value for c in range(w))
-            for r in range(h)
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join("".join([letters[i] for i in row]) + "\n" for row in rows)
 
     canvas = [[" "] * (2 * w + 1) for _ in range(2 * h + 1)]
-    for r in range(h):
-        for c in range(w):
-            canvas[2 * r + 1][2 * c + 1] = tiling.tile_at((r, c)).orientation.value
+    for r, row in enumerate(rows):
+        for c, i in enumerate(row):
+            canvas[2 * r + 1][2 * c + 1] = letters[i]
 
     def owner(r: int, c: int) -> int:
         if 0 <= r < h and 0 <= c < w:
-            return tiling.owner_index((r, c))
+            return rows[r][c]
         return -1
 
     for r in range(h + 1):
@@ -108,9 +106,10 @@ def render_svg(tiling: Tiling, opts: RenderOptions | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * cs}" height="{h * cs}" '
         f'viewBox="0 0 {w * cs} {h * cs}">'
     ]
+    colors = [opts.palette[t.orientation] for t in tiling.tiles]
     for r in range(h):
-        for c in range(w):
-            color = opts.palette[tiling.tile_at((r, c)).orientation]
+        for c, i in enumerate(tiling.owner_row(r)):
+            color = colors[i]
             out.append(
                 f'<rect x="{c * cs}" y="{r * cs}" width="{cs}" height="{cs}" fill="{color}"/>'
             )

@@ -60,6 +60,8 @@ class SearchConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.time_budget_s is not None and self.time_budget_s <= 0:
             raise ValueError("time budget must be positive")
+        if self.internal_var_limit < 0:
+            raise ValueError(f"internal variable limit must be >= 0, got {self.internal_var_limit}")
 
     def resolved_solver_cmd(self) -> str | None:
         return self.solver_cmd or os.environ.get(SOLVER_ENV_VAR) or None

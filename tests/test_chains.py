@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from ttr.errors import ParseError, ResourceLimitError, StructureError
-from ttr.grid import Orientation, Rect, Tile
+from ttr.errors import ParseError, ResourceLimitError, StructureError, TilingError
+from ttr.grid import Orientation, Rect, Tile, tile_cells
 from ttr.aps import enumerate_aps
 from ttr.chains import (
     ARROW_TILE_TABLE,
+    ChainGraph,
     ShadedArrow,
     _gray_side,
     antiblock_coloring,
@@ -17,6 +18,7 @@ from ttr.chains import (
     majority_minority,
     read_chain,
     shaded_arrow_aps,
+    shaded_arrows,
     tile_for_arrow,
     write_chain,
 )
@@ -68,7 +70,7 @@ def test_arrow_table_regression(corpus):
         for tile in tiling.tiles:
             maj, mino = majority_minority(tile)
             d = (mino[0] - maj[0], mino[1] - maj[1])
-            side = _gray_side(tiling.rect, (maj, mino))
+            side = _gray_side((maj, mino))
             off = (tile.row - 2 * maj[0], tile.col - 2 * maj[1])
             key = (d, side)
             val = (tile.orientation, off)
@@ -80,7 +82,7 @@ def test_every_edge_has_one_gray_flank(corpus):
     for tiling in corpus[(8, 8)]:
         g = build_chain_graph(tiling)
         for edge in g.edges:
-            assert _gray_side(tiling.rect, edge) in ("L", "R")
+            assert _gray_side(edge) in ("L", "R")
 
 
 def test_arrow_tile_round_trip(corpus):
@@ -100,10 +102,70 @@ def test_tile_for_arrow_rejects_bad_input():
     with pytest.raises(StructureError):
         tile_for_arrow(Rect(8, 8), ShadedArrow((((0, 0)), (2, 0)), "L"))
     edge = ((0, 0), (0, 1))
-    good = _gray_side(Rect(8, 8), edge)
+    good = _gray_side(edge)
     bad = "L" if good == "R" else "R"
     with pytest.raises(StructureError):
         tile_for_arrow(Rect(8, 8), ShadedArrow(edge, bad))
+
+
+def reference_tile(rect, edge):
+    """The per-edge derivation: gray side by ``_gray_side``, then adjacency, bounds and the arrow table."""
+    side = _gray_side(edge)
+    (r1, c1), (r2, c2) = edge
+    d = (r2 - r1, c2 - c1)
+    if abs(d[0]) + abs(d[1]) != 1:
+        raise StructureError(f"edge {edge} endpoints are not adjacent blocks")
+    for blk in edge:
+        if not (0 <= blk[0] < rect.height // 2 and 0 <= blk[1] < rect.width // 2):
+            raise StructureError(f"block {blk} outside {rect}")
+    orient, (dr, dc) = ARROW_TILE_TABLE[(d, side)]
+    return side, Tile(orient, 2 * r1 + dr, 2 * c1 + dc)
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the text of the StructureError it raises."""
+    try:
+        return fn(*args)
+    except StructureError as e:
+        return f"StructureError: {e}"
+
+
+def one_edge_cover(rect, edge):
+    """The cells ``chain_to_tiling`` covers for a one-edge graph (not a tiling, so read off its report)."""
+    with pytest.raises(TilingError) as exc:
+        chain_to_tiling(ChainGraph(rect, [edge]))
+    return set(rect.cells()) - {v.cell for v in exc.value.report.violations}
+
+
+def test_parity_table_matches_per_edge_derivation():
+    rect = Rect(8, 12)
+    steps = [(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)] + [(0, 3), (3, 0), (-3, 1)]
+    inside = 0
+    for r1 in range(-3, 6):
+        for c1 in range(-3, 8):
+            for dy, dx in steps:
+                edge = ((r1, c1), (r1 + dy, c1 + dx))
+                graph = ChainGraph(rect, [edge])
+                want = outcome(reference_tile, rect, edge)
+                assert outcome(lambda: [a.side for a in shaded_arrows(graph)]) == outcome(
+                    lambda: [_gray_side(edge)]
+                )
+                if isinstance(want, str):
+                    assert outcome(chain_to_tiling, graph) == want, edge
+                    for side in "LR":
+                        assert outcome(tile_for_arrow, rect, ShadedArrow(edge, side)).startswith(
+                            "StructureError: "
+                        )
+                    continue
+                inside += 1
+                side, tile = want
+                assert one_edge_cover(rect, edge) == tile_cells(tile)
+                assert tile_for_arrow(rect, ShadedArrow(edge, side)) == tile
+                other = ShadedArrow(edge, "L" if side == "R" else "R")
+                assert outcome(tile_for_arrow, rect, other) == (
+                    f"StructureError: arrow {other} shading inconsistent with the antiblock coloring"
+                )
+    assert inside == 2 * 4 * 5 + 2 * 3 * 6  # block steps inside the 4x6 block grid
 
 
 def test_chain_round_trip(corpus):

@@ -91,6 +91,12 @@ def test_lvalue_rejects_nonpositive_side(height, capsys):
     assert capsys.readouterr().err.strip() == f"error: rectangle sides must be >= 1, got {height}x4"
 
 
+def test_apfree_rejects_negative_internal_cap(capsys):
+    argv = ["apfree", "--height", "8", "--width", "8", "--len", "3", "--internal-cap", "-5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == "error: internal variable limit must be >= 0, got -5"
+
+
 def test_vdw2d(tmp_path, capsys):
     cert = tmp_path / "grid.tcolor"
     assert main(["vdw2d", "--height", "3", "--width", "5", "--out", str(cert)]) == 0

@@ -1,23 +1,33 @@
 """Byte-for-byte pins on the per-tiling analysis layers.
 
-The digest covers, for every tiling of 8x12 and 4x24 in enumeration order,
-the TTILING text, the longest-AP witness, the CHAIN text and the cut check,
-and for every tiling of 4x16 its unit decomposition and its A/B projection.
-It was taken before the hot paths behind these functions were rewritten, so
-a faster version must reproduce the old output exactly.
+The first digest covers, for every tiling of 8x12 and 4x24 in enumeration
+order, the TTILING text, the longest-AP witness, the CHAIN text and the cut
+check, and for every tiling of 4x16 its unit decomposition and its A/B
+projection.  The second covers, for the same 8x12 and 4x24 tilings, the
+TTILING round trip through ``read_tiling``, the chain-graph round trip
+through ``chain_to_tiling`` and the bordered ASCII rendering, plus the SVG
+of the periodic 20x20 tiling with its longest APs highlighted.  Both were
+taken before the code behind these functions was rewritten, so a faster
+version must reproduce the old output exactly; so must the error texts
+pinned below.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from ttr.aps import longest_ap
-from ttr.chains import build_chain_graph, write_chain
+import pytest
+
+from ttr.aps import enumerate_aps, longest_ap
+from ttr.chains import ChainGraph, build_chain_graph, chain_to_tiling, write_chain
 from ttr.enumerator import enumerate_tilings
-from ttr.grid import Rect, cut_cornerless_ok, write_tiling
+from ttr.errors import StructureError, TilingError
+from ttr.grid import Rect, cut_cornerless_ok, read_tiling, write_tiling
+from ttr.render import RenderOptions, render_ascii, render_svg
 from ttr.width4 import ab_map, decompose
 
 GOLDEN_SHA1 = "7db9ae3b90cd5864f65498789f25e2835b3861ac"
+ROUND_TRIP_SHA1 = "9988dfd77ebd3c146d66ce1809e89544fe9a098d"
 
 
 def analysis_digest() -> str:
@@ -35,5 +45,53 @@ def analysis_digest() -> str:
     return sha.hexdigest()
 
 
+def round_trip_digest(periodic) -> str:
+    sha = hashlib.sha1()
+    for h, w in ((8, 12), (4, 24)):
+        for tiling in enumerate_tilings(Rect(h, w)):
+            sha.update(write_tiling(read_tiling(write_tiling(tiling))).encode())
+            sha.update(write_tiling(chain_to_tiling(build_chain_graph(tiling))).encode())
+            sha.update(render_ascii(tiling, borders=True).encode())
+    # The highlight set of ``ttr render --highlight-ap``: every AP of the top length.
+    aps = enumerate_aps(periodic, 2)
+    top = max(ap.length for ap in aps)
+    opts = RenderOptions(format="svg", highlight=tuple(ap for ap in aps if ap.length == top))
+    sha.update(render_svg(periodic, opts).encode())
+    return sha.hexdigest()
+
+
 def test_analysis_output_matches_golden_digest():
     assert analysis_digest() == GOLDEN_SHA1
+
+
+def test_round_trips_and_renderings_match_golden_digest(periodic_20x20):
+    assert round_trip_digest(periodic_20x20) == ROUND_TRIP_SHA1
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([((0, 0), (1, 1))], "edge ((0, 0), (1, 1)) has 0 gray flanks"),
+        ([((0, 0), (0, 3))], "edge ((0, 0), (0, 3)) endpoints are not adjacent blocks"),
+        ([((1, 1), (2, 1))], "block (2, 1) outside 4x4"),
+        ([((-1, 0), (0, 0))], "block (-1, 0) outside 4x4"),
+    ],
+)
+def test_chain_to_tiling_edge_errors(edges, message):
+    with pytest.raises(StructureError) as exc:
+        chain_to_tiling(ChainGraph(Rect(4, 4), edges))
+    assert str(exc.value) == message
+
+
+def test_chain_to_tiling_overlap_error():
+    with pytest.raises(TilingError) as exc:
+        chain_to_tiling(ChainGraph(Rect(4, 4), [((0, 0), (0, 1)), ((0, 1), (0, 0))]))
+    assert str(exc.value) == (
+        "invalid tiling: OVERLAP cell=(0, 1) tiles=(0, 1), OVERLAP cell=(0, 2) tiles=(0, 1), "
+        "UNCOVERED cell=(1, 0), UNCOVERED cell=(1, 3), ... (12 total)"
+    )
+    uncovered = [(1, 0), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)]
+    assert [str(v) for v in exc.value.report.violations] == [
+        "OVERLAP cell=(0, 1) tiles=(0, 1)",
+        "OVERLAP cell=(0, 2) tiles=(0, 1)",
+    ] + [f"UNCOVERED cell={cell}" for cell in uncovered]

@@ -7,6 +7,7 @@ import pytest
 
 from ttr import grid
 from ttr.chains import build_chain_graph, read_chain, write_chain
+from ttr.enumerator import enumerate_tilings
 from ttr.errors import ParseError, TilingError
 from ttr.grid import (
     ORIENTATIONS,
@@ -162,6 +163,36 @@ def test_owner_index_agrees_with_tile_cells(corpus):
             assert all(tiling.owner_index(cell) == i for cell, i in owner.items())
 
 
+def test_validate_owner_map_is_flat_first_cover():
+    for rect, tiles in random_tile_lists(seed=20222, count=1000):
+        first: dict = {}
+        for i, tile in enumerate(tiles):
+            for cell in tile_cells(tile):
+                if cell in rect:
+                    first.setdefault(cell, i)
+        assert validate(rect, tiles).owner == [first.get(cell, -1) for cell in rect.cells()]
+
+
+@pytest.mark.parametrize("cell", [(0, -1), (-1, 0), (4, 0), (0, 8)])
+def test_owner_index_and_tile_at_reject_cells_outside(cell):
+    tiling = Tiling(Rect(4, 8), PINWHEEL_A + tuple(t.translated(0, 4) for t in PINWHEEL_B))
+    with pytest.raises(KeyError):
+        tiling.owner_index(cell)
+    with pytest.raises(KeyError):
+        tiling.tile_at(cell)
+
+
+def test_owner_row_and_anchor_groups(corpus):
+    for tilings in corpus.values():
+        for tiling in tilings[:40]:
+            h, w = tiling.rect.height, tiling.rect.width
+            for r in range(h):
+                assert tiling.owner_row(r) == [tiling.owner_index((r, c)) for c in range(w)]
+            groups = tiling.anchors_by_orientation()
+            assert list(groups) == list(ORIENTATIONS)
+            assert groups == {o: {t.anchor for t in tiling.tiles if t.orientation is o} for o in ORIENTATIONS}
+
+
 @pytest.mark.parametrize(
     "h,w,expected", [(4, 4, True), (4, 6, False), (8, 12, True), (6, 6, False), (12, 16, True)]
 )
@@ -297,6 +328,78 @@ def test_read_tiling_names_each_non_t_region(rows, cells):
     assert [str(v) for v in exc.value.report.violations] == [
         f"BAD_SHAPE cell={cell} id {tid} is not a T-tetromino" for tid, cell in cells
     ]
+
+
+def reference_read_ids(h: int, w: int, grid: list[list[int]]):
+    """The tuple-keyed TTILING shape check: the oracle for what ``read_tiling`` makes of an id grid.
+
+    Returns the tiling, or the violation texts of the ``TilingError`` raised.
+    """
+    cells_by_id: dict = {}
+    for r in range(h):
+        for c in range(w):
+            cells_by_id.setdefault(grid[r][c], []).append((r, c))
+    t_shapes = {tuple(sorted(TILE_OFFSETS[o])): o for o in ORIENTATIONS}
+    violations = []
+    n_expected = (h * w) // 4 if (h * w) % 4 == 0 else -1
+    if n_expected < 0 or set(cells_by_id) != set(range(n_expected)):
+        violations.append(
+            f"BAD_SHAPE tile ids must be exactly 0..{max(n_expected - 1, 0)}, got {len(cells_by_id)} distinct ids"
+        )
+    tiles = []
+    for tid, cells in sorted(cells_by_id.items()):
+        if len(cells) != 4:
+            violations.append(f"BAD_SHAPE cell={cells[0]} id {tid} covers {len(cells)} cells")
+            continue
+        r0 = cells[0][0]
+        c0 = min(c for _, c in cells)
+        orient = t_shapes.get(tuple((r - r0, c - c0) for r, c in cells))
+        if orient is None:
+            violations.append(f"BAD_SHAPE cell={(r0, c0)} id {tid} is not a T-tetromino")
+        else:
+            tiles.append(Tile(orient, r0, c0))
+    return violations or Tiling(Rect(h, w), tiles)
+
+
+def random_id_grids(seed: int, count: int):
+    """Seeded id grids: shuffled ids of four cells each, perturbed valid tilings, and rows shifted so T steps wrap."""
+    rng = random.Random(seed)
+    valid = [write_tiling(t) for t in enumerate_tilings(Rect(4, 8))][:20]
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            h, w = rng.randint(1, 6), rng.randint(1, 6)
+            n = (h * w + 3) // 4
+            ids = [i for i in range(n) for _ in range(4)][: h * w]
+            rng.shuffle(ids)
+            grid = [ids[r * w : (r + 1) * w] for r in range(h)]
+        else:
+            h, w = 4, 8
+            grid = [[int(t) for t in line.split()] for line in rng.choice(valid).splitlines()[2:]]
+            if kind == 1:
+                for _ in range(rng.randint(1, 3)):
+                    (r1, c1), (r2, c2) = [(rng.randrange(h), rng.randrange(w)) for _ in range(2)]
+                    grid[r1][c1], grid[r2][c2] = grid[r2][c2], grid[r1][c1]
+            else:
+                flat = [t for row in grid for t in row]
+                shift = rng.randint(1, w - 1)
+                flat = flat[shift:] + flat[:shift]
+                grid = [flat[r * w : (r + 1) * w] for r in range(h)]
+        yield h, w, grid
+
+
+def test_read_tiling_matches_tuple_keyed_reference():
+    kinds = set()
+    for h, w, grid in random_id_grids(seed=20223, count=3000):
+        text = f"TTILING 1\n{h} {w}\n" + "".join(" ".join(map(str, row)) + "\n" for row in grid)
+        try:
+            got = read_tiling(text)
+        except TilingError as e:
+            got = [str(v) for v in e.report.violations]
+        want = reference_read_ids(h, w, grid)
+        assert got == want, text
+        kinds.update(["Tiling"] if isinstance(got, Tiling) else [v.split()[-1] for v in got])
+    assert kinds == {"Tiling", "cells", "ids", "T-tetromino"}
 
 
 def reference_corner_count(tiling, point):

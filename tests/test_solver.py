@@ -56,6 +56,12 @@ def test_internal_var_limit():
         solve(cnf, SearchConfig(internal_var_limit=10))
 
 
+def test_internal_var_limit_must_be_nonnegative():
+    with pytest.raises(ValueError):
+        SearchConfig(internal_var_limit=-1)
+    assert SearchConfig(internal_var_limit=0).internal_var_limit == 0
+
+
 def test_external_solver_contract_sat_and_unsat():
     config = SearchConfig(solver_cmd=DIMACS_SOLVER)
     sat_cnf = build_cnf(Rect(4, 4))
