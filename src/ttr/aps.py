@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import LemmaViolationError
-from .grid import ORIENTATIONS, Cell, Orientation, Tile, Tiling
+from .grid import ORIENTATIONS, PLACEMENT_ORDER, Cell, Orientation, Tile, Tiling
 
 Step = tuple[int, int]
 
@@ -115,7 +115,7 @@ def longest_ap(tiling: Tiling) -> APWitness:
             if length > best_len:
                 best_len, best = length, (orient, start, step)
     if best is None:
-        first = min(tiling.tiles, key=lambda t: (t.orientation.index, t.row, t.col))
+        first = min(tiling.tiles, key=PLACEMENT_ORDER)
         return APWitness(first.orientation, first.anchor, (0, 0), 1)
     return APWitness(best[0], best[1], best[2], best_len)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ResourceLimitError
-from .grid import Orientation, Tile, tile_cells
+from .grid import PLACEMENT_ORDER, TILING_ORDER, Orientation, Tile, tile_cells
 from .aps import maximal_runs
 
 MAX_BOUNDARY_LEN = 12
@@ -54,7 +54,7 @@ def _candidates_covering(col: int) -> list[Tile]:
         Tile(Orientation.L, 0, col - 1),
         Tile(Orientation.R, 0, col),
     ]
-    cands.sort(key=lambda t: (t.orientation.index, t.row, t.col))
+    cands.sort(key=PLACEMENT_ORDER)
     return cands
 
 
@@ -100,7 +100,7 @@ def iter_boundary_coverings(n: int) -> Iterator[BoundaryCovering]:
         while col < n and occupied >> (col + _COL_SLACK) & 1:
             col += 1
         if col == n:
-            yield BoundaryCovering(n, tuple(sorted(chosen, key=lambda t: t.sort_key)))
+            yield BoundaryCovering(n, tuple(sorted(chosen, key=TILING_ORDER)))
             return
         for m, tile in cand_by_col[col]:
             if occupied & m:

@@ -27,7 +27,7 @@ from .aps import maximal_runs
 Block = tuple[int, int]
 Edge = tuple[Block, Block]
 
-DEFAULT_HV_AREA = 128
+MAX_HV_AREA = 128
 
 
 @dataclass(frozen=True)
@@ -336,8 +336,8 @@ def shaded_arrow_aps(graph: ChainGraph, min_len: int) -> list[ArrowProgression]:
     return out
 
 
-def hv_enumerate(rect: Rect, *, max_area: int = DEFAULT_HV_AREA) -> Iterator[ChainGraph]:
-    """Generate every chain graph of the rectangle.
+def hv_enumerate(rect: Rect) -> Iterator[ChainGraph]:
+    """Generate every chain graph of a rectangle of at most ``MAX_HV_AREA`` cells.
 
     Step 1 forces an edge along each gray-antiblock side with no adjacent
     antiblock; step 2 tries both horizontal edges / both vertical edges for
@@ -346,9 +346,9 @@ def hv_enumerate(rect: Rect, *, max_area: int = DEFAULT_HV_AREA) -> Iterator[Cha
     """
     if rect.height % 4 or rect.width % 4:
         raise ValueError(f"rectangle sides must be multiples of 4, got {rect}")
-    if rect.area > max_area:
+    if rect.area > MAX_HV_AREA:
         raise ResourceLimitError(
-            f"HV enumeration of {rect} ({rect.area} cells) exceeds the bound of {max_area} cells"
+            f"HV enumeration of {rect} ({rect.area} cells) exceeds the bound of {MAX_HV_AREA} cells"
         )
     rows, cols = rect.height // 2, rect.width // 2
 

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import IndeterminateError, ParseError, ResourceLimitError, SolverError, TilingError, TtrError
+from .errors import IndeterminateError, ParseError, SolverError, TilingError, TtrError
 from .grid import Rect, cut_cornerless_ok, is_tileable, read_tiling, write_tiling
 from .enumerator import enumerate_tilings
 from .aps import enumerate_aps, longest_ap
@@ -21,7 +21,7 @@ from .chains import build_chain_graph, write_chain
 from .cnf import add_ap_blocking, add_rot180_symmetry, build_cnf
 from .decide import compute_L, compute_T, decide_forces
 from .render import RenderOptions, render
-from .solver import DEFAULT_INTERNAL_VAR_LIMIT, SearchConfig, SolverStatus, solve
+from .solver import SearchConfig, SolverStatus, solve
 from .vdw import compute_Lvdw, vdw_number
 
 EXIT_OK = 0
@@ -44,14 +44,12 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None, help="write the main artifact here")
 
 
-def _add_search(p: argparse.ArgumentParser, *, engine: str | None = None) -> None:
-    """The flags ``_config`` reads; ``engine`` is the --engine default, None for no --engine."""
-    if engine is not None:
-        p.add_argument("--engine", choices=["sat", "internal-backtracking"], default=engine)
+def _add_search(p: argparse.ArgumentParser, *, engine: bool = False) -> None:
+    """The flags ``_config`` reads; ``engine`` adds --engine."""
+    if engine:
+        p.add_argument("--engine", choices=["sat", "internal-backtracking"], default="sat")
     p.add_argument("--solver", default=None, help="external DIMACS solver command (overrides TTR_SOLVER)")
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--internal-cap", type=int, default=DEFAULT_INTERNAL_VAR_LIMIT,
-                   help="variable limit for the built-in solver")
 
 
 def _config(args: argparse.Namespace) -> SearchConfig:
@@ -59,7 +57,6 @@ def _config(args: argparse.Namespace) -> SearchConfig:
         engine=getattr(args, "engine", "sat"),
         solver_cmd=args.solver,
         time_budget_s=args.budget_seconds,
-        internal_var_limit=args.internal_cap,
     )
 
 
@@ -77,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile", help="produce one tiling of the rectangle")
     _add_rect(p)
     _add_out(p)
-    _add_search(p, engine="internal-backtracking")  # plain existence; no CNF needed
 
     p = sub.add_parser("apfree", help="search for a tiling with no L-term AP")
     _add_rect(p)
@@ -90,16 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rect(p)
     _add_len(p)
     _add_out(p)
-    _add_search(p, engine="sat")
+    _add_search(p, engine=True)
 
     p = sub.add_parser("tvalue", help="least length forcing an L-term AP at the given width")
     p.add_argument("--width", type=int, required=True)
     _add_len(p)
-    _add_search(p, engine="sat")
+    _add_search(p, engine=True)
 
     p = sub.add_parser("lvalue", help="greatest AP length forced by the rectangle")
     _add_rect(p)
-    _add_search(p, engine="sat")
+    _add_search(p, engine=True)
 
     p = sub.add_parser("vdw", help="classical two-color van der Waerden number W(2, L)")
     _add_len(p)
@@ -134,15 +130,7 @@ def _cmd_tile(args: argparse.Namespace) -> int:
     if not is_tileable(rect):
         print(f"NONE (no complete tiling of {rect} exists)")
         return EXIT_OK
-    if args.engine == "sat":
-        verdict = solve(build_cnf(rect), _config(args))
-        if verdict.status is SolverStatus.UNKNOWN:
-            print("UNKNOWN (budget exhausted)")
-            return EXIT_UNKNOWN
-        tiling = verdict.witness
-    else:
-        tiling = next(enumerate_tilings(rect, limit=1, max_area=max(4096, rect.area)), None)
-    assert tiling is not None
+    tiling = next(enumerate_tilings(rect, limit=1, max_area=rect.area))
     _emit(write_tiling(tiling), args.out)
     return EXIT_OK
 
@@ -205,8 +193,7 @@ def _cmd_vdw2d(args: argparse.Namespace) -> int:
     try:
         result = compute_Lvdw(args.height, args.width, _config(args))
     except IndeterminateError as e:
-        lo = e.lower if e.lower is not None else 1
-        print(f"UNKNOWN L_vdW in [{lo}, inf]")
+        print(f"UNKNOWN L_vdW in [{e.lower}, inf]")
         return EXIT_UNKNOWN
     if args.out is not None and result.avoider is not None:
         args.out.write_text(result.avoider.to_tcolor(), encoding="utf-8", newline="")
@@ -271,9 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except IndeterminateError as e:
-        lo = f" lower={e.lower}" if e.lower is not None else ""
-        hi = f" upper={e.upper}" if e.upper is not None else ""
-        print(f"UNKNOWN {e}{lo}{hi}", file=sys.stderr)
+        print(f"UNKNOWN {e}", file=sys.stderr)
         return EXIT_UNKNOWN
     except SolverError as e:
         print(f"solver error: {e}", file=sys.stderr)
@@ -284,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"file error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (ResourceLimitError, TtrError, ValueError) as e:
+    except (TtrError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

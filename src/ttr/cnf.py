@@ -155,16 +155,15 @@ def decode_model(cnf: CNF, model: Sequence[bool]) -> Tiling:
 # DIMACS CNF and the variable-map sidecar
 
 
-def clauses_to_dimacs(num_vars: int, clauses: Sequence[Clause], comments: Sequence[str] = ()) -> str:
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p cnf {num_vars} {len(clauses)}")
+def clauses_to_dimacs(num_vars: int, clauses: Sequence[Clause]) -> str:
+    lines = [f"p cnf {num_vars} {len(clauses)}"]
     for clause in clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
 
 
-def to_dimacs(cnf: CNF, comments: Sequence[str] = ()) -> str:
-    return clauses_to_dimacs(cnf.num_vars, cnf.clauses, comments)
+def to_dimacs(cnf: CNF) -> str:
+    return clauses_to_dimacs(cnf.num_vars, cnf.clauses)
 
 
 def var_map_sidecar(cnf: CNF) -> str:

@@ -20,6 +20,8 @@ from .cnf import add_ap_blocking, build_cnf
 from .solver import SearchConfig, SolverStatus, solve
 from .vdw import vdw_number
 
+MAX_T_SCAN = 400
+
 
 @dataclass
 class DecideResult:
@@ -80,9 +82,9 @@ def decide_forces(
 
     A ``witness_hint`` (an alleged AP-free tiling, e.g. from a stacked-row
     construction) is verified and, if good, answers the question immediately.
-    SAT answers are cross-checked against the exhaustive enumerator for small
-    rectangles unless disabled in the config.  Budget exhaustion raises
-    :class:`IndeterminateError`; it is never coerced to a boolean.
+    SAT answers are cross-checked against the exhaustive enumerator on
+    rectangles of at most ``DEFAULT_ENUM_AREA`` cells.  Budget exhaustion
+    raises :class:`IndeterminateError`; it is never coerced to a boolean.
     """
     if h % 4 or w % 4:
         raise ValueError(f"sides must be multiples of 4, got {h}x{w}")
@@ -106,7 +108,7 @@ def decide_forces(
         raise IndeterminateError(f"budget exhausted deciding ({h},{w}) -> {l}")
     result = DecideResult(h, w, l, forced=verdict.status is SolverStatus.UNSAT,
                           witness=verdict.witness, method="sat")
-    if config.oracle_cross_check and h * w <= DEFAULT_ENUM_AREA:
+    if h * w <= DEFAULT_ENUM_AREA:
         oracle = _decide_by_enumeration(h, w, l)
         if oracle.forced != result.forced:
             raise LemmaViolationError(
@@ -140,13 +142,14 @@ class ScanResult:
         return self.value is not None
 
 
-def compute_T(w: int, l: int, config: SearchConfig | None = None, *, max_length: int = 400) -> ScanResult:
+def compute_T(w: int, l: int, config: SearchConfig | None = None) -> ScanResult:
     """Least length N (multiple of 4) such that (w, N) forces an l-term AP.
 
     Scans N = 4, 8, ... upward (forcedness is not known to be monotone in N
     for general widths, so no binary search).  For widths 4..16 and l in
     {3, 4} the scan is capped by the 4*W(2, l) ceiling; reaching the ceiling
-    without a forced answer indicates a bug and raises.
+    without a forced answer indicates a bug and raises.  Other scans stop
+    after N = ``MAX_T_SCAN`` with the value unknown.
     """
     if w % 4:
         raise ValueError(f"width must be a multiple of 4, got {w}")
@@ -154,7 +157,7 @@ def compute_T(w: int, l: int, config: SearchConfig | None = None, *, max_length:
     ceiling: int | None = None
     if w in (4, 8, 12, 16) and 3 <= l <= 4:
         ceiling = 4 * vdw_number(l)
-    lengths = range(4, (ceiling or max_length) + 1, 4)
+    lengths = range(4, (ceiling or MAX_T_SCAN) + 1, 4)
     for n in lengths:
         try:
             forced = decide_forces(w, n, l, config).forced
@@ -166,7 +169,7 @@ def compute_T(w: int, l: int, config: SearchConfig | None = None, *, max_length:
         raise LemmaViolationError(
             f"scan passed the 4*W(2,{l}) = {ceiling} ceiling for width {w} without forcing"
         )
-    return ScanResult(None, lengths[-1] + 4 if lengths else 4, None)
+    return ScanResult(None, MAX_T_SCAN + 4, None)
 
 
 def compute_L(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:

@@ -28,16 +28,18 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .grid import ORIENTATIONS, TILE_BBOX, Rect, Tile, Tiling, tile_cells
+from .grid import ORIENTATIONS, PLACEMENT_ORDER, Rect, Tile, Tiling, tile_cells
 
 DEFAULT_ENUM_AREA = 96
+#: The area bound of :func:`has_tiling`.
+MAX_EXISTENCE_AREA = 4096
 
 
 def placements(rect: Rect) -> tuple[Tile, ...]:
     """All placements that fit inside ``rect``, in canonical order."""
     out: list[Tile] = []
     for o in ORIENTATIONS:
-        rows, cols = TILE_BBOX[o]
+        rows, cols = o.bbox
         for r in range(rect.height - rows + 1):
             for c in range(rect.width - cols + 1):
                 out.append(Tile(o, r, c))
@@ -53,15 +55,13 @@ def _frontier(rect: Rect, tiles: Sequence[Tile]) -> tuple[list[list[tuple[int, T
     """
     w = rect.width
     by_cell: list[list[tuple[int, Tile]]] = [[] for _ in range(rect.area)]
-    for tile in tiles:
+    for tile in sorted(tiles, key=PLACEMENT_ORDER):
         cells = sorted(tile_cells(tile))
         mask = 0
         for r, c in cells:
             mask |= 1 << (r * w + c)
         first = cells[0][0] * w + cells[0][1]
         by_cell[first].append((mask, tile))
-    for lst in by_cell:
-        lst.sort(key=lambda mt: (mt[1].orientation.index, mt[1].row, mt[1].col))
     return by_cell, (1 << (2 * w + 2)) - 1, (1 << rect.area) - 1
 
 
@@ -203,10 +203,13 @@ def _count(rect: Rect, tiles: Sequence[Tile]) -> int:
         return count(0, 0)
 
 
-def has_tiling(rect: Rect, *, max_area: int = 4096) -> bool:
-    """Existence check backed by the same memoized frontier search."""
+def has_tiling(rect: Rect) -> bool:
+    """Existence check backed by the same memoized frontier search.
+
+    Raises :class:`ResourceLimitError` above ``MAX_EXISTENCE_AREA`` cells.
+    """
     if rect.area % 4:
         return False
-    for _ in enumerate_tilings(rect, limit=1, max_area=max_area):
+    for _ in enumerate_tilings(rect, limit=1, max_area=MAX_EXISTENCE_AREA):
         return True
     return False

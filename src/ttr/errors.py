@@ -60,10 +60,10 @@ class SolverError(TtrError):
 class IndeterminateError(TtrError):
     """The search exhausted its budget without an answer.
 
-    ``lower``/``upper`` bracket the quantity being computed when known.
+    ``lower`` is the proven lower bound on the quantity being computed, when
+    the raiser has one.
     """
 
-    def __init__(self, message: str, lower=None, upper=None):
+    def __init__(self, message: str, lower=None):
         super().__init__(message)
         self.lower = lower
-        self.upper = upper

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, TilingError
@@ -51,11 +52,6 @@ class Orientation(Enum):
 
 ORIENTATIONS: tuple[Orientation, ...] = tuple(Orientation)
 
-TILE_OFFSETS: dict[Orientation, tuple[Cell, ...]] = {o: o.offsets for o in ORIENTATIONS}
-
-# Bounding box (rows, cols) per orientation.
-TILE_BBOX: dict[Orientation, tuple[int, int]] = {o: o.bbox for o in ORIENTATIONS}
-
 
 @dataclass(frozen=True)
 class Tile:
@@ -70,10 +66,6 @@ class Tile:
         return (self.row, self.col)
 
     @property
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.row, self.col, self.orientation.index)
-
-    @property
     def type_code(self) -> str:
         """Two-character code: orientation letter plus 1-based top row."""
         return f"{self.orientation.value}{self.row + 1}"
@@ -83,6 +75,12 @@ class Tile:
 
     def __repr__(self) -> str:
         return f"{self.orientation.value.upper()}@({self.row},{self.col})"
+
+
+#: Sort key of the tiling order: anchor row, anchor col, orientation index.
+TILING_ORDER = attrgetter("row", "col", "orientation.index")
+#: Sort key of the placement order: orientation index, anchor row, anchor col.
+PLACEMENT_ORDER = attrgetter("orientation.index", "row", "col")
 
 
 def tile_cells(tile: Tile) -> frozenset[Cell]:
@@ -252,7 +250,7 @@ class Tiling:
     __slots__ = ("rect", "tiles", "_owner", "_hash")
 
     def __init__(self, rect: Rect, tiles: Iterable[Tile]):
-        ordered = tuple(sorted(tiles, key=lambda t: t.sort_key))
+        ordered = tuple(sorted(tiles, key=TILING_ORDER))
         report = validate(rect, ordered)
         if not report.ok:
             raise TilingError(report)
@@ -317,7 +315,7 @@ _ROT_ORIENT = {
 
 def rotate_tile_180(rect: Rect, tile: Tile) -> Tile:
     """Image of a placement under 180-degree rotation of ``rect``."""
-    rows, cols = TILE_BBOX[tile.orientation]
+    rows, cols = tile.orientation.bbox
     return Tile(
         _ROT_ORIENT[tile.orientation],
         rect.height - rows - tile.row,

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grid import Orientation, Tile, Tiling, tile_cells
 from .aps import APWitness
 
 #: Colorblind-safe qualitative palette.
-DEFAULT_PALETTE: dict[Orientation, str] = {
+PALETTE: dict[Orientation, str] = {
     Orientation.U: "#e41a1c",
     Orientation.D: "#377eb8",
     Orientation.L: "#4daf4a",
@@ -20,7 +20,6 @@ DEFAULT_PALETTE: dict[Orientation, str] = {
 class RenderOptions:
     format: str = "ascii"  # "ascii" or "svg"
     cell_size: int = 20
-    palette: dict[Orientation, str] = field(default_factory=lambda: dict(DEFAULT_PALETTE))
     highlight: tuple[APWitness, ...] = ()
     borders: bool = False  # ascii only: draw tile boundaries
 
@@ -29,8 +28,6 @@ class RenderOptions:
             raise ValueError(f"unknown format {self.format!r}")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
-        if set(self.palette) != set(Orientation):
-            raise ValueError("palette must cover all four orientations")
 
 
 def render(tiling: Tiling, opts: RenderOptions | None = None) -> str:
@@ -106,7 +103,7 @@ def render_svg(tiling: Tiling, opts: RenderOptions | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * cs}" height="{h * cs}" '
         f'viewBox="0 0 {w * cs} {h * cs}">'
     ]
-    colors = [opts.palette[t.orientation] for t in tiling.tiles]
+    colors = [PALETTE[t.orientation] for t in tiling.tiles]
     for r in range(h):
         for c, i in enumerate(tiling.owner_row(r)):
             color = colors[i]

@@ -4,11 +4,14 @@ The external contract is the SAT-competition one: the command receives a
 DIMACS file path as its final argument and prints ``s SATISFIABLE`` /
 ``s UNSATISFIABLE`` plus ``v`` value lines.  Configure it with
 ``SearchConfig.solver_cmd``, the CLI ``--solver`` flag, or the ``TTR_SOLVER``
-environment variable; otherwise the built-in CDCL solver is used.
+environment variable; otherwise the built-in CDCL solver is used.  Either
+backend takes any instance size; ``SearchConfig.time_budget_s`` is the one
+resource bound.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import subprocess
@@ -26,8 +29,6 @@ from .grid import Tiling
 
 SOLVER_ENV_VAR = "TTR_SOLVER"
 
-DEFAULT_INTERNAL_VAR_LIMIT = 5000
-
 
 class SolverStatus(Enum):
     SAT = "SAT"
@@ -42,26 +43,21 @@ class SearchConfig:
     ``engine`` selects between the CNF/SAT pipeline and the exhaustive
     internal backtracker for decide-style questions.  ``solver_cmd`` (or the
     TTR_SOLVER environment variable) switches SAT solving to an external
-    DIMACS command.  ``time_budget_s`` bounds each solver call, and
-    ``internal_var_limit`` refuses instances too large for the built-in CDCL
-    solver.  ``oracle_cross_check`` re-decides SAT answers with the
-    enumerator on rectangles of at most ``enumerator.DEFAULT_ENUM_AREA``
-    cells.
+    DIMACS command.  ``time_budget_s`` bounds each solver call; it is a
+    positive finite number of seconds, or None for no bound.
     """
 
     engine: str = "sat"  # "sat" or "internal-backtracking"
     solver_cmd: str | None = None
     time_budget_s: float | None = None
-    internal_var_limit: int = DEFAULT_INTERNAL_VAR_LIMIT
-    oracle_cross_check: bool = True
 
     def __post_init__(self):
         if self.engine not in ("sat", "internal-backtracking"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.time_budget_s is not None and self.time_budget_s <= 0:
-            raise ValueError("time budget must be positive")
-        if self.internal_var_limit < 0:
-            raise ValueError(f"internal variable limit must be >= 0, got {self.internal_var_limit}")
+        if self.time_budget_s is not None and not 0 < self.time_budget_s < math.inf:
+            raise ValueError(
+                f"time budget must be a positive finite number of seconds, got {self.time_budget_s}"
+            )
 
     def resolved_solver_cmd(self) -> str | None:
         return self.solver_cmd or os.environ.get(SOLVER_ENV_VAR) or None
@@ -84,12 +80,6 @@ def run_sat(
     cmd = config.resolved_solver_cmd()
     if cmd:
         return _run_external(cmd, num_vars, clauses, config.time_budget_s)
-    if num_vars > config.internal_var_limit:
-        raise SolverError(
-            f"no external solver configured and the instance has {num_vars} variables "
-            f"(internal limit {config.internal_var_limit}); set --solver/{SOLVER_ENV_VAR} "
-            f"or raise the limit"
-        )
     result = cdcl.solve_clauses(num_vars, clauses, time_budget=config.time_budget_s)
     return SolverStatus(result.status), result.model
 

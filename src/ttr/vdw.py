@@ -28,19 +28,13 @@ def _has_ap_ending_at(colors: list[int], pos: int, l: int) -> bool:
     return False
 
 
-def vdw_number(l: int, r: int = 2) -> int:
+def vdw_number(l: int) -> int:
     """The least W such that every 2-coloring of {1..W} has a monochromatic l-AP."""
-    if r != 2:
-        raise ResourceLimitError(f"only r=2 colors supported, got r={r}")
-    if l < 2 or l > MAX_VDW_LEN:
-        raise ResourceLimitError(f"l must be in 2..{MAX_VDW_LEN}, got {l}")
-    return len(_longest_apfree_length(l)) + 1
+    return len(extremal_coloring(l)) + 1
 
 
-def extremal_coloring(l: int, r: int = 2) -> tuple[int, ...]:
+def extremal_coloring(l: int) -> tuple[int, ...]:
     """A 2-coloring of length W(2, l) - 1 with no monochromatic l-AP."""
-    if r != 2:
-        raise ResourceLimitError(f"only r=2 colors supported, got r={r}")
     if l < 2 or l > MAX_VDW_LEN:
         raise ResourceLimitError(f"l must be in 2..{MAX_VDW_LEN}, got {l}")
     return _longest_apfree_length(l)

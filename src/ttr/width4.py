@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import CatalogError, ParseError, ResourceLimitError, StructureError
 from .enumerator import enumerate_tilings
-from .grid import TILE_BBOX, Orientation, Rect, Tile, Tiling, read_header, tile_cells
+from .grid import TILING_ORDER, Orientation, Rect, Tile, Tiling, read_header, tile_cells
 from .aps import has_ap_of_length, maximal_runs
 
 UNIT_A_TILES: tuple[Tile, ...] = (
@@ -108,14 +108,14 @@ def first_column_class(tiles: Sequence[Tile]) -> str:
         return "A"
     if sig == _B_SIGNATURE:
         return "B"
-    raise StructureError(f"first column {sorted(sig, key=lambda t: t.sort_key)} matches neither A nor B")
+    raise StructureError(f"first column {sorted(sig, key=TILING_ORDER)} matches neither A nor B")
 
 
 def fault_columns(tiling: Tiling) -> list[int]:
     """Interior vertical grid lines crossed by no tile."""
     crossed = [False] * (tiling.rect.width + 1)
     for t in tiling.tiles:
-        _, cols = TILE_BBOX[t.orientation]
+        _, cols = t.orientation.bbox
         for x in range(t.col + 1, t.col + cols):
             crossed[x] = True
     return [x for x in range(1, tiling.rect.width) if not crossed[x]]
@@ -131,7 +131,7 @@ def _segments(tiling: Tiling) -> list[tuple[int, tuple[Tile, ...]]]:
         seg = tuple(
             sorted(
                 (t.translated(0, -left) for t in tiling.tiles if left <= t.col < right),
-                key=lambda t: t.sort_key,
+                key=TILING_ORDER,
             )
         )
         out.append((left, seg))
@@ -160,9 +160,9 @@ def enumerate_units(max_len: int) -> list[Unit]:
         found = []
         for t in enumerate_tilings(Rect(4, k), max_area=max(64, 4 * k)):
             if not fault_columns(t):
-                found.append(t.tiles)
-        found.sort(key=lambda tiles: (first_column_class(tiles) != "A", [t.sort_key for t in tiles]))
-        for tiles in found:
+                found.append((first_column_class(t.tiles) != "A", list(map(TILING_ORDER, t.tiles)), t.tiles))
+        found.sort()
+        for _, _, tiles in found:
             if len(units) >= len(names):
                 raise ResourceLimitError("unit catalog exceeds single-letter names")
             units.append(Unit(names[len(units)], k, tiles))

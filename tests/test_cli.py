@@ -91,10 +91,16 @@ def test_lvalue_rejects_nonpositive_side(height, capsys):
     assert capsys.readouterr().err.strip() == f"error: rectangle sides must be >= 1, got {height}x4"
 
 
-def test_apfree_rejects_negative_internal_cap(capsys):
-    argv = ["apfree", "--height", "8", "--width", "8", "--len", "3", "--internal-cap", "-5"]
+@pytest.mark.parametrize("solver", [None, DIMACS_SOLVER])
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_non_finite_budget_exits_1(budget, solver, capsys):
+    argv = ["lvalue", "--height", "24", "--width", "24", "--budget-seconds", budget]
+    if solver is not None:
+        argv += ["--solver", solver]
     assert main(argv) == 1
-    assert capsys.readouterr().err.strip() == "error: internal variable limit must be >= 0, got -5"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: time budget must be a positive finite number of seconds, got {budget}\n"
 
 
 def test_vdw2d(tmp_path, capsys):
@@ -206,26 +212,22 @@ def test_tile_handles_large_rectangles(tmp_path):
 
 # Each subcommand's required arguments, and the optional flags it reads.
 SUBCOMMAND_FLAGS = {
-    "tile": (["--height", "4", "--width", "4"],
-             {"--out", "--engine", "--solver", "--budget-seconds", "--internal-cap"}),
+    "tile": (["--height", "4", "--width", "4"], {"--out"}),
     "decide": (["--height", "4", "--width", "4", "--len", "3"],
-               {"--out", "--engine", "--solver", "--budget-seconds", "--internal-cap"}),
+               {"--out", "--engine", "--solver", "--budget-seconds"}),
     "apfree": (["--height", "4", "--width", "4", "--len", "3"],
-               {"--out", "--solver", "--budget-seconds", "--internal-cap", "--symmetry"}),
-    "vdw2d": (["--height", "2", "--width", "2"],
-              {"--out", "--solver", "--budget-seconds", "--internal-cap"}),
-    "tvalue": (["--width", "4", "--len", "2"],
-               {"--engine", "--solver", "--budget-seconds", "--internal-cap"}),
-    "lvalue": (["--height", "4", "--width", "4"],
-               {"--engine", "--solver", "--budget-seconds", "--internal-cap"}),
+               {"--out", "--solver", "--budget-seconds", "--symmetry"}),
+    "vdw2d": (["--height", "2", "--width", "2"], {"--out", "--solver", "--budget-seconds"}),
+    "tvalue": (["--width", "4", "--len", "2"], {"--engine", "--solver", "--budget-seconds"}),
+    "lvalue": (["--height", "4", "--width", "4"], {"--engine", "--solver", "--budget-seconds"}),
     "chaingraph": (["--in", "t.ttiling"], {"--out"}),
     "render": (["--in", "t.ttiling"], {"--out", "--format", "--highlight-ap", "--cell-size", "--borders"}),
     "verify": (["--in", "t.ttiling"], {"--max-ap"}),
     "vdw": (["--len", "3"], set()),
 }
-# The options shared between subcommands, plus three that no subcommand accepts.
-SHARED_FLAGS = {"--out", "--engine", "--solver", "--budget-seconds", "--internal-cap",
-                "--jobs", "--seed", "--dxdy-filter"}
+# The options shared between subcommands, plus four that no subcommand accepts.
+SHARED_FLAGS = {"--out", "--engine", "--solver", "--budget-seconds",
+                "--internal-cap", "--jobs", "--seed", "--dxdy-filter"}
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))

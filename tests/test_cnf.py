@@ -6,7 +6,7 @@ import pytest
 
 from ttr.errors import ParseError
 from ttr.enumerator import _count, count_tilings, enumerate_tilings
-from ttr.grid import ORIENTATIONS, TILE_BBOX, Rect, is_tileable, rotate_tile_180
+from ttr.grid import ORIENTATIONS, Rect, is_tileable, rotate_tile_180
 from ttr.cnf import (
     CNF,
     PlacementIndex,
@@ -26,7 +26,7 @@ def brute_force_placement_count(rect: Rect) -> int:
     # Slide each orientation's bounding box over the rectangle.
     total = 0
     for o in ORIENTATIONS:
-        rows, cols = TILE_BBOX[o]
+        rows, cols = o.bbox
         total += max(0, rect.height - rows + 1) * max(0, rect.width - cols + 1)
     return total
 
@@ -219,7 +219,7 @@ def test_rot180_symmetry_clauses_pair_variables():
 
 def test_dimacs_round_trip():
     cnf = add_ap_blocking(build_cnf(Rect(4, 8)), 3)
-    text = to_dimacs(cnf, comments=["generated for a test"])
+    text = "c generated for a test\n" + to_dimacs(cnf)
     num_vars, clauses = parse_dimacs(text)
     assert num_vars == cnf.num_vars
     assert [tuple(c) for c in clauses] == list(cnf.clauses)

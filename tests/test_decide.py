@@ -7,7 +7,8 @@ from ttr.grid import Rect
 from ttr.aps import longest_ap
 from ttr.decide import compute_L, compute_T, decide_forces, _completes_ap
 from ttr.enumerator import frontier_search, placements
-from ttr.solver import SearchConfig
+from ttr.cnf import add_ap_blocking, build_cnf
+from ttr.solver import SearchConfig, SolverStatus, solve
 from ttr.vdw import extremal_coloring
 from ttr.width4 import TwoColoring, stack_rows
 
@@ -32,10 +33,11 @@ def test_small_pair_decisions_cross_checked():
 
 
 def test_engines_agree_without_builtin_cross_check():
-    config_sat = SearchConfig(oracle_cross_check=False)
+    # The SAT route alone (decide_forces would add its own cross-check) against the enumeration engine.
     config_enum = SearchConfig(engine="internal-backtracking")
     for h, w, l in [(4, 8, 2), (4, 12, 3), (8, 8, 2), (4, 16, 3)]:
-        assert decide_forces(h, w, l, config_sat).forced == decide_forces(h, w, l, config_enum).forced
+        sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).status is SolverStatus.UNSAT
+        assert sat_forced == decide_forces(h, w, l, config_enum).forced
 
 
 def test_oracle_agreement_every_rect_up_to_96_cells():
@@ -93,7 +95,7 @@ def test_rejects_bad_arguments():
 
 
 def test_budget_exhaustion_is_explicit():
-    config = SearchConfig(time_budget_s=1e-9, oracle_cross_check=False)
+    config = SearchConfig(time_budget_s=1e-9)
     with pytest.raises(IndeterminateError):
         decide_forces(20, 20, 3, config)
 

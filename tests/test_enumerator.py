@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from ttr.errors import ResourceLimitError
-from ttr.grid import Rect, Tiling, is_tileable
+from ttr.grid import TILING_ORDER, Rect, Tiling, is_tileable
 from ttr.enumerator import count_tilings, enumerate_tilings, has_tiling, placements
 
 from conftest import PINWHEEL_A, PINWHEEL_B
@@ -56,7 +56,7 @@ def test_enumeration_and_count_agree(corpus):
 
 def test_canonical_stream_order(corpus):
     for tilings in corpus.values():
-        keys = [tuple(t.sort_key for t in tl.tiles) for tl in tilings]
+        keys = [tuple(map(TILING_ORDER, tl.tiles)) for tl in tilings]
         assert keys == sorted(keys)
 
 

@@ -11,7 +11,6 @@ from ttr.enumerator import enumerate_tilings
 from ttr.errors import ParseError, TilingError
 from ttr.grid import (
     ORIENTATIONS,
-    TILE_OFFSETS,
     Orientation,
     Rect,
     Tile,
@@ -111,7 +110,7 @@ def reference_validate(rect: Rect, tiles) -> tuple[Violation, ...]:
     owner: dict = {}
     for i, tile in enumerate(tiles):
         r, c = tile.row, tile.col
-        for cell in frozenset((r + dr, c + dc) for dr, dc in TILE_OFFSETS[tile.orientation]):
+        for cell in frozenset((r + dr, c + dc) for dr, dc in tile.orientation.offsets):
             if cell not in rect:
                 violations.append(Violation(ViolationKind.OUT_OF_BOUNDS, cell=cell, tiles=(i,)))
                 continue
@@ -339,7 +338,7 @@ def reference_read_ids(h: int, w: int, grid: list[list[int]]):
     for r in range(h):
         for c in range(w):
             cells_by_id.setdefault(grid[r][c], []).append((r, c))
-    t_shapes = {tuple(sorted(TILE_OFFSETS[o])): o for o in ORIENTATIONS}
+    t_shapes = {tuple(sorted(o.offsets)): o for o in ORIENTATIONS}
     violations = []
     n_expected = (h * w) // 4 if (h * w) % 4 == 0 else -1
     if n_expected < 0 or set(cells_by_id) != set(range(n_expected)):

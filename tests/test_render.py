@@ -49,5 +49,3 @@ def test_render_options_validation():
         RenderOptions(format="png")
     with pytest.raises(ValueError):
         RenderOptions(cell_size=0)
-    with pytest.raises(ValueError):
-        RenderOptions(palette={})

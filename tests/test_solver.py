@@ -50,16 +50,19 @@ def test_internal_engine_solves_and_reverifies():
     assert verdict.engine == "internal"
 
 
-def test_internal_var_limit():
-    cnf = build_cnf(Rect(4, 8))
-    with pytest.raises(SolverError):
-        solve(cnf, SearchConfig(internal_var_limit=10))
+def test_builtin_solver_takes_any_number_of_variables():
+    # The built-in solver has no variable cap; only the time budget bounds it.
+    n = 6000
+    status, model = run_sat(n, [(v if v % 2 else -v,) for v in range(1, n + 1)], SearchConfig())
+    assert status is SolverStatus.SAT
+    assert model[1:] == [v % 2 == 1 for v in range(1, n + 1)]
 
 
-def test_internal_var_limit_must_be_nonnegative():
-    with pytest.raises(ValueError):
-        SearchConfig(internal_var_limit=-1)
-    assert SearchConfig(internal_var_limit=0).internal_var_limit == 0
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_time_budget_must_be_positive_and_finite(budget):
+    with pytest.raises(ValueError, match="positive finite"):
+        SearchConfig(time_budget_s=budget)
+    assert SearchConfig(time_budget_s=0.5).time_budget_s == 0.5
 
 
 def test_external_solver_contract_sat_and_unsat():

@@ -33,10 +33,11 @@ def test_extremal_colorings_verify():
 
 
 def test_vdw_guards():
-    with pytest.raises(ResourceLimitError):
-        vdw_number(5)
-    with pytest.raises(ResourceLimitError):
-        vdw_number(3, r=3)
+    for l in (1, 5):
+        with pytest.raises(ResourceLimitError):
+            vdw_number(l)
+        with pytest.raises(ResourceLimitError):
+            extremal_coloring(l)
 
 
 def test_grid_mono_ap_examples():
