@@ -6,7 +6,22 @@ LBD-based learnt-clause reduction.  Deterministic: identical inputs produce
 identical runs and models.
 
 Literals are encoded as ``2*v`` (positive) and ``2*v + 1`` (negative) for
-variables ``v >= 1``.
+variables ``v >= 1``; input literals must lie in ``1..num_vars`` in absolute
+value.  Loading reads each clause through one encoding table indexed by the
+DIMACS literal (a negative literal indexes from the end).  While nothing is
+assigned yet, a clause of at least two distinct variables needs none of the
+root-level simplification of ``_add_clause`` and is stored and watched as
+it is; units, repeated literals, tautologies and every clause after the
+first unit take the general path.
+
+The decision heap keeps at most one current entry per variable.  An entry
+``(-activity, v)`` is current while ``activity[v]`` still has that value.
+``in_heap[v]`` is set when v's entry is pushed and cleared when that entry is
+popped, so backtracking pushes only variables without one.  An activity
+rescale makes the entry of every bumped variable stale and clears all the
+flags.  A decision takes the least current entry of a free variable, and the
+set of current entries is the one a heap given a duplicate push for every
+backtracked variable would hold, so the decisions are the same too.
 """
 
 from __future__ import annotations
@@ -50,6 +65,7 @@ class _Solver:
         self.activity = [0.0] * (num_vars + 1)
         self.var_inc = 1.0
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, num_vars + 1)]
+        self.in_heap = bytearray(b"\x01") * (num_vars + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -62,14 +78,33 @@ class _Solver:
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
+        # enc[l] encodes DIMACS literal l; enc[-v] wraps around to the tail.
+        enc = [0, *range(2, n2, 2), *range(n2 - 1, 2, -2)]
+        get = enc.__getitem__
+        trail = self.trail
+        db = self.clauses
+        watches = self.watches
+        binwatch = self.binwatch
         for cl in clauses:
-            if not self._add_clause([self._enc(l) for l in cl], learnt=False):
+            n = len(cl)
+            if n == 2 and not trail:
+                a, b = cl
+                if a != b and a != -b:
+                    a = enc[a]
+                    b = enc[b]
+                    binwatch[a].append((b, len(db)))
+                    binwatch[b].append((a, len(db)))
+                    db.append([a, b])
+                    continue
+            elif n > 2 and not trail and len(set(map(abs, cl))) == n:
+                lits = list(map(get, cl))
+                watches[lits[0]].append(len(db))
+                watches[lits[1]].append(len(db))
+                db.append(lits)
+                continue
+            if not self._add_clause(list(map(get, cl)), learnt=False):
                 self.ok = False
                 break
-
-    @staticmethod
-    def _enc(lit: int) -> int:
-        return 2 * lit if lit > 0 else -2 * lit + 1
 
     def _add_clause(self, lits: list[int], learnt: bool) -> bool:
         if not learnt:
@@ -119,99 +154,120 @@ class _Solver:
         return True
 
     def _propagate(self) -> int:
+        # ``_enqueue`` inlined: a literal is only enqueued here while free.
         assign = self.assign
         watches = self.watches
         binwatch = self.binwatch
         clauses = self.clauses
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        lvl = len(self.trail_lim)
+        qhead = start = self.qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
             fl = p ^ 1
-            self.propagations += 1
             for q, ci in binwatch[fl]:
                 a = assign[q]
                 if a == 0:
-                    self._enqueue(q, ci)
+                    assign[q] = 1
+                    assign[q ^ 1] = -1
+                    level[q >> 1] = lvl
+                    reason[q >> 1] = ci
+                    trail.append(q)
                 elif a < 0:
+                    self.qhead = qhead
+                    self.propagations += qhead - start
                     return ci
             wl = watches[fl]
-            i = j = 0
-            n = len(wl)
-            while i < n:
-                ci = wl[i]
-                i += 1
+            if not wl:
+                continue
+            keep = watches[fl] = []
+            it = iter(wl)
+            for ci in it:
                 cl = clauses[ci]
                 if cl is None:
                     continue
-                if cl[0] == fl:
-                    cl[0], cl[1] = cl[1], fl
                 first = cl[0]
+                if first == fl:
+                    first = cl[0] = cl[1]
+                    cl[1] = fl
                 if assign[first] > 0:
-                    wl[j] = ci
-                    j += 1
+                    keep.append(ci)
                     continue
                 for k in range(2, len(cl)):
                     lk = cl[k]
                     if assign[lk] >= 0:
-                        cl[1], cl[k] = lk, fl
+                        cl[1] = lk
+                        cl[k] = fl
                         watches[lk].append(ci)
                         break
                 else:
-                    wl[j] = ci
-                    j += 1
+                    keep.append(ci)
                     if assign[first] < 0:
-                        while i < n:
-                            wl[j] = wl[i]
-                            j += 1
-                            i += 1
-                        del wl[j:]
+                        keep.extend(it)
+                        self.qhead = qhead
+                        self.propagations += qhead - start
                         return ci
-                    self._enqueue(first, ci)
-                    continue
-            del wl[j:]
+                    assign[first] = 1
+                    assign[first ^ 1] = -1
+                    level[first >> 1] = lvl
+                    reason[first >> 1] = ci
+                    trail.append(first)
+        self.qhead = qhead
+        self.propagations += qhead - start
         return -1
 
     def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
+        activity = self.activity
+        activity[v] += self.var_inc
+        if activity[v] > 1e100:
             inv = 1e-100
             for u in range(1, self.nvars + 1):
-                self.activity[u] *= inv
+                activity[u] *= inv
             self.var_inc *= inv
-        heappush(self.heap, (-self.activity[v], v))
+            # Every bumped variable's entry is stale now.
+            self.in_heap[:] = bytes(len(self.in_heap))
+        heappush(self.heap, (-activity[v], v))
+        self.in_heap[v] = 1
 
     def _analyze(self, confl: int) -> tuple[list[int], int, int]:
+        level = self.level
+        trail = self.trail
+        clauses = self.clauses
+        reason = self.reason
+        bump = self._bump
         learnt: list[int] = [0]
         seen = bytearray(self.nvars + 1)
         counter = 0
         p = -1
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         cur = len(self.trail_lim)
-        cl = self.clauses[confl]
+        cl = clauses[confl]
         while True:
             assert cl is not None
-            start = 1 if cl[0] == p else 0
-            for q in cl[start:]:
+            for q in cl[1:] if cl[0] == p else cl:
                 if q == p:
                     continue
                 v = q >> 1
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = 1
-                    self._bump(v)
-                    if self.level[v] == cur:
+                    bump(v)
+                    if level[v] == cur:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self.trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self.trail[index]
+            p = trail[index]
             index -= 1
             v = p >> 1
             seen[v] = 0
             counter -= 1
             if counter == 0:
                 break
-            cl = self.clauses[self.reason[v]]
+            cl = clauses[reason[v]]
         learnt[0] = p ^ 1
 
         # Cheap minimization: drop literals whose reason is subsumed by the clause.
@@ -220,53 +276,71 @@ class _Solver:
             marked[q >> 1] = 1
         keep = [learnt[0]]
         for q in learnt[1:]:
-            ci = self.reason[q >> 1]
+            ci = reason[q >> 1]
             if ci < 0:
                 keep.append(q)
                 continue
-            rcl = self.clauses[ci]
+            rcl = clauses[ci]
             assert rcl is not None
-            if all((x >> 1 == q >> 1) or marked[x >> 1] or self.level[x >> 1] == 0 for x in rcl):
-                continue
-            keep.append(q)
+            # q's own variable is marked, so marked[] alone covers it.
+            for x in rcl:
+                if not marked[x >> 1] and level[x >> 1] != 0:
+                    keep.append(q)
+                    break
         learnt = keep
 
         if len(learnt) == 1:
             bt = 0
         else:
             # Move the highest-level tail literal to position 1.
-            mi = max(range(1, len(learnt)), key=lambda i: self.level[learnt[i] >> 1])
+            mi = max(range(1, len(learnt)), key=lambda i: level[learnt[i] >> 1])
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
-            bt = self.level[learnt[1] >> 1]
-        levels = {self.level[q >> 1] for q in learnt}
+            bt = level[learnt[1] >> 1]
+        levels = {level[q >> 1] for q in learnt}
         return learnt, bt, len(levels)
 
     def _cancel_until(self, lvl: int) -> None:
         if len(self.trail_lim) <= lvl:
             return
+        trail = self.trail
+        assign = self.assign
+        phase = self.phase
+        reason = self.reason
+        activity = self.activity
+        heap = self.heap
+        in_heap = self.in_heap
         bound = self.trail_lim[lvl]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
+        for i in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[i]
             v = lit >> 1
-            self.phase[v] = lit & 1
-            self.assign[lit] = 0
-            self.assign[lit ^ 1] = 0
-            self.reason[v] = -1
-            heappush(self.heap, (-self.activity[v], v))
-        del self.trail[bound:]
+            phase[v] = lit & 1
+            assign[lit] = 0
+            assign[lit ^ 1] = 0
+            reason[v] = -1
+            if not in_heap[v]:
+                heappush(heap, (-activity[v], v))
+                in_heap[v] = 1
+        del trail[bound:]
         del self.trail_lim[lvl:]
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
 
     def _decide(self) -> bool:
-        while self.heap:
-            act, v = heappop(self.heap)
-            if self.assign[2 * v] == 0 and -act == self.activity[v]:
+        heap = self.heap
+        assign = self.assign
+        activity = self.activity
+        in_heap = self.in_heap
+        while heap:
+            act, v = heappop(heap)
+            if -act != activity[v]:
+                continue  # stale: v has been bumped since
+            in_heap[v] = 0
+            if assign[2 * v] == 0:
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(2 * v + self.phase[v], -1)
                 return True
         for v in range(1, self.nvars + 1):
-            if self.assign[2 * v] == 0:
+            if assign[2 * v] == 0:
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(2 * v + self.phase[v], -1)
@@ -347,17 +421,22 @@ def solve_clauses(
     time_budget: float | None = None,
     conflict_budget: int | None = None,
 ) -> SatResult:
-    """Solve a CNF given as (num_vars, iterable of integer-literal clauses).
+    """Solve a CNF given as (num_vars, sequence of integer-literal clauses).
 
-    A returned SAT model is checked against every clause before being handed
-    back; UNSAT answers come from conflict analysis at decision level 0.
+    Every literal is a nonzero integer of absolute value at most ``num_vars``
+    (``cnf.parse_dimacs`` checks this for files).  A returned SAT model is
+    checked against every clause before being handed back; UNSAT answers come
+    from conflict analysis at decision level 0.
     """
     solver = _Solver(num_vars, clauses)
     result = solver.solve(time_budget, conflict_budget)
     if result.status == "SAT":
         model = result.model
         assert model is not None
+        # truth[l] for DIMACS literal l; truth[-v] wraps around to the tail.
+        truth = model + [not x for x in reversed(model[1:])]
+        is_true = truth.__getitem__
         for cl in clauses:
-            if not any(model[l] if l > 0 else not model[-l] for l in cl):
+            if not any(map(is_true, cl)):
                 raise AssertionError(f"internal solver produced a bad model on clause {cl}")
     return result

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import Orientation, Tile, Tiling, tile_cells
+from .grid import Cell, Orientation, Tile, Tiling, tile_cells
 from .aps import APWitness
 
 #: Colorblind-safe qualitative palette.
@@ -110,16 +110,18 @@ def render_svg(tiling: Tiling, opts: RenderOptions | None = None) -> str:
             out.append(
                 f'<rect x="{c * cs}" y="{r * cs}" width="{cs}" height="{cs}" fill="{color}"/>'
             )
+    # Each tile's outline is computed once, keyed by orientation and anchor,
+    # and the highlighted APs reuse it.
+    outlines: dict[Orientation, dict[Cell, str]] = {o: {} for o in Orientation}
     for tile in tiling.tiles:
-        out.append(
-            f'<path d="{_tile_outline_path(tile, cs)}" stroke="#000000" '
-            f'stroke-width="1" fill="none"/>'
-        )
+        path = outlines[tile.orientation][tile.anchor] = _tile_outline_path(tile, cs)
+        out.append(f'<path d="{path}" stroke="#000000" stroke-width="1" fill="none"/>')
     for ap in opts.highlight:
-        for tile in ap.tiles():
-            out.append(
-                f'<path d="{_tile_outline_path(tile, cs)}" stroke="#000000" '
-                f'stroke-width="4" fill="none"/>'
-            )
+        known = outlines[ap.orientation]
+        for anchor in ap.anchors():
+            path = known.get(anchor)
+            if path is None:  # an AP passed in need not come from this tiling
+                path = _tile_outline_path(Tile(ap.orientation, *anchor), cs)
+            out.append(f'<path d="{path}" stroke="#000000" stroke-width="4" fill="none"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

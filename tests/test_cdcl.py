@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
+import pytest
+
+from ttr import cdcl
 from ttr.cdcl import _luby, solve_clauses
+from ttr.cnf import add_ap_blocking, add_rot180_symmetry, build_cnf
+from ttr.grid import Rect
+from ttr.vdw import _ap_candidates
 
 
 def brute_force_sat(num_vars, clauses):
@@ -83,3 +90,142 @@ def test_deterministic_reruns():
     assert a.status == b.status
     assert a.model == b.model
     assert a.conflicts == b.conflicts
+
+
+# --------------------------------------------------------------------------
+# Golden trajectories.  Each tuple is (status, conflicts, decisions,
+# propagations, SHA-1 of the model bits), recorded before the solver's inner
+# loops were rewritten for speed: a faster solver must still make the same
+# decisions, meet the same conflicts and return the same model.
+
+
+def model_digest(model):
+    if model is None:
+        return None
+    return hashlib.sha1("".join("1" if b else "0" for b in model[1:]).encode()).hexdigest()
+
+
+def tiling_cnf(h, w, l, rot180=False):
+    cnf = add_ap_blocking(build_cnf(Rect(h, w)), l)
+    if rot180:
+        cnf = add_rot180_symmetry(cnf)
+    return cnf.num_vars, cnf.clauses
+
+
+def vdw2d_cnf(h, w, l):
+    # The clauses of ``vdw._forced_sat``: every candidate AP, blocked in both colours.
+    clauses = []
+    for cells in _ap_candidates(h, w, l):
+        lits = [r * w + c + 1 for r, c in cells]
+        clauses.append(tuple(-v for v in lits))
+        clauses.append(tuple(lits))
+    return h * w, clauses
+
+
+def random_3sat(seed, n, m):
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(m):
+        lits = rng.sample(range(1, n + 1), k=3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in lits))
+    return n, clauses
+
+
+def loader_mix(seed, planted):
+    """Clauses that miss the loader's fast path: literals drawn with replacement
+    give repeats and tautologies, and three units inserted at random places
+    make later clauses meet literals already fixed at the root.  A planted mix
+    keeps (nearly) every clause true under a hidden assignment, so it is
+    satisfiable; the others are random and mostly unsatisfiable."""
+    rng = random.Random(seed)
+    n = rng.randint(30, 50)
+    plant = [rng.random() < 0.5 for _ in range(n + 1)]
+    leak = 0.02 if planted else 1.0
+    clauses = []
+    while len(clauses) < (6 if planted else 8) * n:
+        cl = tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(3, 5)))
+        if rng.random() < leak or any(plant[l] if l > 0 else not plant[-l] for l in cl):
+            clauses.append(cl)
+    for _ in range(3):
+        v = rng.randint(1, n)
+        clauses.insert(rng.randrange(len(clauses)), (v if plant[v] else -v,))
+    return n, clauses
+
+
+def with_empty_clause(num_vars, clauses):
+    return num_vars, clauses[:5] + [()] + clauses[5:]
+
+
+GOLDEN_TRAJECTORIES = [
+    ("construct 12x20", lambda: tiling_cnf(12, 20, 3), None,
+     ("SAT", 53, 114, 3005, "0aa56fab7352800361f0e477ba90d835219599ab")),
+    ("construct 16x16", lambda: tiling_cnf(16, 16, 3), None,
+     ("SAT", 11, 78, 592, "bb36ff8a360c82276c63f6dc7cd49bc11941790b")),
+    ("construct 8x32", lambda: tiling_cnf(8, 32, 3), None,
+     ("SAT", 42, 86, 2366, "d032f7df8992ba9f754b4571e41ad07633ad587d")),
+    ("construct 20x20 rot180", lambda: tiling_cnf(20, 20, 3, rot180=True), None,
+     ("SAT", 71, 156, 7837, "e4dcd1f683de3bd51defc27b7308d9a1b3acc6ae")),
+    ("4x36 l=3", lambda: tiling_cnf(4, 36, 3), None, ("UNSAT", 12, 26, 501, None)),
+    ("12x12 l=2", lambda: tiling_cnf(12, 12, 2), None, ("UNSAT", 2, 25, 35, None)),
+    ("12x12 l=3", lambda: tiling_cnf(12, 12, 3), None,
+     ("SAT", 8, 35, 396, "8af06ea7e52fa0d77555870a667c3072f5c06178")),
+    ("vdw2d 8x8 l=3", lambda: vdw2d_cnf(8, 8, 3), None, ("UNSAT", 19, 18, 125, None)),
+    ("vdw2d 8x8 l=4", lambda: vdw2d_cnf(8, 8, 4), None,
+     ("SAT", 45, 69, 658, "49c584032be4e26f6086171d18ee3a13c54af74c")),
+    ("loader mix 0", lambda: loader_mix(0, True), None,
+     ("SAT", 0, 9, 42, "686ebeec560a6cbc7a78ee855a1d5cdee164829a")),
+    ("loader mix 1", lambda: loader_mix(1, False), None, ("UNSAT", 11, 10, 110, None)),
+    ("loader mix 2", lambda: loader_mix(2, True), None,
+     ("SAT", 10, 19, 148, "3575de9f0c0becd1a19e8cdd5d9399b7d6a4c126")),
+    ("loader mix 3", lambda: loader_mix(3, False), None, ("UNSAT", 9, 14, 100, None)),
+    ("loader mix 4", lambda: loader_mix(4, True), None,
+     ("SAT", 5, 14, 92, "eac29c182f1a836f70294d8e2bcd2b35b1bfb7b5")),
+    ("loader mix 5", lambda: loader_mix(5, False), None, ("UNSAT", 42, 45, 490, None)),
+    ("loader mix with empty clause", lambda: with_empty_clause(*loader_mix(0, True)), None,
+     ("UNSAT", 0, 0, 0, None)),
+    # Runs past the activity rescale near conflict 4,490.
+    ("3-SAT n=200 m=852 seed 1", lambda: random_3sat(1, 200, 852), 5000,
+     ("UNKNOWN", 5000, 6122, 193241, None)),
+]
+
+
+@pytest.mark.parametrize("make, conflict_budget, expected", [case[1:] for case in GOLDEN_TRAJECTORIES],
+                         ids=[case[0] for case in GOLDEN_TRAJECTORIES])
+def test_golden_trajectory(make, conflict_budget, expected):
+    r = solve_clauses(*make(), conflict_budget=conflict_budget)
+    assert (r.status, r.conflicts, r.decisions, r.propagations, model_digest(r.model)) == expected
+
+
+# --------------------------------------------------------------------------
+# The model check in ``solve_clauses`` is an independent check: a solver that
+# returns a wrong model must be caught, and the first falsified clause named.
+
+
+def flip_one_variable(monkeypatch, var):
+    real_solve = cdcl._Solver.solve
+
+    def solve(self, time_budget, conflict_budget):
+        result = real_solve(self, time_budget, conflict_budget)
+        result.model[var] = not result.model[var]
+        return result
+
+    monkeypatch.setattr(cdcl._Solver, "solve", solve)
+
+
+def test_model_check_names_first_falsified_clause(monkeypatch):
+    flip_one_variable(monkeypatch, 2)
+    with pytest.raises(AssertionError) as exc:
+        solve_clauses(4, [(1,), (-1, 2), (-2, 3), (-3, 4)])
+    assert str(exc.value) == "internal solver produced a bad model on clause (-1, 2)"
+
+
+def test_model_check_catches_a_flip_in_a_tiling_model(monkeypatch):
+    num_vars, clauses = tiling_cnf(12, 20, 3)
+    model = solve_clauses(num_vars, clauses).model
+    var = model.index(True, 1)
+    model[var] = False
+    first_bad = next(cl for cl in clauses if not any(model[l] if l > 0 else not model[-l] for l in cl))
+    flip_one_variable(monkeypatch, var)
+    with pytest.raises(AssertionError) as exc:
+        solve_clauses(num_vars, clauses)
+    assert str(exc.value) == f"internal solver produced a bad model on clause {first_bad}"

@@ -9,7 +9,10 @@ through ``chain_to_tiling`` and the bordered ASCII rendering, plus the SVG
 of the periodic 20x20 tiling with its longest APs highlighted.  Both were
 taken before the code behind these functions was rewritten, so a faster
 version must reproduce the old output exactly; so must the error texts
-pinned below.
+pinned below.  The third pins the solver path end to end: the TTILING
+witness of ``ttr apfree 20x20 --len 3 --symmetry rot180`` followed by its
+``ttr render --format svg --highlight-ap`` output, taken before the CDCL
+solver and the SVG renderer were made faster.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import pytest
 
 from ttr.aps import enumerate_aps, longest_ap
 from ttr.chains import ChainGraph, build_chain_graph, chain_to_tiling, write_chain
+from ttr.cli import main
 from ttr.enumerator import enumerate_tilings
 from ttr.errors import StructureError, TilingError
 from ttr.grid import Rect, cut_cornerless_ok, read_tiling, write_tiling
@@ -28,6 +32,7 @@ from ttr.width4 import ab_map, decompose
 
 GOLDEN_SHA1 = "7db9ae3b90cd5864f65498789f25e2835b3861ac"
 ROUND_TRIP_SHA1 = "9988dfd77ebd3c146d66ce1809e89544fe9a098d"
+WITNESS_SVG_SHA1 = "23c7df24db7da6e0ab0754145214ece346cabcd3"
 
 
 def analysis_digest() -> str:
@@ -66,6 +71,19 @@ def test_analysis_output_matches_golden_digest():
 
 def test_round_trips_and_renderings_match_golden_digest(periodic_20x20):
     assert round_trip_digest(periodic_20x20) == ROUND_TRIP_SHA1
+
+
+def witness_svg_digest(tmp_path) -> str:
+    witness, svg = tmp_path / "w.ttiling", tmp_path / "w.svg"
+    assert main(["apfree", "--height", "20", "--width", "20", "--len", "3",
+                 "--symmetry", "rot180", "--out", str(witness)]) == 0
+    assert main(["render", "--in", str(witness), "--format", "svg", "--highlight-ap",
+                 "--out", str(svg)]) == 0
+    return hashlib.sha1(witness.read_bytes() + svg.read_bytes()).hexdigest()
+
+
+def test_witness_and_svg_match_golden_digest(tmp_path):
+    assert witness_svg_digest(tmp_path) == WITNESS_SVG_SHA1
 
 
 @pytest.mark.parametrize(

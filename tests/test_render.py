@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from ttr.aps import enumerate_aps
-from ttr.render import RenderOptions, render, render_ascii, render_svg
+from ttr.aps import APWitness, enumerate_aps
+from ttr.grid import Orientation
+from ttr.render import RenderOptions, _tile_outline_path, render, render_ascii, render_svg
 
 
 def test_pinwheel_ascii(pinwheel_a):
@@ -49,3 +50,13 @@ def test_render_options_validation():
         RenderOptions(format="png")
     with pytest.raises(ValueError):
         RenderOptions(cell_size=0)
+
+
+def test_svg_highlight_of_tiles_outside_the_tiling(pinwheel_a):
+    # An AP handed in by a library caller need not be made of the tiling's tiles;
+    # its tiles are still outlined, at the highlight stroke width.
+    ap = APWitness(Orientation.U, (0, 0), (1, 1), 2)
+    assert all(t not in pinwheel_a.tiles for t in ap.tiles())
+    doc = render_svg(pinwheel_a, RenderOptions(format="svg", highlight=(ap,)))
+    for tile in ap.tiles():
+        assert f'<path d="{_tile_outline_path(tile, 20)}" stroke="#000000" stroke-width="4"' in doc
