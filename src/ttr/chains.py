@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ParseError, ResourceLimitError, StructureError
-from .grid import ORIENTATIONS, Cell, Orientation, Rect, Tile, Tiling, _is_decimal, read_header, tile_cells
+from .grid import (
+    ORIENTATIONS, Cell, Orientation, Rect, Tile, Tiling, _is_decimal, placement_table, read_header, tile_cells,
+)
 from .aps import maximal_runs
 
 Block = tuple[int, int]
@@ -285,6 +287,7 @@ def chain_to_tiling(graph: ChainGraph) -> Tiling:
     """
     rect = graph.rect
     rows, cols = rect.height // 2, rect.width // 2
+    by_anchor = placement_table(rect).by_anchor
     tiles = []
     for edge in graph.canonical_edges():
         entry = _edge_entry(edge)
@@ -294,7 +297,7 @@ def chain_to_tiling(graph: ChainGraph) -> Tiling:
             _gray_side(edge)
             _checked_direction(rect, edge)
         _side, orient, dr, dc = entry
-        tiles.append(Tile(orient, 2 * r1 + dr, 2 * c1 + dc))
+        tiles.append(by_anchor[(orient.index, 2 * r1 + dr, 2 * c1 + dc)])
     return Tiling(rect, tiles)
 
 

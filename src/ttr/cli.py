@@ -208,6 +208,8 @@ def _cmd_chaingraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_ap is not None and args.max_ap < 2:
+        raise ValueError(f"--max-ap must be >= 2, got {args.max_ap}")
     tiling = read_tiling(args.infile.read_bytes())
     structural = cut_cornerless_ok(tiling)
     ap = longest_ap(tiling)

@@ -1,9 +1,11 @@
 """CNF encodings of tiling questions, and the DIMACS wire format.
 
-One boolean variable per placement.  Per cell: an at-least-one clause over
-the placements covering it plus pairwise at-most-one clauses, so models
-correspond exactly to complete tilings.  AP blocking adds one clause per
-window of l equally spaced same-orientation placements.
+One boolean variable per placement, taken from the rectangle's interned
+placement table (``grid.placement_table``).  Per cell: an at-least-one
+clause over the placements covering it plus pairwise at-most-one clauses,
+so models correspond exactly to complete tilings.  AP blocking adds one
+clause per window of l equally spaced same-orientation placements; it pairs
+anchors only where the classes mod 4 leave room for a third term.
 
 When both sides are multiples of 4, only placements in the Walkup classes
 (``grid.WALKUP_CLASSES``) get a variable: no complete tiling uses any other,
@@ -14,22 +16,13 @@ independent oracles for this restriction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Sequence
 
 from .errors import ParseError
-from .grid import (
-    ORIENTATIONS,
-    WALKUP_CLASSES,
-    Orientation,
-    Rect,
-    Tile,
-    Tiling,
-    is_tileable,
-    rotate_tile_180,
-    tile_cells,
-)
-from .enumerator import placements
+from .grid import ORIENTATIONS, Orientation, Rect, Tile, Tiling, is_tileable, placement_table, rotate_tile_180
 
 Clause = tuple[int, ...]
 
@@ -37,22 +30,24 @@ Clause = tuple[int, ...]
 class PlacementIndex:
     """Dense ids for the placements that get a variable, canonical order.
 
-    Every placement that fits, restricted to the Walkup classes when both
-    sides of the rectangle are multiples of 4.
+    A view of the rectangle's placement table: every placement that fits,
+    restricted to the Walkup classes when both sides of the rectangle are
+    multiples of 4.  ``ids_by_cell[r * w + c]`` lists the ids covering cell
+    (r, c) in increasing order.
     """
 
     def __init__(self, rect: Rect):
         self.rect = rect
-        tiles = placements(rect)
+        table = placement_table(rect)
+        tiles, cells = table.tiles, table.cells
         if is_tileable(rect):
-            tiles = tuple(t for t in tiles if (t.orientation, t.row % 4, t.col % 4) in WALKUP_CLASSES)
+            tiles, cells = tuple(compress(tiles, table.walkup)), compress(cells, table.walkup)
         self.tiles: tuple[Tile, ...] = tiles
         self.id_of: dict[Tile, int] = {t: i for i, t in enumerate(self.tiles)}
-        by_cell: dict[tuple[int, int], list[int]] = {cell: [] for cell in rect.cells()}
-        for i, t in enumerate(self.tiles):
-            for cell in tile_cells(t):
-                by_cell[cell].append(i)
-        self.ids_by_cell = by_cell
+        self.ids_by_cell: list[list[int]] = [[] for _ in range(rect.area)]
+        for i, quad in enumerate(cells):
+            for k in quad:
+                self.ids_by_cell[k].append(i)
 
     def __len__(self) -> int:
         return len(self.tiles)
@@ -87,10 +82,9 @@ def build_cnf(rect: Rect) -> CNF:
     """
     index = PlacementIndex(rect)
     clauses: list[Clause] = []
-    for cell in rect.cells():
-        ids = index.ids_by_cell[cell]
+    for k, ids in enumerate(index.ids_by_cell):
         if not ids:
-            raise ValueError(f"cell {cell} of {rect} cannot be covered by any placement")
+            raise ValueError(f"cell {divmod(k, rect.width)} of {rect} cannot be covered by any placement")
         clauses.append(tuple(i + 1 for i in ids))
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
@@ -102,26 +96,41 @@ def add_ap_blocking(cnf: CNF, l: int) -> CNF:
     """Forbid every window of l equally spaced same-orientation placements.
 
     A window is found from its first two anchors, an ordered pair in (row,
-    col) order whose difference is the step, extended by that step.  The
-    result is satisfiable exactly when a tiling without any l-term AP exists.
+    col) order whose difference is the step, extended by that step; for l >= 3
+    an anchor of class a (row, col mod 4) is paired only with anchors of a
+    class b whose third term's class 2b - a has placements, half the pairs
+    under Walkup.  The result is satisfiable exactly when a tiling without
+    any l-term AP exists.
     """
     if l < 2:
         raise ValueError(f"l must be >= 2, got {l}")
     anchors_by_orient: dict[Orientation, list[tuple[tuple[int, int], int]]] = {o: [] for o in ORIENTATIONS}
     for i, t in enumerate(cnf.index.tiles):
         anchors_by_orient[t.orientation].append((t.anchor, i))
+    height, extra = cnf.rect.height, range(l - 2)
     new_clauses: list[Clause] = []
     for orient in ORIENTATIONS:
         anchors = sorted(anchors_by_orient[orient])
         id_at = dict(anchors)
-        for k, ((r0, c0), first) in enumerate(anchors):
-            for (r1, c1), second in anchors[k + 1:]:
+        classes = {(r & 3, c & 3) for (r, c), _ in anchors}
+        # Per first-anchor class, the anchors in (row, col) order that may be its second term.
+        seconds = {
+            (ar, ac): [
+                p for p in anchors
+                if l < 3 or ((2 * (p[0][0] & 3) - ar) & 3, (2 * (p[0][1] & 3) - ac) & 3) in classes
+            ]
+            for ar, ac in classes
+        }
+        for pair_start in anchors:
+            (r0, c0), first = pair_start
+            later = seconds[(r0 & 3, c0 & 3)]
+            for (r1, c1), second in later[bisect_right(later, pair_start):]:
                 dy, dx = r1 - r0, c1 - c0
-                if r0 + (l - 1) * dy >= cnf.rect.height:
+                if r0 + (l - 1) * dy >= height:
                     break  # rows only grow from here on, so no later pair fits either
                 window = [-(first + 1), -(second + 1)]
                 rr, cc = r1, c1
-                for _ in range(l - 2):
+                for _ in extra:
                     rr += dy
                     cc += dx
                     nxt = id_at.get((rr, cc))

@@ -8,13 +8,15 @@ searches over a given tuple of placements and takes an optional
 ``prune(tile, placed)`` hook that cuts a candidate given the tiles already
 placed; :mod:`ttr.decide` passes its AP-window check there.
 
-The frontier state is the first free cell plus the next ``2*width + 2``
-cover bits.  The search memoizes dead states, which makes emptiness proofs
-(non-tileable rectangles) fast.  A state is recorded as dead only when its
-subtree yielded no tiling *and* the hook cut nothing inside it: only then
-was the subtree searched in full, so no completion exists from that state
-whatever was placed before it.  With no hook this is the plain dead-state
-memo.
+The frontier state is the first free cell plus the cover bits from there
+on, a window of at most ``2*width`` bits: each placement's mask is relative
+to its first cell, so no mask spans the whole rectangle.  The placements are
+the interned tiles of ``grid.placement_table``.  The search memoizes dead
+states, which makes emptiness proofs (non-tileable rectangles) fast.  A
+state is recorded as dead only when its subtree yielded no tiling *and* the
+hook cut nothing inside it: only then was the subtree searched in full, so
+no completion exists from that state whatever was placed before it.  With
+no hook this is the plain dead-state memo.
 
 :func:`enumerate_tilings` is the search over every placement.
 :func:`count_tilings` shares the candidate table, the frontier window and
@@ -28,7 +30,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .grid import ORIENTATIONS, PLACEMENT_ORDER, Rect, Tile, Tiling, tile_cells
+from .grid import PLACEMENT_ORDER, Rect, Tile, Tiling, _flat_steps, placement_table
 
 DEFAULT_ENUM_AREA = 96
 #: The area bound of :func:`has_tiling`.
@@ -36,33 +38,27 @@ MAX_EXISTENCE_AREA = 4096
 
 
 def placements(rect: Rect) -> tuple[Tile, ...]:
-    """All placements that fit inside ``rect``, in canonical order."""
-    out: list[Tile] = []
-    for o in ORIENTATIONS:
-        rows, cols = o.bbox
-        for r in range(rect.height - rows + 1):
-            for c in range(rect.width - cols + 1):
-                out.append(Tile(o, r, c))
-    return tuple(out)
+    """All placements that fit inside ``rect``, in canonical order (the placement table's tiles)."""
+    return placement_table(rect).tiles
 
 
-def _frontier(rect: Rect, tiles: Sequence[Tile]) -> tuple[list[list[tuple[int, Tile]]], int, int]:
-    """Candidate table, frontier window mask and full cover mask of a search.
+def _frontier(rect: Rect, tiles: Sequence[Tile]) -> list[list[tuple[int, Tile]]]:
+    """Candidate table of a search: per cell index, the ``(mask, tile)`` pairs of the placements
+    in ``tiles`` whose first (smallest row-major) cell is there, in canonical order.
 
-    The table lists, for each cell index, the ``(mask, tile)`` pairs of the
-    placements in ``tiles`` whose first covered cell ("first" means smallest
-    row-major index) is there, in canonical order; masks use bit ``r*w + c``.
+    Bit ``i`` of a mask is the cell ``i`` places after that first cell, so
+    each orientation has one mask at a given width.
     """
     w = rect.width
+    relative = []
+    for steps in _flat_steps(w):
+        first = min(steps)
+        relative.append((first, sum(1 << (s - first) for s in steps)))
     by_cell: list[list[tuple[int, Tile]]] = [[] for _ in range(rect.area)]
     for tile in sorted(tiles, key=PLACEMENT_ORDER):
-        cells = sorted(tile_cells(tile))
-        mask = 0
-        for r, c in cells:
-            mask |= 1 << (r * w + c)
-        first = cells[0][0] * w + cells[0][1]
-        by_cell[first].append((mask, tile))
-    return by_cell, (1 << (2 * w + 2)) - 1, (1 << rect.area) - 1
+        first, mask = relative[tile.orientation.index]
+        by_cell[tile.row * w + tile.col + first].append((mask, tile))
+    return by_cell
 
 
 @contextmanager
@@ -97,32 +93,34 @@ def frontier_search(
     if rect.area % 4:
         return
 
-    by_cell, window_mask, full = _frontier(rect, tiles)
+    by_cell = _frontier(rect, tiles)
+    area = rect.area
     dead: set[tuple[int, int]] = set()
     placed: list[Tile] = []
     yielded = 0
     cuts = 0
 
-    def search(covered: int, first_free: int) -> Iterator[Tiling]:
+    def search(window: int, first_free: int) -> Iterator[Tiling]:
         nonlocal yielded, cuts
-        if covered == full:
+        while window & 1:
+            window >>= 1
+            first_free += 1
+        if first_free == area:
             yielded += 1
             yield Tiling(rect, placed)
             return
-        while (covered >> first_free) & 1:
-            first_free += 1
-        key = (first_free, (covered >> first_free) & window_mask)
+        key = (first_free, window)
         if key in dead:
             return
         before = (yielded, cuts)
         for mask, tile in by_cell[first_free]:
-            if covered & mask:
+            if window & mask:
                 continue
             if prune is not None and prune(tile, placed):
                 cuts += 1
                 continue
             placed.append(tile)
-            yield from search(covered | mask, first_free + 1)
+            yield from search((window | mask) >> 1, first_free + 1)
             placed.pop()
             if limit is not None and yielded >= limit:
                 return
@@ -180,22 +178,24 @@ def _count(rect: Rect, tiles: Sequence[Tile]) -> int:
     """Number of tilings of ``rect`` that use only placements from ``tiles`` (no transpose)."""
     if rect.area % 4:
         return 0
-    by_cell, window_mask, full = _frontier(rect, tiles)
+    by_cell = _frontier(rect, tiles)
+    area = rect.area
     memo: dict[tuple[int, int], int] = {}
 
-    def count(covered: int, first_free: int) -> int:
-        if covered == full:
-            return 1
-        while (covered >> first_free) & 1:
+    def count(window: int, first_free: int) -> int:
+        while window & 1:
+            window >>= 1
             first_free += 1
-        key = (first_free, (covered >> first_free) & window_mask)
+        if first_free == area:
+            return 1
+        key = (first_free, window)
         hit = memo.get(key)
         if hit is not None:
             return hit
         total = 0
         for mask, _tile in by_cell[first_free]:
-            if not covered & mask:
-                total += count(covered | mask, first_free + 1)
+            if not window & mask:
+                total += count((window | mask) >> 1, first_free + 1)
         memo[key] = total
         return total
 

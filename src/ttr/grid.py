@@ -10,15 +10,22 @@ index of the tile covering cell (r, c) of an h x w rectangle sits at
 ``r * w + c``.  ``validate`` builds the list, and the readers (``owner_index``,
 ``tile_at``, ``owner_row``, the corner count of the cut check, ``write_tiling``
 and the renderers) index it or slice one row at a time.
+
+``placement_table(rect)`` interns every placement that fits, once per
+rectangle in a bounded cache: the tiles in canonical placement order, their
+flat cells, lookups from a sorted cell quadruple and from (orientation
+index, row, col) to the tile, and the Walkup flags.  The enumerator, the CNF
+placement index, ``read_tiling`` and chain decoding take their tiles from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
-from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from functools import cache, lru_cache
+from itertools import groupby
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, TilingError
 
@@ -220,24 +227,6 @@ def _flat_steps(width: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(tuple(dr * width + dc for dr, dc in o.offsets) for o in ORIENTATIONS)
 
 
-@cache
-def _flat_shapes(width: int) -> dict[tuple[int, int, int], tuple[Orientation, int]]:
-    """Shape key -> (orientation, column of its first cell from the anchor), at ``width`` columns.
-
-    A shape key is the flat steps from a tile's first cell to its other
-    three, in row-major order.  Only orientations that fit in ``width`` are
-    keyed.  The steps of a T wrap across rows only if its anchor column is
-    out of range, so a key match plus an anchor in ``[0, width - cols]`` is
-    a T.
-    """
-    shapes = {}
-    for o, steps in zip(ORIENTATIONS, _flat_steps(width)):
-        if o.bbox[1] <= width:
-            k0, k1, k2, k3 = sorted(steps)
-            shapes[(k1 - k0, k2 - k0, k3 - k0)] = (o, min(o.offsets)[1])
-    return shapes
-
-
 class Tiling:
     """A complete, validated tiling of a rectangle.
 
@@ -363,6 +352,38 @@ WALKUP_CLASSES = frozenset(
 )
 
 
+class PlacementTable(NamedTuple):
+    """Interned placements of a rectangle; ``cells[i]`` are the sorted flat cells of ``tiles[i]``.
+
+    ``walkup[i]`` says whether the class of ``tiles[i]`` is in ``WALKUP_CLASSES``.
+    """
+
+    tiles: tuple[Tile, ...]
+    cells: tuple[tuple[int, int, int, int], ...]
+    by_cells: dict[tuple[int, int, int, int], Tile]
+    by_anchor: dict[tuple[int, int, int], Tile]
+    walkup: tuple[bool, ...]
+
+
+@lru_cache(maxsize=32)
+def placement_table(rect: Rect) -> PlacementTable:
+    """The placement table of ``rect``; the most recently used 32 are kept."""
+    w = rect.width
+    tiles, cells, walkup = [], [], []
+    for o, steps in zip(ORIENTATIONS, _flat_steps(w)):
+        a, b, d, e = sorted(steps)
+        classes = {(r, c) for p, r, c in WALKUP_CLASSES if p is o}
+        rows, cols = o.bbox
+        for r in range(rect.height - rows + 1):
+            for c in range(w - cols + 1):
+                k = r * w + c
+                tiles.append(Tile(o, r, c))
+                cells.append((k + a, k + b, k + d, k + e))
+                walkup.append((r & 3, c & 3) in classes)
+    by_anchor = {(t.orientation.index, t.row, t.col): t for t in tiles}
+    return PlacementTable(tuple(tiles), tuple(cells), dict(zip(cells, tiles)), by_anchor, tuple(walkup))
+
+
 def cut_cornerless_ok(tiling: Tiling) -> bool:
     """Structural self-check on the forced corner pattern of complete tilings.
 
@@ -434,14 +455,20 @@ def read_header(data: str | bytes, magic: str) -> tuple[int, int, list[str]]:
 def write_tiling(tiling: Tiling) -> str:
     """Serialize with canonical tile ids 0..n-1 (canonical tile order)."""
     h, w = tiling.rect.height, tiling.rect.width
+    name = _id_names(tiling.tile_count).__getitem__
+    owner = tiling._owner
     lines = [FORMAT_MAGIC, f"{h} {w}"]
-    for r in range(h):
-        lines.append(" ".join(map(str, tiling.owner_row(r))))
+    lines += [" ".join(map(name, owner[k : k + w])) for k in range(0, h * w, w)]
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=8)
+def _id_names(n: int) -> tuple[str, ...]:
+    return tuple(map(str, range(n)))
+
+
 def read_tiling(data: str | bytes) -> Tiling:
-    """Parse the TTILING format.
+    """Parse the TTILING format; each id's cells are looked up in the placement table.
 
     Raises :class:`ParseError` for syntax problems (with line/column) and
     :class:`TilingError` when the id regions do not form valid tiles.
@@ -462,48 +489,30 @@ def read_tiling(data: str | bytes) -> Tiling:
             token = next(t for t in row_tokens if not _is_decimal(t))
             raise ParseError(3 + r, body[r].index(token) + 1, f"bad tile id {token!r}")
         ids.extend(map(int, row_tokens))
-    # Flat row-major cell indices per id.
-    cells_by_id: dict[int, list[int]] = {}
-    for k, tid in enumerate(ids):
-        cells = cells_by_id.get(tid)
-        if cells is None:
-            cells_by_id[tid] = [k]
+    # Flat row-major cell indices grouped by id; a stable sort keeps each group row-major.
+    n = h * w
+    order = sorted(range(n), key=ids.__getitem__)
+    sorted_ids = list(map(ids.__getitem__, order))
+    rect = Rect(h, w)
+    by_cells = placement_table(rect).by_cells
+    # Ids exactly 0..n/4-1, four cells each: id i fills sorted positions 4i..4i+3.
+    if n % 4 == 0 and sorted_ids[::4] == sorted_ids[3::4] == list(range(n // 4)):
+        quads = iter(order)
+        try:
+            tiles = list(map(by_cells.__getitem__, zip(quads, quads, quads, quads)))
+        except KeyError:
+            pass  # some id is not a T-tetromino: report it below
         else:
-            cells.append(k)
+            return Tiling(rect, tiles)
 
-    violations: list[Violation] = []
-    n_expected = (h * w) // 4 if (h * w) % 4 == 0 else -1
-    if n_expected < 0 or set(cells_by_id) != set(range(n_expected)):
-        violations.append(
-            Violation(
-                ViolationKind.BAD_SHAPE,
-                note=f"tile ids must be exactly 0..{max(n_expected - 1, 0)}, "
-                f"got {len(cells_by_id)} distinct ids",
-            )
-        )
-    shapes = _flat_shapes(w)
-    tiles: list[Tile] = []
-    for tid, cells in sorted(cells_by_id.items()):
+    groups = [(tid, [k for _, k in grp]) for tid, grp in groupby(zip(sorted_ids, order), key=itemgetter(0))]
+    n_expected = n // 4 if n % 4 == 0 else -1
+    bad: list[tuple[Cell | None, str]] = []
+    if [tid for tid, _ in groups] != list(range(n_expected)):
+        bad.append((None, f"tile ids must be exactly 0..{max(n_expected - 1, 0)}, got {len(groups)} distinct ids"))
+    for tid, cells in groups:
         if len(cells) != 4:
-            violations.append(
-                Violation(
-                    ViolationKind.BAD_SHAPE, cell=divmod(cells[0], w), note=f"id {tid} covers {len(cells)} cells"
-                )
-            )
-            continue
-        # Cells arrive in row-major order, so the first one has the top row.
-        k0, k1, k2, k3 = cells
-        r0, c = divmod(k0, w)
-        shape = shapes.get((k1 - k0, k2 - k0, k3 - k0))
-        if shape is not None:
-            orient, dc = shape
-            if dc <= c <= w - orient.bbox[1] + dc:
-                tiles.append(Tile(orient, r0, c - dc))
-                continue
-        c0 = min(k % w for k in cells)
-        violations.append(
-            Violation(ViolationKind.BAD_SHAPE, cell=(r0, c0), note=f"id {tid} is not a T-tetromino")
-        )
-    if violations:
-        raise TilingError(ValidityReport(tuple(violations)))
-    return Tiling(Rect(h, w), tiles)
+            bad.append((divmod(cells[0], w), f"id {tid} covers {len(cells)} cells"))
+        elif tuple(cells) not in by_cells:
+            bad.append(((cells[0] // w, min(k % w for k in cells)), f"id {tid} is not a T-tetromino"))
+    raise TilingError(ValidityReport(tuple(Violation(ViolationKind.BAD_SHAPE, cell, note=note) for cell, note in bad)))

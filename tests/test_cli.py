@@ -177,6 +177,17 @@ def test_verify_max_ap_failure_exits_1(tmp_path, capsys):
     assert main(["verify", "--in", str(src), "--max-ap", "2"]) == 1
 
 
+@pytest.mark.parametrize("max_ap", ["1", "0", "-3"])
+def test_verify_rejects_max_ap_below_2(max_ap, tmp_path, capsys):
+    src = tmp_path / "t.ttiling"
+    main(["tile", "--height", "4", "--width", "8", "--out", str(src)])
+    capsys.readouterr()
+    assert main(["verify", "--in", str(src), "--max-ap", max_ap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-ap must be >= 2, got {max_ap}\n"
+
+
 def test_budget_exhaustion_exits_4(capsys):
     code = main(["apfree", "--height", "24", "--width", "24", "--len", "3",
                  "--budget-seconds", "0.05"])

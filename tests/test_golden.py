@@ -12,7 +12,10 @@ version must reproduce the old output exactly; so must the error texts
 pinned below.  The third pins the solver path end to end: the TTILING
 witness of ``ttr apfree 20x20 --len 3 --symmetry rot180`` followed by its
 ``ttr render --format svg --highlight-ap`` output, taken before the CDCL
-solver and the SVG renderer were made faster.
+solver and the SVG renderer were made faster.  The last two pin the
+frontier search: the TTILING stream of ``enumerate_tilings`` on 4x28 and
+28x4, and ``count_tilings`` on 4x32, 32x4 and 12x16, taken while its masks
+still spanned the whole rectangle.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pytest
 from ttr.aps import enumerate_aps, longest_ap
 from ttr.chains import ChainGraph, build_chain_graph, chain_to_tiling, write_chain
 from ttr.cli import main
-from ttr.enumerator import enumerate_tilings
+from ttr.enumerator import count_tilings, enumerate_tilings
 from ttr.errors import StructureError, TilingError
 from ttr.grid import Rect, cut_cornerless_ok, read_tiling, write_tiling
 from ttr.render import RenderOptions, render_ascii, render_svg
@@ -33,6 +36,8 @@ from ttr.width4 import ab_map, decompose
 GOLDEN_SHA1 = "7db9ae3b90cd5864f65498789f25e2835b3861ac"
 ROUND_TRIP_SHA1 = "9988dfd77ebd3c146d66ce1809e89544fe9a098d"
 WITNESS_SVG_SHA1 = "23c7df24db7da6e0ab0754145214ece346cabcd3"
+ENUMERATION_SHA1 = "217f272368d176af85b21cb993789d4c3455f55e"
+COUNT_SHA1 = "9c928e063e6fc81765950c2d20c80eeaec45d137"
 
 
 def analysis_digest() -> str:
@@ -84,6 +89,21 @@ def witness_svg_digest(tmp_path) -> str:
 
 def test_witness_and_svg_match_golden_digest(tmp_path):
     assert witness_svg_digest(tmp_path) == WITNESS_SVG_SHA1
+
+
+def test_enumeration_stream_matches_golden_digest():
+    sha = hashlib.sha1()
+    for h, w in ((4, 28), (28, 4)):
+        for tiling in enumerate_tilings(Rect(h, w), max_area=h * w):
+            sha.update(write_tiling(tiling).encode())
+    assert sha.hexdigest() == ENUMERATION_SHA1
+
+
+def test_counts_match_golden_digest():
+    sha = hashlib.sha1()
+    for h, w in ((4, 32), (32, 4), (12, 16)):
+        sha.update(f"{h}x{w} {count_tilings(Rect(h, w), max_area=h * w)}\n".encode())
+    assert sha.hexdigest() == COUNT_SHA1
 
 
 @pytest.mark.parametrize(
