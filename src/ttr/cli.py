@@ -21,7 +21,7 @@ from .chains import build_chain_graph, write_chain
 from .cnf import add_ap_blocking, add_rot180_symmetry, build_cnf
 from .decide import compute_L, compute_T, decide_forces
 from .render import RenderOptions, render
-from .solver import SearchConfig, SolverStatus, solve
+from .solver import ScanResult, SearchConfig, SolverStatus, solve
 from .vdw import compute_Lvdw, vdw_number
 
 EXIT_OK = 0
@@ -44,20 +44,16 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None, help="write the main artifact here")
 
 
-def _add_search(p: argparse.ArgumentParser, *, engine: bool = False) -> None:
-    """The flags ``_config`` reads; ``engine`` adds --engine."""
-    if engine:
-        p.add_argument("--engine", choices=["sat", "internal-backtracking"], default="sat")
+def _add_search(p: argparse.ArgumentParser) -> None:
+    """The flags ``_config`` reads."""
     p.add_argument("--solver", default=None, help="external DIMACS solver command (overrides TTR_SOLVER)")
-    p.add_argument("--budget-seconds", type=float, default=None)
+    p.add_argument("--budget-seconds", type=float, default=None,
+                   help="wall-clock bound on the whole command's search")
 
 
 def _config(args: argparse.Namespace) -> SearchConfig:
-    return SearchConfig(
-        engine=getattr(args, "engine", "sat"),
-        solver_cmd=args.solver,
-        time_budget_s=args.budget_seconds,
-    )
+    """The search settings; the budget's deadline starts counting here."""
+    return SearchConfig(solver_cmd=args.solver, time_budget_s=args.budget_seconds)
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -86,16 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rect(p)
     _add_len(p)
     _add_out(p)
-    _add_search(p, engine=True)
+    _add_search(p)
 
     p = sub.add_parser("tvalue", help="least length forcing an L-term AP at the given width")
     p.add_argument("--width", type=int, required=True)
     _add_len(p)
-    _add_search(p, engine=True)
+    _add_search(p)
 
     p = sub.add_parser("lvalue", help="greatest AP length forced by the rectangle")
     _add_rect(p)
-    _add_search(p, engine=True)
+    _add_search(p)
 
     p = sub.add_parser("vdw", help="classical two-color van der Waerden number W(2, L)")
     _add_len(p)
@@ -118,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", type=Path, required=True)
     p.add_argument("--format", choices=["ascii", "svg"], default="ascii")
     p.add_argument("--highlight-ap", action="store_true", help="stroke the longest AP (svg)")
-    p.add_argument("--cell-size", type=int, default=20)
+    p.add_argument("--cell-size", type=int, default=None, help="pixels per cell (svg; default 20)")
     p.add_argument("--borders", action="store_true", help="draw tile boundaries (ascii)")
     _add_out(p)
 
@@ -136,11 +132,12 @@ def _cmd_tile(args: argparse.Namespace) -> int:
 
 
 def _cmd_apfree(args: argparse.Namespace) -> int:
+    config = _config(args)
     rect = Rect(args.height, args.width)
     cnf = add_ap_blocking(build_cnf(rect), args.length)
     if args.symmetry == "rot180":
         cnf = add_rot180_symmetry(cnf)
-    verdict = solve(cnf, _config(args))
+    verdict = solve(cnf, config)
     if verdict.status is SolverStatus.UNKNOWN:
         print(f"UNKNOWN (budget exhausted; no {args.length}-AP-free tiling of {rect} found,"
               f" none ruled out)")
@@ -165,23 +162,21 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_tvalue(args: argparse.Namespace) -> int:
-    result = compute_T(args.width, args.length, _config(args))
+def _print_scan(name: str, result: ScanResult) -> int:
+    """Print a scan's value, or its bracket when the budget ran out first."""
     if result.exact:
         print(result.value)
         return EXIT_OK
-    hi = result.upper if result.upper is not None else "inf"
-    print(f"UNKNOWN T in [{result.lower}, {hi}]")
+    print(f"UNKNOWN {name} in [{result.lower}, {'inf' if result.upper is None else result.upper}]")
     return EXIT_UNKNOWN
+
+
+def _cmd_tvalue(args: argparse.Namespace) -> int:
+    return _print_scan("T", compute_T(args.width, args.length, _config(args)))
 
 
 def _cmd_lvalue(args: argparse.Namespace) -> int:
-    result = compute_L(args.height, args.width, _config(args))
-    if result.exact:
-        print(result.value)
-        return EXIT_OK
-    print(f"UNKNOWN L in [{result.lower}, {result.upper if result.upper is not None else 'inf'}]")
-    return EXIT_UNKNOWN
+    return _print_scan("L", compute_L(args.height, args.width, _config(args)))
 
 
 def _cmd_vdw(args: argparse.Namespace) -> int:
@@ -190,15 +185,10 @@ def _cmd_vdw(args: argparse.Namespace) -> int:
 
 
 def _cmd_vdw2d(args: argparse.Namespace) -> int:
-    try:
-        result = compute_Lvdw(args.height, args.width, _config(args))
-    except IndeterminateError as e:
-        print(f"UNKNOWN L_vdW in [{e.lower}, inf]")
-        return EXIT_UNKNOWN
-    if args.out is not None and result.avoider is not None:
-        args.out.write_text(result.avoider.to_tcolor(), encoding="utf-8", newline="")
-    print(result.value)
-    return EXIT_OK
+    result = compute_Lvdw(args.height, args.width, _config(args))
+    if args.out is not None and result.witness is not None:
+        args.out.write_text(result.witness.to_tcolor(), encoding="utf-8", newline="")
+    return _print_scan("L_vdW", result)
 
 
 def _cmd_chaingraph(args: argparse.Namespace) -> int:
@@ -224,6 +214,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    other_format = {"svg": [("--borders", args.borders)],
+                    "ascii": [("--cell-size", args.cell_size is not None), ("--highlight-ap", args.highlight_ap)]}
+    refused = [flag for flag, given in other_format[args.format] if given]
+    if refused:
+        print(f"ttr render: error: {refused[0]} does not apply to --format {args.format}", file=sys.stderr)
+        return EXIT_USAGE
     tiling = read_tiling(args.infile.read_bytes())
     highlight = ()
     if args.highlight_ap:
@@ -232,7 +228,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         highlight = tuple(ap for ap in aps if ap.length == top) or (longest_ap(tiling),)
     opts = RenderOptions(
         format=args.format,
-        cell_size=args.cell_size,
+        cell_size=RenderOptions.cell_size if args.cell_size is None else args.cell_size,
         highlight=highlight,
         borders=args.borders,
     )

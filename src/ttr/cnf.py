@@ -16,13 +16,14 @@ independent oracles for this restriction.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import compress
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import ParseError
-from .grid import ORIENTATIONS, Orientation, Rect, Tile, Tiling, is_tileable, placement_table, rotate_tile_180
+from .grid import ORIENTATIONS, Orientation, Rect, Tile, Tiling, is_tileable, placement_table
 
 Clause = tuple[int, ...]
 
@@ -43,7 +44,6 @@ class PlacementIndex:
         if is_tileable(rect):
             tiles, cells = tuple(compress(tiles, table.walkup)), compress(cells, table.walkup)
         self.tiles: tuple[Tile, ...] = tiles
-        self.id_of: dict[Tile, int] = {t: i for i, t in enumerate(self.tiles)}
         self.ids_by_cell: list[list[int]] = [[] for _ in range(rect.area)]
         for i, quad in enumerate(cells):
             for k in quad:
@@ -143,12 +143,19 @@ def add_ap_blocking(cnf: CNF, l: int) -> CNF:
 
 
 def add_rot180_symmetry(cnf: CNF) -> CNF:
-    """Constrain models to 180-degree rotationally symmetric tilings."""
-    index = cnf.index
+    """Constrain models to 180-degree rotationally symmetric tilings.
+
+    Ids run in row-major blocks U, D, L, R; the rotation maps the U block onto
+    the D block reversed, and L onto R.  So id i of the U or L block ending at
+    ``end`` pairs with id 2 * end - 1 - i, and no tile is built or hashed.
+    """
+    tiles = cnf.index.tiles
+    u_end, l_start, l_end = (bisect_left(tiles, k, key=attrgetter("orientation.index")) for k in (1, 2, 3))
+    assert l_start == 2 * u_end and len(tiles) == 2 * l_end - l_start, "rotation partners differ in count"
     new_clauses: list[Clause] = []
-    for i, t in enumerate(index.tiles):
-        j = index.id_of[rotate_tile_180(cnf.rect, t)]
-        if i < j:
+    for start, end in ((0, u_end), (l_start, l_end)):
+        for i in range(start, end):
+            j = 2 * end - 1 - i
             new_clauses.append((-(i + 1), j + 1))
             new_clauses.append((-(j + 1), i + 1))
     return replace(cnf, clauses=cnf.clauses + tuple(new_clauses), rot180=True)

@@ -1,10 +1,11 @@
 """Deciding whether every tiling of a rectangle is forced to contain long APs.
 
 ``decide_forces(h, w, l)`` answers whether every complete tiling of the h x w
-rectangle contains an AP of length >= l, either through the CNF/SAT pipeline
-(blocking clauses; UNSAT means forced) or by exhaustive enumeration with AP
-pruning.  ``compute_T`` and ``compute_L`` scan those answers for the least
-forcing length and the greatest forced AP length.
+rectangle contains an AP of length >= l through the CNF/SAT pipeline
+(blocking clauses; UNSAT means forced), cross-checked by the AP-pruned
+enumerator up to ``DEFAULT_ENUM_AREA`` cells.  ``compute_T`` and ``compute_L``
+scan those answers for the least forcing length and the greatest forced AP
+length.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import IndeterminateError, LemmaViolationError, ResourceLimitError
+from .errors import IndeterminateError, LemmaViolationError
 from .enumerator import DEFAULT_ENUM_AREA, frontier_search, placements
 from .grid import Rect, Tile, Tiling
 from .aps import longest_ap
 from .cnf import add_ap_blocking, build_cnf
-from .solver import SearchConfig, SolverStatus, solve
+from .solver import ScanResult, SearchConfig, SolverStatus, solve
 from .vdw import vdw_number
 
 MAX_T_SCAN = 400
@@ -33,9 +34,6 @@ class DecideResult:
     forced: bool
     witness: Tiling | None = None  # AP-free certificate when not forced
     method: str = "sat"
-
-    def __bool__(self) -> bool:
-        return self.forced
 
 
 def _completes_ap(l: int) -> Callable[[Tile, Sequence[Tile]], bool]:
@@ -83,8 +81,9 @@ def decide_forces(
     A ``witness_hint`` (an alleged AP-free tiling, e.g. from a stacked-row
     construction) is verified and, if good, answers the question immediately.
     SAT answers are cross-checked against the exhaustive enumerator on
-    rectangles of at most ``DEFAULT_ENUM_AREA`` cells.  Budget exhaustion
-    raises :class:`IndeterminateError`; it is never coerced to a boolean.
+    rectangles of at most ``DEFAULT_ENUM_AREA`` cells.  Budget exhaustion,
+    including a deadline already passed before encoding, raises
+    :class:`IndeterminateError`; it is never coerced to a boolean.
     """
     if h % 4 or w % 4:
         raise ValueError(f"sides must be multiples of 4, got {h}x{w}")
@@ -99,9 +98,8 @@ def decide_forces(
             return DecideResult(h, w, l, forced=False, witness=witness_hint, method="hint")
         # A bad hint proves nothing; fall through to the search.
 
-    if config.engine == "internal-backtracking":
-        return _decide_by_enumeration(h, w, l)
-
+    if config.remaining_s() == 0:
+        raise IndeterminateError(f"budget exhausted before deciding ({h},{w}) -> {l}")
     cnf = add_ap_blocking(build_cnf(Rect(h, w)), l)
     verdict = solve(cnf, config)
     if verdict.status is SolverStatus.UNKNOWN:
@@ -119,27 +117,11 @@ def decide_forces(
 
 
 def _decide_by_enumeration(h: int, w: int, l: int) -> DecideResult:
+    """The oracle: search the tilings of h x w for one without an l-term AP."""
     rect = Rect(h, w)
-    if rect.area > DEFAULT_ENUM_AREA and rect.height > 4:
-        raise ResourceLimitError(
-            f"exhaustive decision for {rect} exceeds the enumeration bound; use the sat engine"
-        )
     for tiling in frontier_search(rect, placements(rect), prune=_completes_ap(l), limit=1):
         return DecideResult(h, w, l, forced=False, witness=tiling, method="enumeration")
     return DecideResult(h, w, l, forced=True, method="enumeration")
-
-
-@dataclass
-class ScanResult:
-    """Exact value when pinned; otherwise the bracketing interval [lower, upper]."""
-
-    value: int | None
-    lower: int
-    upper: int | None
-
-    @property
-    def exact(self) -> bool:
-        return self.value is not None
 
 
 def compute_T(w: int, l: int, config: SearchConfig | None = None) -> ScanResult:
@@ -178,6 +160,7 @@ def compute_L(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:
     Every nonempty tiling contains a 1-term AP, so the floor is 1; the scan
     ascends l = 2, 3, ... until an AP-free-at-l tiling exists (a tiling that
     avoids l-APs also avoids longer ones, so the first avoidable l pins L).
+    That tiling is the result's witness.
     """
     Rect(h, w)  # rejects a side <= 0, which the % 4 test lets through
     if h % 4 or w % 4:
@@ -186,9 +169,9 @@ def compute_L(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:
     ceiling = h * w // 4 + 1  # more terms than tiles is trivially avoidable
     for l in range(2, ceiling + 1):
         try:
-            forced = decide_forces(h, w, l, config).forced
+            result = decide_forces(h, w, l, config)
         except IndeterminateError:
             return ScanResult(None, l - 1, None)
-        if not forced:
-            return ScanResult(l - 1, l - 1, l - 1)
+        if not result.forced:
+            return ScanResult(l - 1, l - 1, l - 1, result.witness)
     raise LemmaViolationError(f"every length up to {ceiling} is forced on {h}x{w}; impossible")

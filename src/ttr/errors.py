@@ -58,12 +58,4 @@ class SolverError(TtrError):
 
 
 class IndeterminateError(TtrError):
-    """The search exhausted its budget without an answer.
-
-    ``lower`` is the proven lower bound on the quantity being computed, when
-    the raiser has one.
-    """
-
-    def __init__(self, message: str, lower=None):
-        super().__init__(message)
-        self.lower = lower
+    """The search exhausted its budget without an answer."""

@@ -6,7 +6,7 @@ DIMACS file path as its final argument and prints ``s SATISFIABLE`` /
 ``SearchConfig.solver_cmd``, the CLI ``--solver`` flag, or the ``TTR_SOLVER``
 environment variable; otherwise the built-in CDCL solver is used.  Either
 backend takes any instance size; ``SearchConfig.time_budget_s`` is the one
-resource bound.
+resource bound, a deadline for everything solved under that config.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import os
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -40,27 +41,47 @@ class SolverStatus(Enum):
 class SearchConfig:
     """Settings shared by the decision procedures; each one changes what runs.
 
-    ``engine`` selects between the CNF/SAT pipeline and the exhaustive
-    internal backtracker for decide-style questions.  ``solver_cmd`` (or the
-    TTR_SOLVER environment variable) switches SAT solving to an external
-    DIMACS command.  ``time_budget_s`` bounds each solver call; it is a
-    positive finite number of seconds, or None for no bound.
+    ``solver_cmd`` (or the TTR_SOLVER environment variable) switches SAT
+    solving to an external DIMACS command.  ``time_budget_s`` is a positive
+    finite number of seconds, or None for no bound; it fixes one monotonic
+    ``deadline`` when the config is built, and every question asked under
+    the config shares it.
     """
 
-    engine: str = "sat"  # "sat" or "internal-backtracking"
     solver_cmd: str | None = None
     time_budget_s: float | None = None
+    deadline: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.engine not in ("sat", "internal-backtracking"):
-            raise ValueError(f"unknown engine {self.engine!r}")
-        if self.time_budget_s is not None and not 0 < self.time_budget_s < math.inf:
-            raise ValueError(
-                f"time budget must be a positive finite number of seconds, got {self.time_budget_s}"
-            )
+        budget = self.time_budget_s
+        if budget is not None and not 0 < budget < math.inf:
+            raise ValueError(f"time budget must be a positive finite number of seconds, got {budget}")
+        self.deadline = None if budget is None else time.monotonic() + budget
+
+    def remaining_s(self) -> float | None:
+        """Seconds left before the deadline, 0 once it has passed; None without a budget."""
+        return None if self.deadline is None else max(0.0, self.deadline - time.monotonic())
 
     def resolved_solver_cmd(self) -> str | None:
         return self.solver_cmd or os.environ.get(SOLVER_ENV_VAR) or None
+
+
+@dataclass
+class ScanResult:
+    """Exact value when pinned; otherwise the bracketing interval [lower, upper].
+
+    ``witness`` is the certificate that the value is not larger, when the
+    scan found one: the AP-free tiling or the avoiding coloring.
+    """
+
+    value: int | None
+    lower: int
+    upper: int | None
+    witness: object | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.value is not None
 
 
 @dataclass
@@ -75,12 +96,18 @@ def run_sat(
     clauses: Sequence[Clause],
     config: SearchConfig | None = None,
 ) -> tuple[SolverStatus, list[bool] | None]:
-    """Solve a raw CNF, dispatching to the configured backend."""
+    """Solve a raw CNF on the configured backend, within the time left before the deadline.
+
+    Once the deadline has passed the answer is UNKNOWN without solving.
+    """
     config = config or SearchConfig()
+    left = config.remaining_s()
+    if left == 0:
+        return SolverStatus.UNKNOWN, None
     cmd = config.resolved_solver_cmd()
     if cmd:
-        return _run_external(cmd, num_vars, clauses, config.time_budget_s)
-    result = cdcl.solve_clauses(num_vars, clauses, time_budget=config.time_budget_s)
+        return _run_external(cmd, num_vars, clauses, left)
+    result = cdcl.solve_clauses(num_vars, clauses, time_budget=left)
     return SolverStatus(result.status), result.model
 
 

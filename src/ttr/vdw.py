@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import IndeterminateError, ResourceLimitError
 from .grid import Cell
-from .solver import SearchConfig, SolverStatus, run_sat
+from .solver import ScanResult, SearchConfig, SolverStatus, run_sat
 from .width4 import read_tcolor, write_tcolor
 
 MAX_VDW_LEN = 4
@@ -215,25 +215,19 @@ def mono_ap_forced(h: int, w: int, l: int, config: SearchConfig | None = None) -
     return forced, coloring
 
 
-@dataclass
-class LvdwResult:
-    value: int
-    avoider: GridColoring | None  # certificate with no (value+1)-term mono AP
-
-
-def compute_Lvdw(h: int, w: int, config: SearchConfig | None = None) -> LvdwResult:
+def compute_Lvdw(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:
     """Greatest l such that every 2-coloring of h x w has a monochromatic l-AP.
 
-    Ascends l from 2 (avoidability is monotone in l); raises
-    :class:`IndeterminateError` with the proven bracket on budget exhaustion.
+    Ascends l from 2 (avoidability is monotone in l).  The witness is an
+    avoiding coloring with no (value + 1)-term monochromatic AP; on budget
+    exhaustion the result is the proven bracket [l - 1, inf).
     """
     config = config or SearchConfig()
     l = 2
     while True:
-        try:
-            forced, avoider = mono_ap_forced(h, w, l, config)
-        except IndeterminateError as e:
-            raise IndeterminateError(str(e), lower=l - 1) from None
+        forced, avoider = _forced_sat(h, w, l, config)
+        if forced is None:
+            return ScanResult(None, l - 1, None)
         if not forced:
-            return LvdwResult(l - 1, avoider)
+            return ScanResult(l - 1, l - 1, l - 1, avoider)
         l += 1

@@ -314,8 +314,8 @@ def write_tcolor(rows: Sequence[str]) -> str:
 def read_tcolor(data: str | bytes) -> list[str]:
     """Parse TCOLOR; returns the rows as strings over {A, B}."""
     h, w, body = read_header(data, TCOLOR_MAGIC)
-    if len(body) != h:
-        raise ParseError(len(body) + 3, 1, f"expected {h} rows, found {len(body)}")
+    if len(body) != h:  # report the first missing or the first extra line
+        raise ParseError(min(len(body), h) + 3, 1, f"expected {h} rows, found {len(body)}")
     rows = []
     for r, row in enumerate(body):
         if len(row) != w:

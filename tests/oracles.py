@@ -24,6 +24,7 @@ from ttr.grid import (
     _is_decimal,
     is_tileable,
     read_header,
+    rotate_tile_180,
     tile_cells,
 )
 
@@ -76,6 +77,18 @@ def ap_blocking_clauses(cnf: CNF, l: int) -> list[Clause]:
                     window.append(-(nxt + 1))
                 else:
                     new_clauses.append(tuple(window))
+    return new_clauses
+
+
+def rot180_clauses(cnf: CNF) -> list[Clause]:
+    """The rotation-symmetry clauses, pairing ids through a tile-to-id dict."""
+    id_of = {t: i for i, t in enumerate(cnf.index.tiles)}
+    new_clauses: list[Clause] = []
+    for i, t in enumerate(cnf.index.tiles):
+        j = id_of[rotate_tile_180(cnf.rect, t)]
+        if i < j:
+            new_clauses.append((-(i + 1), j + 1))
+            new_clauses.append((-(j + 1), i + 1))
     return new_clauses
 
 

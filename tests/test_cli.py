@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import time
 
 import pytest
 
@@ -33,17 +34,6 @@ def test_decide_avoidable_writes_verifying_certificate(tmp_path, capsys):
     tiling = read_tiling(cert.read_text())
     assert longest_ap(tiling).length < 3
     assert main(["verify", "--in", str(cert), "--max-ap", "3"]) == 0
-
-
-def test_backtracking_engine_reaches_long_strips(tmp_path, capsys):
-    # 1,200 tiles deep: the search raises the recursion limit and restores it.
-    before = sys.getrecursionlimit()
-    cert = tmp_path / "cert.ttiling"
-    assert main(["decide", "--height", "4", "--width", "1200", "--len", "400",
-                 "--engine", "internal-backtracking", "--out", str(cert)]) == 0
-    assert capsys.readouterr().out.startswith("AVOIDABLE")
-    assert sys.getrecursionlimit() == before
-    assert longest_ap(read_tiling(cert.read_text())).length < 400
 
 
 def test_tile_round_trips_through_reader(tmp_path, capsys):
@@ -141,6 +131,17 @@ def test_render_ascii_and_svg(tmp_path, capsys):
     assert svg.read_text().startswith("<svg ")
 
 
+@pytest.mark.parametrize("fmt, flag", [("svg", ["--borders"]), ("ascii", ["--cell-size", "10"]),
+                                       ("ascii", ["--highlight-ap"])])
+def test_render_refuses_options_of_the_other_format(fmt, flag, tmp_path, capsys):
+    src = tmp_path / "t.ttiling"
+    main(["tile", "--height", "4", "--width", "4", "--out", str(src)])
+    assert main(["render", "--in", str(src), "--format", fmt, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ttr render: error: {flag[0]} does not apply to --format {fmt}\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--height", "4", "--width", "36"])  # missing --len
@@ -195,6 +196,17 @@ def test_budget_exhaustion_exits_4(capsys):
     assert "UNKNOWN" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["lvalue", "--height", "32", "--width", "32"],
+                                  ["tvalue", "--width", "16", "--len", "4"]])
+def test_budget_bounds_the_whole_scan(argv, capsys):
+    # One deadline for every question of the scan; the margin covers the one
+    # question whose encoding the deadline does not interrupt.
+    start = time.monotonic()
+    assert main([*argv, "--budget-seconds", "0.05"]) == 4
+    assert time.monotonic() - start < 0.3
+    assert capsys.readouterr().out.startswith("UNKNOWN ")
+
+
 def test_solver_flag_uses_external_command(capsys):
     assert main(["decide", "--height", "4", "--width", "8", "--len", "2",
                  "--solver", DIMACS_SOLVER]) == 0
@@ -225,18 +237,18 @@ def test_tile_handles_large_rectangles(tmp_path):
 SUBCOMMAND_FLAGS = {
     "tile": (["--height", "4", "--width", "4"], {"--out"}),
     "decide": (["--height", "4", "--width", "4", "--len", "3"],
-               {"--out", "--engine", "--solver", "--budget-seconds"}),
+               {"--out", "--solver", "--budget-seconds"}),
     "apfree": (["--height", "4", "--width", "4", "--len", "3"],
                {"--out", "--solver", "--budget-seconds", "--symmetry"}),
     "vdw2d": (["--height", "2", "--width", "2"], {"--out", "--solver", "--budget-seconds"}),
-    "tvalue": (["--width", "4", "--len", "2"], {"--engine", "--solver", "--budget-seconds"}),
-    "lvalue": (["--height", "4", "--width", "4"], {"--engine", "--solver", "--budget-seconds"}),
+    "tvalue": (["--width", "4", "--len", "2"], {"--solver", "--budget-seconds"}),
+    "lvalue": (["--height", "4", "--width", "4"], {"--solver", "--budget-seconds"}),
     "chaingraph": (["--in", "t.ttiling"], {"--out"}),
     "render": (["--in", "t.ttiling"], {"--out", "--format", "--highlight-ap", "--cell-size", "--borders"}),
     "verify": (["--in", "t.ttiling"], {"--max-ap"}),
     "vdw": (["--len", "3"], set()),
 }
-# The options shared between subcommands, plus four that no subcommand accepts.
+# The options shared between subcommands, plus five that no subcommand accepts.
 SHARED_FLAGS = {"--out", "--engine", "--solver", "--budget-seconds",
                 "--internal-cap", "--jobs", "--seed", "--dxdy-filter"}
 

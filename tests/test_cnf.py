@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import oracles
 from ttr.errors import ParseError
 from ttr.enumerator import _count, count_tilings, enumerate_tilings
 from ttr.grid import ORIENTATIONS, Rect, is_tileable, rotate_tile_180
@@ -215,6 +216,12 @@ def test_rot180_symmetry_clauses_pair_variables():
     assert sym.rot180
     added = sym.num_clauses - base.num_clauses
     assert added == base.num_vars  # two implications per unordered pair
+
+
+@pytest.mark.parametrize("h, w", [(4, 8), (8, 12), (20, 20), (3, 6), (5, 7), (6, 4)])
+def test_rot180_clauses_equal_the_tile_lookup(h, w):
+    base = build_cnf(Rect(h, w))
+    assert list(add_rot180_symmetry(base).clauses[base.num_clauses:]) == oracles.rot180_clauses(base)
 
 
 def test_dimacs_round_trip():

@@ -5,7 +5,7 @@ import pytest
 from ttr.errors import IndeterminateError
 from ttr.grid import Rect
 from ttr.aps import longest_ap
-from ttr.decide import compute_L, compute_T, decide_forces, _completes_ap
+from ttr.decide import compute_L, compute_T, decide_forces, _completes_ap, _decide_by_enumeration
 from ttr.enumerator import frontier_search, placements
 from ttr.cnf import add_ap_blocking, build_cnf
 from ttr.solver import SearchConfig, SolverStatus, solve
@@ -33,11 +33,10 @@ def test_small_pair_decisions_cross_checked():
 
 
 def test_engines_agree_without_builtin_cross_check():
-    # The SAT route alone (decide_forces would add its own cross-check) against the enumeration engine.
-    config_enum = SearchConfig(engine="internal-backtracking")
+    # The SAT route alone (decide_forces would add its own cross-check) against the enumeration oracle.
     for h, w, l in [(4, 8, 2), (4, 12, 3), (8, 8, 2), (4, 16, 3)]:
         sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).status is SolverStatus.UNSAT
-        assert sat_forced == decide_forces(h, w, l, config_enum).forced
+        assert sat_forced == _decide_by_enumeration(h, w, l).forced
 
 
 def test_oracle_agreement_every_rect_up_to_96_cells():

@@ -53,7 +53,6 @@ def test_placement_index_equals_the_walkup_filter():
             index = PlacementIndex(rect)
             assert index.tiles == tiles
             assert index.ids_by_cell == [by_cell[cell] for cell in rect.cells()]
-            assert index.id_of == {t: i for i, t in enumerate(tiles)}
 
 
 def test_layers_return_the_tables_own_tiles():

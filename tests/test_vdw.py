@@ -3,11 +3,10 @@ from __future__ import annotations
 import pytest
 
 from ttr.errors import ResourceLimitError
-from ttr.solver import SearchConfig
+from ttr.solver import ScanResult, SearchConfig
 from ttr.vdw import (
     GridAP,
     GridColoring,
-    LvdwResult,
     _forced_brute,
     _forced_sat,
     compute_Lvdw,
@@ -69,9 +68,9 @@ def test_lvdw_small_values():
 
 def test_lvdw_certificate_verifies():
     result = compute_Lvdw(3, 5)
-    assert isinstance(result, LvdwResult)
-    assert result.avoider is not None
-    assert grid_mono_ap(result.avoider, result.value + 1) is None
+    assert isinstance(result, ScanResult)
+    assert result.witness is not None
+    assert grid_mono_ap(result.witness, result.value + 1) is None
 
 
 def test_lvdw_symmetry():

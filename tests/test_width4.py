@@ -198,3 +198,6 @@ def test_tcolor_errors():
     with pytest.raises(ParseError) as exc:
         read_tcolor("TCOLOR 1\n1 3\nABX\n")
     assert (exc.value.line, exc.value.column) == (3, 3)
+    with pytest.raises(ParseError) as exc:
+        read_tcolor("TCOLOR 1\n1 2\nAB\nAB\nAB\n")  # the first extra row is line 4
+    assert (exc.value.line, exc.value.column) == (4, 1)
