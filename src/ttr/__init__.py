@@ -49,8 +49,8 @@ from .chains import (
     tile_for_arrow,
 )
 from .cnf import CNF, PlacementIndex, add_ap_blocking, add_rot180_symmetry, build_cnf
-from .solver import ScanResult, SearchConfig, SolverVerdict, SolverStatus, solve
-from .decide import DecideResult, compute_L, compute_T, decide_forces
+from .solver import DecideResult, ScanResult, SearchConfig, SolverVerdict, SolverStatus, solve
+from .decide import compute_L, compute_T, decide_forces
 from .vdw import (
     GridAP,
     GridColoring,

@@ -22,7 +22,8 @@ from typing import Iterator, Sequence
 
 from .errors import ParseError, ResourceLimitError, StructureError
 from .grid import (
-    ORIENTATIONS, Cell, Orientation, Rect, Tile, Tiling, _is_decimal, placement_table, read_header, tile_cells,
+    CUT_CLASSES, ORIENTATIONS, Cell, Orientation, Rect, Tile, Tiling, _is_decimal, placement_table, read_header,
+    tile_cells,
 )
 from .aps import maximal_runs
 
@@ -68,14 +69,6 @@ class ChainGraph:
         self.rect = rect
         self.edges = frozenset(edges)
 
-    @property
-    def block_rows(self) -> int:
-        return self.rect.height // 2
-
-    @property
-    def block_cols(self) -> int:
-        return self.rect.width // 2
-
     def canonical_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
@@ -93,8 +86,7 @@ class ChainGraph:
 
 
 def _is_gray_center(center: Cell) -> bool:
-    r, c = center
-    return (r % 4, c % 4) in {(0, 0), (2, 2)}
+    return (center[0] % 4, center[1] % 4) in CUT_CLASSES
 
 
 def antiblock_coloring(rect: Rect) -> list[Antiblock]:
@@ -314,15 +306,6 @@ class ArrowProgression:
     start: Block
     step: tuple[int, int]
     length: int
-
-    def arrows(self) -> list[ShadedArrow]:
-        out = []
-        r, c = self.start
-        for i in range(self.length):
-            u = (r + i * self.step[0], c + i * self.step[1])
-            v = (u[0] + self.direction[0], u[1] + self.direction[1])
-            out.append(ShadedArrow((u, v), self.side))
-        return out
 
 
 def shaded_arrow_aps(graph: ChainGraph, min_len: int) -> list[ArrowProgression]:

@@ -10,7 +10,6 @@ length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import IndeterminateError, LemmaViolationError
@@ -18,22 +17,10 @@ from .enumerator import DEFAULT_ENUM_AREA, frontier_search, placements
 from .grid import Rect, Tile, Tiling
 from .aps import longest_ap
 from .cnf import add_ap_blocking, build_cnf
-from .solver import ScanResult, SearchConfig, SolverStatus, solve
+from .solver import DecideResult, ScanResult, SearchConfig, SolverStatus, greatest_forced, solve
 from .vdw import vdw_number
 
 MAX_T_SCAN = 400
-
-
-@dataclass
-class DecideResult:
-    """Answer to "does (h, w) force an l-term AP?", with certificate."""
-
-    height: int
-    width: int
-    length: int
-    forced: bool
-    witness: Tiling | None = None  # AP-free certificate when not forced
-    method: str = "sat"
 
 
 def _completes_ap(l: int) -> Callable[[Tile, Sequence[Tile]], bool]:
@@ -157,21 +144,12 @@ def compute_T(w: int, l: int, config: SearchConfig | None = None) -> ScanResult:
 def compute_L(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:
     """Greatest l such that every tiling of h x w contains an l-term AP.
 
-    Every nonempty tiling contains a 1-term AP, so the floor is 1; the scan
-    ascends l = 2, 3, ... until an AP-free-at-l tiling exists (a tiling that
-    avoids l-APs also avoids longer ones, so the first avoidable l pins L).
-    That tiling is the result's witness.
+    Every nonempty tiling contains a 1-term AP, so the scan ascends from
+    l = 2; the first AP-free-at-l tiling pins L and is the result's witness.
     """
     Rect(h, w)  # rejects a side <= 0, which the % 4 test lets through
     if h % 4 or w % 4:
         raise ValueError(f"sides must be multiples of 4, got {h}x{w}")
     config = config or SearchConfig()
     ceiling = h * w // 4 + 1  # more terms than tiles is trivially avoidable
-    for l in range(2, ceiling + 1):
-        try:
-            result = decide_forces(h, w, l, config)
-        except IndeterminateError:
-            return ScanResult(None, l - 1, None)
-        if not result.forced:
-            return ScanResult(l - 1, l - 1, l - 1, result.witness)
-    raise LemmaViolationError(f"every length up to {ceiling} is forced on {h}x{w}; impossible")
+    return greatest_forced(range(2, ceiling + 1), lambda l: decide_forces(h, w, l, config))

@@ -20,10 +20,10 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import cdcl
-from .errors import SolverError
+from .errors import IndeterminateError, LemmaViolationError, SolverError, TilingError
 from .aps import longest_ap
 from .cnf import CNF, Clause, clauses_to_dimacs, decode_model
 from .grid import Tiling
@@ -85,6 +85,43 @@ class ScanResult:
 
 
 @dataclass
+class DecideResult:
+    """Answer to "does every h x w object force an l-term AP?", with certificate.
+
+    ``witness`` is the avoider when not forced: an AP-free tiling for the
+    tiling question, an avoiding coloring for the van der Waerden one.
+    """
+
+    height: int
+    width: int
+    length: int
+    forced: bool
+    witness: object | None = None
+    method: str = "sat"
+
+
+def greatest_forced(lengths: range, decide: Callable[[int], DecideResult]) -> ScanResult:
+    """Ascend ``lengths`` to the first avoidable l; the greatest forced length is l - 1.
+
+    Every length below ``lengths.start`` must already be known forced, and
+    the last length must be trivially avoidable: a tiling or coloring that
+    avoids l-APs also avoids longer ones, so the first avoidable l pins the
+    value, and its avoider is the result's witness.  When the budget runs
+    out the result is the proven bracket [l - 1, inf).
+    """
+    for l in lengths:
+        try:
+            result = decide(l)
+        except IndeterminateError:
+            return ScanResult(None, l - 1, None)
+        if not result.forced:
+            return ScanResult(l - 1, l - 1, l - 1, result.witness)
+    raise LemmaViolationError(
+        f"every length up to {result.length} is forced on {result.height}x{result.width}; impossible"
+    )
+
+
+@dataclass
 class SolverVerdict:
     status: SolverStatus
     witness: Tiling | None = None
@@ -116,7 +153,8 @@ def solve(cnf: CNF, config: SearchConfig | None = None) -> SolverVerdict:
 
     A SAT witness is decoded and checked again from scratch: the tiling must
     validate, must beat the AP bound recorded on the CNF, and must equal its
-    own 180-degree rotation when symmetry clauses were added.  UNSAT answers
+    own 180-degree rotation when symmetry clauses were added; a witness that
+    fails any of these raises :class:`SolverError`.  UNSAT answers
     are taken on trust from the solver (no proof logging); the decision layer
     cross-checks them against the exhaustive enumerator at desk scale.
     """
@@ -126,7 +164,10 @@ def solve(cnf: CNF, config: SearchConfig | None = None) -> SolverVerdict:
     if status is not SolverStatus.SAT:
         return SolverVerdict(status, engine=engine)
     assert model is not None
-    witness = decode_model(cnf, model)  # Tiling constructor re-validates
+    try:
+        witness = decode_model(cnf, model)  # Tiling constructor re-validates
+    except TilingError as e:
+        raise SolverError(f"witness re-verification failed: {e}") from None
     if cnf.blocked_len is not None and longest_ap(witness).length >= cnf.blocked_len:
         raise SolverError(
             f"witness re-verification failed: contains an AP of length >= {cnf.blocked_len}"

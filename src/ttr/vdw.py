@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndeterminateError, ResourceLimitError
-from .grid import Cell
-from .solver import ScanResult, SearchConfig, SolverStatus, run_sat
+from .errors import IndeterminateError, ResourceLimitError, SolverError
+from .grid import Cell, Rect
+from .solver import DecideResult, ScanResult, SearchConfig, SolverStatus, greatest_forced, run_sat
 from .width4 import read_tcolor, write_tcolor
 
 MAX_VDW_LEN = 4
@@ -178,8 +178,17 @@ def _forced_brute(h: int, w: int, l: int) -> tuple[bool, GridColoring | None]:
     return True, None
 
 
-def _forced_sat(h: int, w: int, l: int, config: SearchConfig) -> tuple[bool | None, GridColoring | None]:
-    """SAT route: one variable per cell; block each candidate AP in both colors."""
+def _forced_sat(h: int, w: int, l: int, config: SearchConfig) -> DecideResult:
+    """Whether every 2-coloring of the h x w grid has a monochromatic l-AP.
+
+    SAT route: one variable per cell; block each candidate AP in both colors.
+    An avoiding coloring is re-checked with :func:`grid_mono_ap` and raises
+    :class:`SolverError` if it fails.  Budget exhaustion, including a
+    deadline already passed before encoding, raises
+    :class:`IndeterminateError`.
+    """
+    if config.remaining_s() == 0:
+        raise IndeterminateError(f"budget exhausted before deciding L_vdW({h},{w}) at l={l}")
     clauses = []
     for cells in _ap_candidates(h, w, l):
         lits = [r * w + c + 1 for r, c in cells]
@@ -187,47 +196,30 @@ def _forced_sat(h: int, w: int, l: int, config: SearchConfig) -> tuple[bool | No
         clauses.append(tuple(lits))
     status, model = run_sat(h * w, clauses, config)
     if status is SolverStatus.UNKNOWN:
-        return None, None
+        raise IndeterminateError(f"budget exhausted deciding L_vdW({h},{w}) at l={l}")
     if status is SolverStatus.UNSAT:
-        return True, None
+        return DecideResult(h, w, l, forced=True)
     assert model is not None
-    bits = 0
-    for v in range(1, h * w + 1):
-        if model[v]:
-            bits |= 1 << (v - 1)
-    coloring = GridColoring.from_bits(h, w, bits)
-    if grid_mono_ap(coloring, l) is not None:
-        raise AssertionError("SAT avoidance witness re-verification failed")
-    return False, coloring
-
-
-def mono_ap_forced(h: int, w: int, l: int, config: SearchConfig | None = None) -> tuple[bool, GridColoring | None]:
-    """Whether every 2-coloring of the h x w grid has a monochromatic l-AP.
-
-    Returns the forced flag plus an avoiding coloring when not forced.  The
-    question goes to the SAT route; any avoiding coloring it returns is
-    re-checked with :func:`grid_mono_ap` before it is returned.
-    """
-    config = config or SearchConfig()
-    forced, coloring = _forced_sat(h, w, l, config)
-    if forced is None:
-        raise IndeterminateError(f"budget exhausted on L_vdW({h},{w}) at l={l}")
-    return forced, coloring
+    coloring = GridColoring(tuple(tuple(int(model[r * w + c + 1]) for c in range(w)) for r in range(h)))
+    ap = grid_mono_ap(coloring, l)
+    if ap is not None:
+        raise SolverError(
+            f"witness re-verification failed: monochromatic {l}-AP from {ap.start} with step {ap.step}"
+        )
+    return DecideResult(h, w, l, forced=False, witness=coloring)
 
 
 def compute_Lvdw(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:
     """Greatest l such that every 2-coloring of h x w has a monochromatic l-AP.
 
-    Ascends l from 2 (avoidability is monotone in l).  The witness is an
-    avoiding coloring with no (value + 1)-term monochromatic AP; on budget
-    exhaustion the result is the proven bracket [l - 1, inf).
+    Any two cells form a 2-AP, so by pigeonhole a grid of at least 3 cells
+    forces l = 2 and the scan starts at l = 3 (at l = 2 on smaller grids).
+    No AP has more terms than the longer side, so that side plus one is
+    always avoidable.  The witness is an avoiding coloring with no
+    (value + 1)-term monochromatic AP; on budget exhaustion the result is
+    the proven bracket [l - 1, inf).
     """
+    rect = Rect(h, w)
     config = config or SearchConfig()
-    l = 2
-    while True:
-        forced, avoider = _forced_sat(h, w, l, config)
-        if forced is None:
-            return ScanResult(None, l - 1, None)
-        if not forced:
-            return ScanResult(l - 1, l - 1, l - 1, avoider)
-        l += 1
+    first = 3 if rect.area >= 3 else 2
+    return greatest_forced(range(first, max(h, w) + 2), lambda l: _forced_sat(h, w, l, config))

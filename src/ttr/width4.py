@@ -81,9 +81,6 @@ class TwoColoring:
     def from_bits(cls, bits: Iterable[int]) -> "TwoColoring":
         return cls(tuple("A" if b == 0 else "B" for b in bits))
 
-    def to_bits(self) -> tuple[int, ...]:
-        return tuple(0 if c == "A" else 1 for c in self.colors)
-
     def __str__(self) -> str:
         return "".join(self.colors)
 

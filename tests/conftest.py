@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from ttr.grid import Rect, Tile, Tiling, Orientation
 from ttr.enumerator import enumerate_tilings
 from ttr.width4 import UNIT_A_TILES, UnitCatalog
+
+# ``pythonpath`` in pyproject.toml puts src/ on sys.path for this process only;
+# child processes (``python -m ttr.dimacs`` as an external solver) read it here.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

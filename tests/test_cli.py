@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import stat
 import sys
 import time
 
@@ -79,6 +80,12 @@ def test_tvalue_and_lvalue(capsys):
 def test_lvalue_rejects_nonpositive_side(height, capsys):
     assert main(["lvalue", "--height", height, "--width", "4"]) == 1
     assert capsys.readouterr().err.strip() == f"error: rectangle sides must be >= 1, got {height}x4"
+
+
+@pytest.mark.parametrize("h, w", [("0", "5"), ("-2", "-3")])
+def test_vdw2d_rejects_nonpositive_side(h, w, capsys):
+    assert main(["vdw2d", "--height", h, "--width", w]) == 1
+    assert capsys.readouterr().err.strip() == f"error: rectangle sides must be >= 1, got {h}x{w}"
 
 
 @pytest.mark.parametrize("solver", [None, DIMACS_SOLVER])
@@ -197,7 +204,8 @@ def test_budget_exhaustion_exits_4(capsys):
 
 
 @pytest.mark.parametrize("argv", [["lvalue", "--height", "32", "--width", "32"],
-                                  ["tvalue", "--width", "16", "--len", "4"]])
+                                  ["tvalue", "--width", "16", "--len", "4"],
+                                  ["vdw2d", "--height", "24", "--width", "24"]])
 def test_budget_bounds_the_whole_scan(argv, capsys):
     # One deadline for every question of the scan; the margin covers the one
     # question whose encoding the deadline does not interrupt.
@@ -217,6 +225,24 @@ def test_env_solver_used(monkeypatch, capsys):
     monkeypatch.setenv("TTR_SOLVER", DIMACS_SOLVER)
     assert main(["vdw2d", "--height", "2", "--width", "13"]) == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("argv", [["vdw2d", "--height", "3", "--width", "3"],
+                                  ["apfree", "--height", "4", "--width", "8", "--len", "3"]])
+def test_lying_solver_exits_3(argv, tmp_path, capsys):
+    # Claims SAT with every variable false: an all-one-color grid, or no tiles at all.
+    script = tmp_path / "liar.sh"
+    script.write_text(
+        "#!/bin/sh\n"
+        "n=$(sed -n 's/^p cnf \\([0-9]*\\) .*/\\1/p' \"$1\")\n"
+        'echo "s SATISFIABLE"\n'
+        "printf v; i=1; while [ $i -le $n ]; do printf ' -%d' $i; i=$((i + 1)); done; echo ' 0'\n"
+    )
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    assert main([*argv, "--solver", str(script)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver error: witness re-verification failed")
+    assert "Traceback" not in captured.err
 
 
 def test_missing_solver_binary_exits_3(capsys):

@@ -102,9 +102,7 @@ def test_lying_external_solver_is_caught(tmp_path, monkeypatch):
     lines.append(f'echo "v {lits} 0"')
     script.write_text("\n".join(lines) + "\n")
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    from ttr.errors import TilingError
-
-    with pytest.raises(TilingError):
+    with pytest.raises(SolverError, match="witness re-verification failed"):
         solve(cnf, SearchConfig(solver_cmd=str(script)))
 
 

@@ -12,7 +12,6 @@ from ttr.vdw import (
     compute_Lvdw,
     extremal_coloring,
     grid_mono_ap,
-    mono_ap_forced,
     vdw_number,
 )
 
@@ -103,14 +102,33 @@ def test_sat_route_matches_brute_force():
         for w in range(1, 16 // h + 1):
             for l in (2, 3, 4):
                 brute_forced, brute_avoider = _forced_brute(h, w, l)
-                sat_forced, sat_avoider = _forced_sat(h, w, l, config)
-                assert brute_forced == sat_forced, (h, w, l)
-                assert brute_forced == mono_ap_forced(h, w, l, config)[0]
+                sat = _forced_sat(h, w, l, config)
+                assert brute_forced == sat.forced, (h, w, l)
                 if brute_forced:
-                    assert sat_avoider is None
+                    assert sat.witness is None
                 else:
                     assert grid_mono_ap(brute_avoider, l) is None
-                    assert grid_mono_ap(sat_avoider, l) is None
+                    assert grid_mono_ap(sat.witness, l) is None
+
+
+def test_lvdw_matches_brute_force_ascent():
+    # Every grid of at most 16 cells: ascend the exhaustive oracle to the first
+    # avoidable l.  1x1, 1x2 and 2x1 avoid l = 2; every larger grid forces it.
+    for h in range(1, 17):
+        for w in range(1, 16 // h + 1):
+            l = 2
+            while _forced_brute(h, w, l)[0]:
+                l += 1
+            assert (l == 2) == (h * w < 3), (h, w)
+            result = compute_Lvdw(h, w)
+            assert result.value == l - 1, (h, w)
+            assert grid_mono_ap(result.witness, l) is None
+
+
+def test_lvdw_budget_bracket_starts_at_pigeonhole():
+    spent = SearchConfig(time_budget_s=1e-9)
+    assert compute_Lvdw(24, 24, spent) == ScanResult(None, 2, None)
+    assert compute_Lvdw(1, 2, spent) == ScanResult(None, 1, None)
 
 
 def test_grid_coloring_tcolor_round_trip():
