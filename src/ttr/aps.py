@@ -8,7 +8,7 @@ tiles in an AP share one orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .errors import LemmaViolationError
 from .grid import ORIENTATIONS, PLACEMENT_ORDER, Cell, Orientation, Tile, Tiling
@@ -45,26 +45,73 @@ class APWitness:
         )
 
 
-def _runs(anchors: set[Cell] | frozenset[Cell]) -> Iterator[tuple[Cell, Step, int]]:
-    """Every maximal run of length >= 2, in (start, step) order.
+def _encode(anchors: Collection[Cell]) -> tuple[list[int], int, int]:
+    """The sorted keys ``row * stride + (col - min_col)`` of ``anchors``, with ``stride`` and ``min_col``.
 
-    Each such run has exactly one first pair (a, a + step): the one whose
-    ``a - step`` is absent.  Walking the sorted anchor pairs therefore visits
-    each run once, and in order, since for a fixed ``a`` the partners ``b``
-    and the steps ``b - a`` sort alike.
+    ``stride`` is twice the column span plus one.  A key's column part then
+    lies in 0..span, so key order is (row, col) order, and a step between
+    two anchors moves the column part by at most the span: a step that
+    leaves the columns on either side cannot land on another anchor's key.
     """
-    pts = sorted(anchors)
-    for i, (r, c) in enumerate(pts):
-        for br, bc in pts[i + 1 :]:
-            dy, dx = br - r, bc - c
-            if (r - dy, c - dx) in anchors:
+    cols = [c for _, c in anchors]
+    if not cols:
+        return [], 1, 0
+    lo = min(cols)
+    stride = 2 * (max(cols) - lo) + 1
+    return sorted([r * stride + c - lo for r, c in anchors]), stride, lo
+
+
+def _tiling_keys(tiling: Tiling) -> tuple[tuple[list[int], ...], int]:
+    """Per orientation index, the sorted anchor keys of ``tiling`` (``min_col`` 0), and the stride.
+
+    Every anchor column lies in 0..w-1, so ``2w - 1`` is a valid stride; the
+    tiles come in (row, col) order, so each list comes out sorted.
+    """
+    stride = 2 * tiling.rect.width - 1
+    groups: tuple[list[int], ...] = ([], [], [], [])
+    for o, r, c in map(PLACEMENT_ORDER, tiling.tiles):
+        groups[o].append(r * stride + c)
+    return groups, stride
+
+
+def _cell(key: int, stride: int, lo: int) -> Cell:
+    r, c = divmod(key, stride)
+    return (r, c + lo)
+
+
+def _step(d: int, stride: int) -> Step:
+    span = stride // 2
+    dy, dx = divmod(d + span, stride)
+    return (dy, dx - span)
+
+
+def _runs(keys: list[int], min_len: int) -> Iterator[tuple[int, int, int]]:
+    """Every maximal run of length >= min_len over sorted ``keys``: (start, step, length), in order.
+
+    Each run of length >= 2 has exactly one first pair (a, a + step): the
+    one whose ``a - step`` is absent.  Walking the sorted key pairs
+    therefore visits each run once, and in (start, step) order, since for a
+    fixed ``a`` the partners ``b`` and the steps ``b - a`` sort alike.  Once
+    ``a + (min_len - 1) * step`` passes the largest key, no later partner of
+    ``a`` can start a long enough run.
+    """
+    present = set(keys)
+    last = keys[-1] if keys else 0
+    reach = min_len - 1
+    for i, a in enumerate(keys):
+        for b in keys[i + 1 :]:
+            d = b - a
+            if a + reach * d > last:
+                break
+            if a - d in present:
                 continue  # (a, b) is not the first pair of its run
             length = 2
-            nxt = (br + dy, bc + dx)
-            while nxt in anchors:
+            nxt = b + d
+            while nxt in present:
                 length += 1
-                nxt = (nxt[0] + dy, nxt[1] + dx)
-            yield (r, c), (dy, dx), length
+                nxt += d
+            if length >= min_len:
+                yield a, d, length
 
 
 def maximal_runs(anchors: set[Cell], min_len: int) -> list[tuple[Cell, Step, int]]:
@@ -76,7 +123,8 @@ def maximal_runs(anchors: set[Cell], min_len: int) -> list[tuple[Cell, Step, int
     """
     if min_len < 2:
         raise ValueError(f"min_len must be >= 2, got {min_len}")
-    return [run for run in _runs(anchors) if run[2] >= min_len]
+    keys, stride, lo = _encode(anchors)
+    return [(_cell(a, stride, lo), _step(d, stride), n) for a, d, n in _runs(keys, min_len)]
 
 
 def enumerate_aps(tiling: Tiling, min_len: int) -> list[APWitness]:
@@ -88,12 +136,12 @@ def enumerate_aps(tiling: Tiling, min_len: int) -> list[APWitness]:
     """
     if min_len < 2:
         raise ValueError(f"min_len must be >= 2, got {min_len}")
-    witnesses: list[APWitness] = []
-    by_orient = tiling.anchors_by_orientation()
-    for orient in ORIENTATIONS:
-        for start, step, length in maximal_runs(by_orient[orient], min_len):
-            witnesses.append(APWitness(orient, start, step, length))
-    return witnesses
+    groups, stride = _tiling_keys(tiling)
+    return [
+        APWitness(ORIENTATIONS[o], _cell(a, stride, 0), _step(d, stride), n)
+        for o, keys in enumerate(groups)
+        for a, d, n in _runs(keys, min_len)
+    ]
 
 
 def longest_ap(tiling: Tiling) -> APWitness:
@@ -101,32 +149,47 @@ def longest_ap(tiling: Tiling) -> APWitness:
 
     Tie-break: orientation U < D < L < R, then start row, start col, then
     step, all ascending.  A tiling with four distinct orientations and no
-    repeats yields a length-1 witness with step (0, 0).  The runs are
-    scanned in that order and only a strictly longer one replaces the best,
-    so no list of APs is built.
+    repeats yields a length-1 witness with step (0, 0).  This is the scan of
+    ``_runs`` inlined: runs are met in that order and only a strictly longer
+    one replaces the best, so a pair that cannot beat the best is skipped.
     """
     if not tiling.tiles:
         raise ValueError("tiling has no tiles")
-    by_orient = tiling.anchors_by_orientation()
+    groups, stride = _tiling_keys(tiling)
     best_len = 1
     best = None
-    for orient in ORIENTATIONS:
-        for start, step, length in _runs(by_orient[orient]):
-            if length > best_len:
-                best_len, best = length, (orient, start, step)
+    for o, keys in enumerate(groups):
+        if len(keys) <= best_len:
+            continue
+        present = set(keys)
+        last = keys[-1]
+        for i, a in enumerate(keys):
+            for b in keys[i + 1 :]:
+                d = b - a
+                if a + best_len * d > last:
+                    break
+                if a - d in present:
+                    continue
+                length = 2
+                nxt = b + d
+                while nxt in present:
+                    length += 1
+                    nxt += d
+                if length > best_len:
+                    best_len, best = length, (o, a, d)
     if best is None:
         first = min(tiling.tiles, key=PLACEMENT_ORDER)
         return APWitness(first.orientation, first.anchor, (0, 0), 1)
-    return APWitness(best[0], best[1], best[2], best_len)
+    o, a, d = best
+    return APWitness(ORIENTATIONS[o], _cell(a, stride, 0), _step(d, stride), best_len)
 
 
 def has_ap_of_length(tiling: Tiling, l: int) -> bool:
-    """Whether any AP of length >= l exists (l >= 2); stops at the first one."""
-    return any(
-        length >= l
-        for anchors in tiling.anchors_by_orientation().values()
-        for _start, _step, length in _runs(anchors)
-    )
+    """Whether any AP of length >= l exists; stops at the first one.  Requires ``l >= 2``."""
+    if l < 2:
+        raise ValueError(f"l must be >= 2, got {l}")
+    groups, _stride = _tiling_keys(tiling)
+    return any(any(_runs(keys, l)) for keys in groups)
 
 
 def mod4_class(terms: Sequence[int]) -> int:

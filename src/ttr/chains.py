@@ -22,8 +22,8 @@ from typing import Iterator, Sequence
 
 from .errors import ParseError, ResourceLimitError, StructureError
 from .grid import (
-    CUT_CLASSES, ORIENTATIONS, Cell, Orientation, Rect, Tile, Tiling, _is_decimal, placement_table, read_header,
-    tile_cells,
+    CUT_CLASSES, ORIENTATIONS, PLACEMENT_ORDER, Cell, Orientation, Rect, Tile, Tiling, _is_decimal, placement_table,
+    read_header, tile_cells,
 )
 from .aps import maximal_runs
 
@@ -152,16 +152,29 @@ def majority_minority(tile: Tile) -> tuple[Block, Block]:
 
 
 def build_chain_graph(tiling: Tiling) -> ChainGraph:
-    """One directed edge per tile, from its majority block to its minority block."""
-    if tiling.rect.height % 4 or tiling.rect.width % 4:
-        raise ValueError(f"rectangle sides must be multiples of 4, got {tiling.rect}")
-    edges = []
-    for t in tiling.tiles:
-        maj, mino = majority_minority(t)
-        edges.append((maj, mino))
-    if len(set(edges)) != len(edges):
+    """One directed edge per tile, from its majority block to its minority block.
+
+    Each tile's edge is looked up in the placement table's ``chain_edges``;
+    a tile met for the first time gets it from :func:`majority_minority`.
+    """
+    rect = tiling.rect
+    if rect.height % 4 or rect.width % 4:
+        raise ValueError(f"rectangle sides must be multiples of 4, got {rect}")
+    lookup = placement_table(rect).chain_edges
+    keys = list(map(PLACEMENT_ORDER, tiling.tiles))
+    try:
+        edges = list(map(lookup.__getitem__, keys))
+    except KeyError:
+        edges = []
+        for key, tile in zip(keys, tiling.tiles):
+            edge = lookup.get(key)
+            if edge is None:
+                edge = lookup[key] = majority_minority(tile)
+            edges.append(edge)
+    graph = ChainGraph(rect, edges)
+    if len(graph.edges) != len(edges):
         raise StructureError("duplicate chain edges; input is not a valid tiling")
-    return ChainGraph(tiling.rect, edges)
+    return graph
 
 
 def _edge_flanks(edge: Edge) -> tuple[Cell, Cell, Cell]:
@@ -271,25 +284,42 @@ def tile_for_arrow(rect: Rect, arrow: ShadedArrow) -> Tile:
     return Tile(orient, 2 * r1 + dr, 2 * c1 + dc)
 
 
+def _edge_tile(rect: Rect, by_anchor: dict[tuple[int, int, int], Tile], edge: Edge) -> Tile:
+    """The table's tile for ``edge``, shaded by its own gray side.
+
+    A bad edge raises what the per-edge checks raise: the flanks first
+    (``_gray_side``), then adjacency and bounds (``_checked_direction``).
+    """
+    entry = _edge_entry(edge)
+    (r1, c1), (r2, c2) = edge
+    rows, cols = rect.height // 2, rect.width // 2
+    if entry is None or not (0 <= r1 < rows and 0 <= c1 < cols and 0 <= r2 < rows and 0 <= c2 < cols):
+        _gray_side(edge)
+        _checked_direction(rect, edge)
+    _side, orient, dr, dc = entry
+    return by_anchor[(orient.index, 2 * r1 + dr, 2 * c1 + dc)]
+
+
 def chain_to_tiling(graph: ChainGraph) -> Tiling:
     """Map every edge to its tile; valid exactly for HV-constructible graphs.
 
-    Each edge is shaded by its own gray side, so only the edge checks of
-    :func:`tile_for_arrow` apply.
+    Each edge is looked up in the placement table's ``edge_tiles``, whose
+    tiles are the table's own; ``Tiling`` puts them in canonical order.  On
+    a miss every edge is decoded in canonical order by :func:`_edge_tile`:
+    each good one goes into the lookup, and the first bad one raises.
     """
     rect = graph.rect
-    rows, cols = rect.height // 2, rect.width // 2
-    by_anchor = placement_table(rect).by_anchor
-    tiles = []
-    for edge in graph.canonical_edges():
-        entry = _edge_entry(edge)
-        (r1, c1), (r2, c2) = edge
-        if entry is None or not (0 <= r1 < rows and 0 <= c1 < cols and 0 <= r2 < rows and 0 <= c2 < cols):
-            # A bad edge: raise what the per-edge checks raise, flanks first, then adjacency and bounds.
-            _gray_side(edge)
-            _checked_direction(rect, edge)
-        _side, orient, dr, dc = entry
-        tiles.append(by_anchor[(orient.index, 2 * r1 + dr, 2 * c1 + dc)])
+    table = placement_table(rect)
+    lookup = table.edge_tiles
+    try:
+        tiles = list(map(lookup.__getitem__, graph.edges))
+    except KeyError:
+        tiles = []
+        for edge in graph.canonical_edges():
+            tile = lookup.get(edge)
+            if tile is None:
+                tile = lookup[edge] = _edge_tile(rect, table.by_anchor, edge)
+            tiles.append(tile)
     return Tiling(rect, tiles)
 
 

@@ -16,6 +16,9 @@ rectangle in a bounded cache: the tiles in canonical placement order, their
 flat cells, lookups from a sorted cell quadruple and from (orientation
 index, row, col) to the tile, and the Walkup flags.  The enumerator, the CNF
 placement index, ``read_tiling`` and chain decoding take their tiles from it.
+Two lookups of the chain layer, tile to chain edge and chain edge to tile,
+ride on the table: they start empty, ``ttr.chains`` fills them one entry
+at a time as it meets tiles and edges, and they go when the table does.
 """
 
 from __future__ import annotations
@@ -356,6 +359,9 @@ class PlacementTable(NamedTuple):
     """Interned placements of a rectangle; ``cells[i]`` are the sorted flat cells of ``tiles[i]``.
 
     ``walkup[i]`` says whether the class of ``tiles[i]`` is in ``WALKUP_CLASSES``.
+    ``chain_edges`` ((orientation index, row, col) -> chain edge) and
+    ``edge_tiles`` (chain edge -> tile of ``tiles``) start empty and are
+    filled by ``ttr.chains`` on use.
     """
 
     tiles: tuple[Tile, ...]
@@ -363,6 +369,8 @@ class PlacementTable(NamedTuple):
     by_cells: dict[tuple[int, int, int, int], Tile]
     by_anchor: dict[tuple[int, int, int], Tile]
     walkup: tuple[bool, ...]
+    chain_edges: dict[tuple[int, int, int], tuple[Cell, Cell]]
+    edge_tiles: dict[tuple[Cell, Cell], Tile]
 
 
 @lru_cache(maxsize=32)
@@ -381,7 +389,7 @@ def placement_table(rect: Rect) -> PlacementTable:
                 cells.append((k + a, k + b, k + d, k + e))
                 walkup.append((r & 3, c & 3) in classes)
     by_anchor = {(t.orientation.index, t.row, t.col): t for t in tiles}
-    return PlacementTable(tuple(tiles), tuple(cells), dict(zip(cells, tiles)), by_anchor, tuple(walkup))
+    return PlacementTable(tuple(tiles), tuple(cells), dict(zip(cells, tiles)), by_anchor, tuple(walkup), {}, {})
 
 
 def cut_cornerless_ok(tiling: Tiling) -> bool:
@@ -467,16 +475,14 @@ def _id_names(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(n)))
 
 
-def read_tiling(data: str | bytes) -> Tiling:
-    """Parse the TTILING format; each id's cells are looked up in the placement table.
+@lru_cache(maxsize=8)
+def _id_values(n: int) -> dict[str, int]:
+    """``{str(i): i}`` for ids 0..n-1: the canonical spelling of every id of an n-tile file."""
+    return {name: i for i, name in enumerate(_id_names(n))}
 
-    Raises :class:`ParseError` for syntax problems (with line/column) and
-    :class:`TilingError` when the id regions do not form valid tiles.
-    """
-    h, w, body = read_header(data, FORMAT_MAGIC)
-    if len(body) > h:
-        raise ParseError(h + 3, 1, f"unexpected content after {h} grid rows")
 
+def _parse_ids(body: list[str], h: int, w: int) -> list[int]:
+    """The ids of the h grid rows, each row w decimal tokens; raises :class:`ParseError` at the first fault."""
     ids: list[int] = []
     for r in range(h):
         if r >= len(body):
@@ -489,8 +495,36 @@ def read_tiling(data: str | bytes) -> Tiling:
             token = next(t for t in row_tokens if not _is_decimal(t))
             raise ParseError(3 + r, body[r].index(token) + 1, f"bad tile id {token!r}")
         ids.extend(map(int, row_tokens))
-    # Flat row-major cell indices grouped by id; a stable sort keeps each group row-major.
+    return ids
+
+
+def read_tiling(data: str | bytes) -> Tiling:
+    """Parse the TTILING format; each id's cells are looked up in the placement table.
+
+    Raises :class:`ParseError` for syntax problems (with line/column) and
+    :class:`TilingError` when the id regions do not form valid tiles.
+    """
+    h, w, body = read_header(data, FORMAT_MAGIC)
+    if len(body) > h:
+        raise ParseError(h + 3, 1, f"unexpected content after {h} grid rows")
+
     n = h * w
+    ids: list[int] = []
+    # Map each token through the table of canonical ids, built only when the rows have room
+    # for n tokens, so that it never outgrows the input.  Any miss re-parses the rows below.
+    if sum(map(len, body)) >= n:
+        value = _id_values(n // 4).__getitem__
+        try:
+            for line in body:
+                tokens = line.split()
+                if len(tokens) != w:
+                    break
+                ids += map(value, tokens)
+        except KeyError:
+            pass
+    if len(ids) != n:
+        ids = _parse_ids(body, h, w)
+    # Flat row-major cell indices grouped by id; a stable sort keeps each group row-major.
     order = sorted(range(n), key=ids.__getitem__)
     sorted_ids = list(map(ids.__getitem__, order))
     rect = Rect(h, w)

@@ -7,6 +7,7 @@ and identical clause lists from the current code.
 
 from __future__ import annotations
 
+from ttr.chains import ChainGraph, _checked_direction, _edge_entry, _gray_side
 from ttr.cnf import CNF, Clause
 from ttr.errors import ParseError, TilingError
 from ttr.grid import (
@@ -27,6 +28,45 @@ from ttr.grid import (
     rotate_tile_180,
     tile_cells,
 )
+
+
+def runs(anchors: set[tuple[int, int]]):
+    """Every maximal run of length >= 2 over tuple anchors, in (start, step) order."""
+    pts = sorted(anchors)
+    for i, (r, c) in enumerate(pts):
+        for br, bc in pts[i + 1 :]:
+            dy, dx = br - r, bc - c
+            if (r - dy, c - dx) in anchors:
+                continue  # (a, b) is not the first pair of its run
+            length = 2
+            nxt = (br + dy, bc + dx)
+            while nxt in anchors:
+                length += 1
+                nxt = (nxt[0] + dy, nxt[1] + dx)
+            yield (r, c), (dy, dx), length
+
+
+def maximal_runs(anchors: set[tuple[int, int]], min_len: int) -> list:
+    """The maximal runs of length >= min_len, filtered from ``runs``."""
+    if min_len < 2:
+        raise ValueError(f"min_len must be >= 2, got {min_len}")
+    return [run for run in runs(anchors) if run[2] >= min_len]
+
+
+def chain_to_tiling(graph: ChainGraph) -> Tiling:
+    """The chain decoder that maps every edge through the parity table, one by one."""
+    rect = graph.rect
+    rows, cols = rect.height // 2, rect.width // 2
+    tiles = []
+    for edge in graph.canonical_edges():
+        entry = _edge_entry(edge)
+        (r1, c1), (r2, c2) = edge
+        if entry is None or not (0 <= r1 < rows and 0 <= c1 < cols and 0 <= r2 < rows and 0 <= c2 < cols):
+            _gray_side(edge)
+            _checked_direction(rect, edge)
+        _side, orient, dr, dc = entry
+        tiles.append(Tile(orient, 2 * r1 + dr, 2 * c1 + dc))
+    return Tiling(rect, tiles)
 
 
 def placements(rect: Rect) -> tuple[Tile, ...]:

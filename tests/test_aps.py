@@ -201,3 +201,9 @@ def test_longest_ap_is_the_canonical_minimum(corpus):
 def test_longest_ap_on_long_strip_certificate():
     witness = decide_forces(4, 1200, 400).witness
     assert longest_ap(witness).render() == "AP u start=(2, 1) step=(0,4) len=300"
+
+
+@pytest.mark.parametrize("l", [1, 0, -3])
+def test_has_ap_of_length_rejects_lengths_below_two(pinwheel_a, l):
+    with pytest.raises(ValueError, match=f"l must be >= 2, got {l}"):
+        has_ap_of_length(pinwheel_a, l)

@@ -15,7 +15,10 @@ witness of ``ttr apfree 20x20 --len 3 --symmetry rot180`` followed by its
 solver and the SVG renderer were made faster.  The last two pin the
 frontier search: the TTILING stream of ``enumerate_tilings`` on 4x28 and
 28x4, and ``count_tilings`` on 4x32, 32x4 and 12x16, taken while its masks
-still spanned the whole rectangle.
+still spanned the whole rectangle.  The sixth pins every maximal AP of
+tiles and of shaded arrows (``enumerate_aps`` and ``shaded_arrow_aps`` at
+length 2) over the 8x12 and 4x24 tilings, taken while the AP kernel still
+walked tuple anchors.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import hashlib
 import pytest
 
 from ttr.aps import enumerate_aps, longest_ap
-from ttr.chains import ChainGraph, build_chain_graph, chain_to_tiling, write_chain
+from ttr.chains import ChainGraph, build_chain_graph, chain_to_tiling, shaded_arrow_aps, write_chain
 from ttr.cli import main
 from ttr.enumerator import count_tilings, enumerate_tilings
 from ttr.errors import StructureError, TilingError
@@ -38,6 +41,7 @@ ROUND_TRIP_SHA1 = "9988dfd77ebd3c146d66ce1809e89544fe9a098d"
 WITNESS_SVG_SHA1 = "23c7df24db7da6e0ab0754145214ece346cabcd3"
 ENUMERATION_SHA1 = "217f272368d176af85b21cb993789d4c3455f55e"
 COUNT_SHA1 = "9c928e063e6fc81765950c2d20c80eeaec45d137"
+AP_RUNS_SHA1 = "67ec8a87fe27167a010bbd921c91cdb4dbc4744e"
 
 
 def analysis_digest() -> str:
@@ -104,6 +108,18 @@ def test_counts_match_golden_digest():
     for h, w in ((4, 32), (32, 4), (12, 16)):
         sha.update(f"{h}x{w} {count_tilings(Rect(h, w), max_area=h * w)}\n".encode())
     assert sha.hexdigest() == COUNT_SHA1
+
+
+def test_ap_runs_match_golden_digest():
+    sha = hashlib.sha1()
+    for h, w in ((8, 12), (4, 24)):
+        for tiling in enumerate_tilings(Rect(h, w)):
+            for ap in enumerate_aps(tiling, 2):
+                sha.update(ap.render().encode() + b"\n")
+            for p in shaded_arrow_aps(build_chain_graph(tiling), 2):
+                sha.update(f"ARROW {p.direction} {p.side} start={p.start} step={p.step} len={p.length}\n".encode())
+            sha.update(b"--\n")
+    assert sha.hexdigest() == AP_RUNS_SHA1
 
 
 @pytest.mark.parametrize(

@@ -291,6 +291,18 @@ def test_read_tiling_parse_errors_carry_position():
     assert (exc.value.line, exc.value.column) == (3, 5)
 
 
+def test_read_tiling_id_table_never_outgrows_the_input(pinwheel_a):
+    # A header claiming 4,000,000 cells over a few bytes of rows builds no id table.
+    before = grid._id_values.cache_info()
+    with pytest.raises(ParseError, match="expected 2000 ids, found 1"):
+        read_tiling("TTILING 1\n2000 2000\n0\n")
+    assert grid._id_values.cache_info() == before
+    # Leading zeros miss the table of canonical ids and go through the decimal parse.
+    header, dims, *rows = write_tiling(pinwheel_a).splitlines()
+    padded = [" ".join("0" + t for t in row.split()) for row in rows]
+    assert read_tiling("\n".join([header, dims, *padded]) + "\n") == pinwheel_a
+
+
 @pytest.mark.parametrize(
     "rows, line, column, token",
     [

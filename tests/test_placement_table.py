@@ -5,19 +5,24 @@ enumerator, the CNF placement index, the TTILING reader and chain decoding.
 These tests pin the table's order against placements built one by one, the
 index view against the Walkup filter it replaced, object identity across
 the layers, the bound on the table cache, and the AP-blocking encoder's
-skipped anchor pairs against the loop that visited every pair.
+skipped anchor pairs against the loop that visited every pair.  The chain
+layer's lookups ride on the table, so they must follow a table that was
+evicted and built again, and chain decoding must raise what the per-edge
+decoder raised.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from ttr.cdcl import solve_clauses
-from ttr.chains import build_chain_graph, chain_to_tiling
+from ttr.chains import ChainGraph, build_chain_graph, chain_to_tiling
 from ttr.cnf import PlacementIndex, add_ap_blocking, build_cnf, decode_model
 from ttr.decide import compute_T
 from ttr.enumerator import enumerate_tilings, placements
+from ttr.errors import StructureError, TilingError
 from ttr.grid import WALKUP_CLASSES, Rect, placement_table, read_tiling, tile_cells, write_tiling
 
 SIDES = range(1, 25)
@@ -83,6 +88,62 @@ def test_table_cache_stays_bounded():
     info = placement_table.cache_info()
     assert info.maxsize == 32
     assert info.currsize == info.maxsize
+
+
+def test_chain_lookups_follow_the_live_table():
+    rect = Rect(8, 12)
+    tilings = list(enumerate_tilings(rect, limit=20))
+    graphs = [build_chain_graph(t) for t in tilings]
+    first = placement_table(rect)
+    assert [chain_to_tiling(g) for g in graphs] == tilings
+    assert first.chain_edges and first.edge_tiles
+    for n in range(1, 40):
+        placement_table(Rect(2, n))  # more than the cache holds: the 8x12 table is evicted
+    table = placement_table(rect)
+    assert table is not first and not table.edge_tiles
+    for tiling, graph in zip(tilings, graphs):
+        assert build_chain_graph(tiling) == graph
+        chained = chain_to_tiling(graph)
+        assert chained == tiling
+        for t in chained.tiles:
+            assert table.by_anchor[(t.orientation.index, t.row, t.col)] is t
+
+
+CHAIN_SOURCES = [
+    (rect, build_chain_graph(t))
+    for rect in (Rect(4, 4), Rect(4, 8), Rect(8, 8))
+    for t in enumerate_tilings(rect, limit=4)
+]
+BAD_EDGES = st.one_of(
+    # Anything from one block grid point to another, inside, around or outside the grid.
+    st.tuples(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), st.tuples(st.integers(-1, 4), st.integers(-1, 4))),
+    # A block step from anywhere near the grid: good alone, but it may overlap or leave the grid.
+    st.builds(
+        lambda r, c, d: ((r, c), (r + d[0], c + d[1])),
+        st.integers(-1, 4), st.integers(-1, 4), st.sampled_from([(0, 1), (0, -1), (1, 0), (-1, 0)]),
+    ),
+)
+
+
+def _decoded(decode, graph):
+    try:
+        return decode(graph)
+    except (StructureError, TilingError) as e:
+        return type(e), str(e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(CHAIN_SOURCES), st.integers(0, 31), BAD_EDGES, st.booleans())
+def test_chain_to_tiling_errors_match_the_per_edge_decoder(source, at, bad, warm):
+    """Good edges of a chain graph plus one other edge, instead of or besides one of them."""
+    rect, graph = source
+    if warm:
+        chain_to_tiling(graph)  # its good edges now hit the lookup
+    edges = sorted(graph.edges)
+    edges[at % len(edges)] = bad
+    mixed = ChainGraph(rect, edges)
+    for candidate in (mixed, ChainGraph(rect, list(graph.edges) + [bad])):
+        assert _decoded(chain_to_tiling, candidate) == _decoded(oracles.chain_to_tiling, candidate)
 
 
 AP_CASES = [
