@@ -8,17 +8,23 @@ minority yields the chain graph.  The 2x2 boxes of block-centers are the
 congruent to (0,0) or (2,2) mod 4 are gray.  Each edge then has exactly one
 gray antiblock beside it, and (edge, gray side) determines the tile.
 
-For an edge between adjacent blocks, the gray side depends only on the
-direction and on the parities of the source block, so the edge-to-tile step
-is one lookup in a parity table keyed by (dy, dx, r1 & 1, c1 & 1).  The table
-is built at import from ``_gray_side`` and ``ARROW_TILE_TABLE``, which stay as
-its derivation and as the test oracle.
+By Walkup's cut structure the placements in ``grid.WALKUP_CLASSES`` and the
+block steps inside the block grid pair up one to one.  ``chain_table(rect)``
+holds that pairing, built whole on first use and cached like
+``grid.placement_table``: the edge of every Walkup placement and, the other
+way round, the index of each edge's placement in the placement table.
+Building and decoding chain graphs look tiles and edges up in it.
+``majority_minority`` builds it; ``_gray_side`` and ``_checked_direction``
+report an edge it lacks, and with ``ARROW_TILE_TABLE`` they decode single
+shaded arrows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from itertools import compress
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ResourceLimitError, StructureError
 from .grid import (
@@ -63,7 +69,7 @@ class ChainGraph:
 
     __slots__ = ("rect", "edges")
 
-    def __init__(self, rect: Rect, edges: Sequence[Edge] | frozenset[Edge]):
+    def __init__(self, rect: Rect, edges: Iterable[Edge]):
         if rect.height % 2 or rect.width % 2:
             raise ValueError(f"rectangle sides must be even, got {rect}")
         self.rect = rect
@@ -151,26 +157,40 @@ def majority_minority(tile: Tile) -> tuple[Block, Block]:
     return (br + mr, bc + mc), (br + nr, bc + nc)
 
 
-def build_chain_graph(tiling: Tiling) -> ChainGraph:
-    """One directed edge per tile, from its majority block to its minority block.
+class ChainTable(NamedTuple):
+    """The chain edges of a rectangle's Walkup placements, both ways round.
 
-    Each tile's edge is looked up in the placement table's ``chain_edges``;
-    a tile met for the first time gets it from :func:`majority_minority`.
+    ``edges`` maps a placement's ``PLACEMENT_ORDER`` key to its chain edge;
+    ``tile_index`` maps that edge to the placement's index in
+    ``placement_table(rect).tiles``.  Indices, not tiles, so that decoding
+    returns the live placement table's own tiles after either cache evicts.
     """
+
+    edges: dict[tuple[int, int, int], Edge]
+    tile_index: dict[Edge, int]
+
+
+@lru_cache(maxsize=32)
+def chain_table(rect: Rect) -> ChainTable:
+    """The chain table of ``rect``; the most recently used 32 are kept."""
+    table = placement_table(rect)
+    edges, tile_index = {}, {}
+    for i, tile in compress(enumerate(table.tiles), table.walkup):
+        edge = edges[PLACEMENT_ORDER(tile)] = majority_minority(tile)
+        tile_index[edge] = i
+    return ChainTable(edges, tile_index)
+
+
+def build_chain_graph(tiling: Tiling) -> ChainGraph:
+    """One directed edge per tile, from its majority block to its minority block, looked up in the chain table."""
     rect = tiling.rect
     if rect.height % 4 or rect.width % 4:
         raise ValueError(f"rectangle sides must be multiples of 4, got {rect}")
-    lookup = placement_table(rect).chain_edges
-    keys = list(map(PLACEMENT_ORDER, tiling.tiles))
     try:
-        edges = list(map(lookup.__getitem__, keys))
-    except KeyError:
-        edges = []
-        for key, tile in zip(keys, tiling.tiles):
-            edge = lookup.get(key)
-            if edge is None:
-                edge = lookup[key] = majority_minority(tile)
-            edges.append(edge)
+        edges = list(map(chain_table(rect).edges.__getitem__, map(PLACEMENT_ORDER, tiling.tiles)))
+    except KeyError as e:
+        # Walkup's theorem puts every tile of a valid tiling in the table.
+        raise StructureError(f"placement {e.args[0]} is outside the Walkup classes") from None
     graph = ChainGraph(rect, edges)
     if len(graph.edges) != len(edges):
         raise StructureError("duplicate chain edges; input is not a valid tiling")
@@ -222,44 +242,10 @@ ARROW_TILE_TABLE: dict[tuple[tuple[int, int], str], tuple[Orientation, tuple[int
 }
 
 
-def _edge_tile_table() -> dict[tuple[int, int, int, int], tuple[str, Orientation, int, int]]:
-    """(dy, dx, r1 & 1, c1 & 1) -> (gray side, orientation, anchor row, anchor col offsets).
-
-    Keyed by the block step of an edge and the parities of its source block
-    (r1, c1); the anchor offsets are from the source block's top-left cell.
-    Moving an edge by an even block vector moves its flanks by a multiple of
-    4 cells, so these keys cover every edge between adjacent blocks.
-    """
-    table = {}
-    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        for pr in (0, 1):
-            for pc in (0, 1):
-                side = _gray_side(((pr, pc), (pr + dy, pc + dx)))
-                orient, (dr, dc) = ARROW_TILE_TABLE[((dy, dx), side)]
-                table[(dy, dx, pr, pc)] = (side, orient, dr, dc)
-    return table
-
-
-_EDGE_TILES = _edge_tile_table()
-
-
-def _edge_entry(edge: Edge) -> tuple[str, Orientation, int, int] | None:
-    """The parity-table entry of ``edge``; None unless it joins adjacent blocks."""
-    (r1, c1), (r2, c2) = edge
-    return _EDGE_TILES.get((r2 - r1, c2 - c1, r1 & 1, c1 & 1))
-
-
-def _shade(edge: Edge) -> str:
-    """The gray side of ``edge``; for any edge but a block step, whatever ``_gray_side`` says."""
-    entry = _edge_entry(edge)
-    return _gray_side(edge) if entry is None else entry[0]
-
-
 def arrow_for_tile(tiling: Tiling, tile: Tile) -> ShadedArrow:
     """The shaded arrow corresponding to a tile of a valid tiling."""
-    maj, mino = majority_minority(tile)
-    edge = (maj, mino)
-    return ShadedArrow(edge, _shade(edge))
+    edge = majority_minority(tile)
+    return ShadedArrow(edge, _gray_side(edge))
 
 
 def _checked_direction(rect: Rect, edge: Edge) -> tuple[int, int]:
@@ -276,55 +262,39 @@ def _checked_direction(rect: Rect, edge: Edge) -> tuple[int, int]:
 
 def tile_for_arrow(rect: Rect, arrow: ShadedArrow) -> Tile:
     """The unique tile realizing a shaded arrow; inverse of :func:`arrow_for_tile`."""
-    _checked_direction(rect, arrow.edge)
-    side, orient, dr, dc = _edge_entry(arrow.edge)
-    if side != arrow.side:
+    d = _checked_direction(rect, arrow.edge)
+    if _gray_side(arrow.edge) != arrow.side:
         raise StructureError(f"arrow {arrow} shading inconsistent with the antiblock coloring")
+    orient, (dr, dc) = ARROW_TILE_TABLE[(d, arrow.side)]
     r1, c1 = arrow.source
     return Tile(orient, 2 * r1 + dr, 2 * c1 + dc)
-
-
-def _edge_tile(rect: Rect, by_anchor: dict[tuple[int, int, int], Tile], edge: Edge) -> Tile:
-    """The table's tile for ``edge``, shaded by its own gray side.
-
-    A bad edge raises what the per-edge checks raise: the flanks first
-    (``_gray_side``), then adjacency and bounds (``_checked_direction``).
-    """
-    entry = _edge_entry(edge)
-    (r1, c1), (r2, c2) = edge
-    rows, cols = rect.height // 2, rect.width // 2
-    if entry is None or not (0 <= r1 < rows and 0 <= c1 < cols and 0 <= r2 < rows and 0 <= c2 < cols):
-        _gray_side(edge)
-        _checked_direction(rect, edge)
-    _side, orient, dr, dc = entry
-    return by_anchor[(orient.index, 2 * r1 + dr, 2 * c1 + dc)]
 
 
 def chain_to_tiling(graph: ChainGraph) -> Tiling:
     """Map every edge to its tile; valid exactly for HV-constructible graphs.
 
-    Each edge is looked up in the placement table's ``edge_tiles``, whose
-    tiles are the table's own; ``Tiling`` puts them in canonical order.  On
-    a miss every edge is decoded in canonical order by :func:`_edge_tile`:
-    each good one goes into the lookup, and the first bad one raises.
+    Each edge is looked up in the chain table, so the tiles are the placement
+    table's own; ``Tiling`` puts them in canonical order.  On a miss the
+    edges are checked in canonical order and the first bad one raises: its
+    flanks first (``_gray_side``), then adjacency and bounds
+    (``_checked_direction``).
     """
     rect = graph.rect
-    table = placement_table(rect)
-    lookup = table.edge_tiles
+    tile_index = chain_table(rect).tile_index
     try:
-        tiles = list(map(lookup.__getitem__, graph.edges))
+        indices = list(map(tile_index.__getitem__, graph.edges))
     except KeyError:
-        tiles = []
         for edge in graph.canonical_edges():
-            tile = lookup.get(edge)
-            if tile is None:
-                tile = lookup[edge] = _edge_tile(rect, table.by_anchor, edge)
-            tiles.append(tile)
-    return Tiling(rect, tiles)
+            if edge not in tile_index:
+                _gray_side(edge)
+                _checked_direction(rect, edge)
+                # Walkup's pairing puts every block step inside the grid in the table.
+                raise StructureError(f"edge {edge} has no placement in {rect}") from None
+    return Tiling(rect, map(placement_table(rect).tiles.__getitem__, indices))
 
 
 def shaded_arrows(graph: ChainGraph) -> list[ShadedArrow]:
-    return [ShadedArrow(e, _shade(e)) for e in graph.canonical_edges()]
+    return [ShadedArrow(e, _gray_side(e)) for e in graph.canonical_edges()]
 
 
 @dataclass(frozen=True)
@@ -462,7 +432,7 @@ def read_chain(data: str | bytes) -> ChainGraph:
     if h % 2 or w % 2:
         raise ParseError(2, 1, f"dimensions must be even, got {h} {w}")
     block_rows, block_cols = h // 2, w // 2
-    edges = []
+    edges: set[Edge] = set()
     for i, line in enumerate(body, start=3):
         toks = line.split()
         if len(toks) != 4 or not all(_is_decimal(t) for t in toks):
@@ -470,5 +440,8 @@ def read_chain(data: str | bytes) -> ChainGraph:
         r1, c1, r2, c2 = (int(t) for t in toks)
         if max(r1, r2) >= block_rows or max(c1, c2) >= block_cols:
             raise ParseError(i, 1, f"block outside the {block_rows}x{block_cols} block grid")
-        edges.append(((r1, c1), (r2, c2)))
+        edge = ((r1, c1), (r2, c2))
+        if edge in edges:
+            raise ParseError(i, 1, "repeated edge")
+        edges.add(edge)
     return ChainGraph(Rect(h, w), edges)

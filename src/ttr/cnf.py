@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .errors import ParseError
-from .grid import ORIENTATIONS, Orientation, Rect, Tile, Tiling, is_tileable, placement_table
+from .grid import ORIENTATIONS, Orientation, Rect, Tile, Tiling, _is_decimal, is_tileable, placement_table
 
 Clause = tuple[int, ...]
 
@@ -205,6 +205,8 @@ def parse_dimacs(text: str) -> tuple[int, list[Clause]]:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(ln, 1, f"bad problem line {line!r}")
+            if not (_is_decimal(parts[2]) and _is_decimal(parts[3])):
+                raise ParseError(ln, 1, f"problem line counts must be decimal and >= 0, got {line!r}")
             num_vars, num_clauses = int(parts[2]), int(parts[3])
             continue
         if num_vars is None:

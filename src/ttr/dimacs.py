@@ -2,7 +2,9 @@
 
 Reads a DIMACS CNF, runs the built-in CDCL solver, and prints the standard
 SAT-competition output (``s`` status line plus ``v`` value lines).  Exit
-codes follow solver convention: 10 for SAT, 20 for UNSAT, 0 for UNKNOWN.
+codes follow solver convention: 10 for SAT, 20 for UNSAT, 0 for UNKNOWN;
+a file that cannot be read or parsed is reported in one line on stderr
+with exit code 1.
 
 This doubles as a reference implementation of the external-solver contract:
 pointing ``--solver``/``TTR_SOLVER`` at this command exercises exactly the
@@ -17,6 +19,7 @@ from pathlib import Path
 
 from .cdcl import solve_clauses
 from .cnf import parse_dimacs
+from .errors import ParseError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -25,7 +28,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--time-budget", type=float, default=None, help="seconds before giving up")
     args = parser.parse_args(argv)
 
-    num_vars, clauses = parse_dimacs(Path(args.cnf_file).read_text(encoding="utf-8"))
+    try:
+        num_vars, clauses = parse_dimacs(Path(args.cnf_file).read_text(encoding="utf-8"))
+    except (ParseError, OSError, UnicodeDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     result = solve_clauses(num_vars, clauses, time_budget=args.time_budget)
     if result.status == "SAT":
         print("s SATISFIABLE")

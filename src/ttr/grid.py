@@ -13,12 +13,9 @@ and the renderers) index it or slice one row at a time.
 
 ``placement_table(rect)`` interns every placement that fits, once per
 rectangle in a bounded cache: the tiles in canonical placement order, their
-flat cells, lookups from a sorted cell quadruple and from (orientation
-index, row, col) to the tile, and the Walkup flags.  The enumerator, the CNF
-placement index, ``read_tiling`` and chain decoding take their tiles from it.
-Two lookups of the chain layer, tile to chain edge and chain edge to tile,
-ride on the table: they start empty, ``ttr.chains`` fills them one entry
-at a time as it meets tiles and edges, and they go when the table does.
+flat cells, a lookup from a sorted cell quadruple to the tile, and the
+Walkup flags.  The enumerator, the CNF placement index, ``read_tiling`` and
+the layers above them take their tiles from it, by lookup or by index.
 """
 
 from __future__ import annotations
@@ -359,18 +356,12 @@ class PlacementTable(NamedTuple):
     """Interned placements of a rectangle; ``cells[i]`` are the sorted flat cells of ``tiles[i]``.
 
     ``walkup[i]`` says whether the class of ``tiles[i]`` is in ``WALKUP_CLASSES``.
-    ``chain_edges`` ((orientation index, row, col) -> chain edge) and
-    ``edge_tiles`` (chain edge -> tile of ``tiles``) start empty and are
-    filled by ``ttr.chains`` on use.
     """
 
     tiles: tuple[Tile, ...]
     cells: tuple[tuple[int, int, int, int], ...]
     by_cells: dict[tuple[int, int, int, int], Tile]
-    by_anchor: dict[tuple[int, int, int], Tile]
     walkup: tuple[bool, ...]
-    chain_edges: dict[tuple[int, int, int], tuple[Cell, Cell]]
-    edge_tiles: dict[tuple[Cell, Cell], Tile]
 
 
 @lru_cache(maxsize=32)
@@ -388,8 +379,7 @@ def placement_table(rect: Rect) -> PlacementTable:
                 tiles.append(Tile(o, r, c))
                 cells.append((k + a, k + b, k + d, k + e))
                 walkup.append((r & 3, c & 3) in classes)
-    by_anchor = {(t.orientation.index, t.row, t.col): t for t in tiles}
-    return PlacementTable(tuple(tiles), tuple(cells), dict(zip(cells, tiles)), by_anchor, tuple(walkup), {}, {})
+    return PlacementTable(tuple(tiles), tuple(cells), dict(zip(cells, tiles)), tuple(walkup))
 
 
 def cut_cornerless_ok(tiling: Tiling) -> bool:

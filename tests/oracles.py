@@ -7,7 +7,7 @@ and identical clause lists from the current code.
 
 from __future__ import annotations
 
-from ttr.chains import ChainGraph, _checked_direction, _edge_entry, _gray_side
+from ttr.chains import ARROW_TILE_TABLE, ChainGraph, _checked_direction, _gray_side
 from ttr.cnf import CNF, Clause
 from ttr.errors import ParseError, TilingError
 from ttr.grid import (
@@ -51,6 +51,33 @@ def maximal_runs(anchors: set[tuple[int, int]], min_len: int) -> list:
     if min_len < 2:
         raise ValueError(f"min_len must be >= 2, got {min_len}")
     return [run for run in runs(anchors) if run[2] >= min_len]
+
+
+def _edge_tile_table() -> dict:
+    """(dy, dx, r1 & 1, c1 & 1) -> (gray side, orientation, anchor row, anchor col offsets).
+
+    Keyed by the block step of an edge and the parities of its source block
+    (r1, c1); the anchor offsets are from the source block's top-left cell.
+    Moving an edge by an even block vector moves its flanks by a multiple of
+    4 cells, so these keys cover every edge between adjacent blocks.
+    """
+    table = {}
+    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        for pr in (0, 1):
+            for pc in (0, 1):
+                side = _gray_side(((pr, pc), (pr + dy, pc + dx)))
+                orient, (dr, dc) = ARROW_TILE_TABLE[((dy, dx), side)]
+                table[(dy, dx, pr, pc)] = (side, orient, dr, dc)
+    return table
+
+
+_EDGE_TILES = _edge_tile_table()
+
+
+def _edge_entry(edge):
+    """The parity-table entry of ``edge``; None unless it joins adjacent blocks."""
+    (r1, c1), (r2, c2) = edge
+    return _EDGE_TILES.get((r2 - r1, c2 - c1, r1 & 1, c1 & 1))
 
 
 def chain_to_tiling(graph: ChainGraph) -> Tiling:

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from ttr.errors import ParseError, ResourceLimitError, StructureError, TilingError
-from ttr.grid import Orientation, Rect, Tile, tile_cells
+from ttr.enumerator import enumerate_tilings
+from ttr.grid import PLACEMENT_ORDER, WALKUP_CLASSES, Orientation, Rect, Tile, placement_table, tile_cells
 from ttr.aps import enumerate_aps
 from ttr.chains import (
     ARROW_TILE_TABLE,
@@ -13,6 +14,7 @@ from ttr.chains import (
     antiblock_coloring,
     arrow_for_tile,
     build_chain_graph,
+    chain_table,
     chain_to_tiling,
     hv_enumerate,
     majority_minority,
@@ -168,6 +170,36 @@ def test_parity_table_matches_per_edge_derivation():
     assert inside == 2 * 4 * 5 + 2 * 3 * 6  # block steps inside the 4x6 block grid
 
 
+def test_walkup_placements_pair_with_block_steps():
+    """Walkup's pairing on every even rectangle up to 24x24, against ``reference_tile``."""
+    graphs = [build_chain_graph(t) for t in enumerate_tilings(Rect(8, 8), limit=5)]
+    for h in range(2, 25, 2):
+        for w in range(2, 25, 2):
+            rect = Rect(h, w)
+            rows, cols = h // 2, w // 2
+            steps = [
+                ((r, c), (r + dy, c + dx))
+                for r in range(rows)
+                for c in range(cols)
+                for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0))
+                if 0 <= r + dy < rows and 0 <= c + dx < cols
+            ]
+            tiles = placement_table(rect).tiles
+            walkup = [t for t in tiles if (t.orientation, t.row % 4, t.col % 4) in WALKUP_CLASSES]
+            paired = {reference_tile(rect, edge)[1]: edge for edge in steps}
+            assert len(paired) == len(steps) and set(paired) == set(walkup), rect
+            table = chain_table(rect)
+            assert len(table.edges) == len(table.tile_index) == len(steps)
+            for tile, edge in paired.items():
+                assert table.edges[PLACEMENT_ORDER(tile)] == edge
+                assert tiles[table.tile_index[edge]] == tile
+    # More than 32 other tables were built since these graphs: decoding still returns the live tiles.
+    live = {PLACEMENT_ORDER(t): t for t in placement_table(Rect(8, 8)).tiles}
+    for graph in graphs:
+        for t in chain_to_tiling(graph).tiles:
+            assert live[PLACEMENT_ORDER(t)] is t
+
+
 def test_chain_round_trip(corpus):
     for tiling in corpus[(4, 8)]:
         assert chain_to_tiling(build_chain_graph(tiling)) == tiling
@@ -251,6 +283,12 @@ def test_read_chain_edges_stay_in_the_block_grid(edge):
         read_chain(f"CHAIN 1\n4 6\n0 0 0 1\n{edge}\n")
     assert exc.value.line == 4
     assert read_chain("CHAIN 1\n4 6\n1 2 0 2\n").edges == {((1, 2), (0, 2))}
+
+
+def test_read_chain_rejects_a_repeated_edge():
+    with pytest.raises(ParseError) as exc:
+        read_chain("CHAIN 1\n4 4\n0 0 0 1\n0 1 1 1\n0 0 0 1\n")
+    assert exc.value.line == 5
 
 
 @pytest.mark.parametrize("dims", ["3 3", "3 4", "4 3"])

@@ -21,6 +21,7 @@ from ttr.cnf import (
     var_map_sidecar,
 )
 from ttr.cdcl import solve_clauses
+from ttr import dimacs
 
 
 def brute_force_placement_count(rect: Rect) -> int:
@@ -239,6 +240,25 @@ def test_dimacs_parse_errors():
         parse_dimacs("p cnf 2 1\n1 3 0\n")
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 2 5\n1 2 0\n")
+
+
+@pytest.mark.parametrize("text", ["p cnf x 2\n", "p cnf 2 x\n", "p cnf -2 1\n1 0\n", "p cnf 2 +1\n1 0\n"])
+def test_dimacs_counts_are_decimal(text):
+    with pytest.raises(ParseError) as exc:
+        parse_dimacs(text)
+    assert exc.value.line == 1 and "decimal" in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["p cnf x 2\n", "p cnf 2 1\n1 a 0\n", "p cnf -2 1\n1 0\n", None, b"\xff\n"])
+def test_dimacs_entry_point_reports_bad_input_in_one_line(tmp_path, capsys, text):
+    path = tmp_path / "in.cnf"
+    if isinstance(text, str):
+        path.write_text(text)
+    elif text is not None:
+        path.write_bytes(text)  # not UTF-8
+    assert dimacs.main([str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_var_map_sidecar_lines():

@@ -6,9 +6,9 @@ These tests pin the table's order against placements built one by one, the
 index view against the Walkup filter it replaced, object identity across
 the layers, the bound on the table cache, and the AP-blocking encoder's
 skipped anchor pairs against the loop that visited every pair.  The chain
-layer's lookups ride on the table, so they must follow a table that was
-evicted and built again, and chain decoding must raise what the per-edge
-decoder raised.
+layer's own table stores indices into the placement table, so chain
+decoding must return the tiles of a placement table that was evicted and
+built again, and it must raise what the per-edge decoder raised.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ttr.cdcl import solve_clauses
-from ttr.chains import ChainGraph, build_chain_graph, chain_to_tiling
+from ttr.chains import ChainGraph, build_chain_graph, chain_table, chain_to_tiling
 from ttr.cnf import PlacementIndex, add_ap_blocking, build_cnf, decode_model
 from ttr.decide import compute_T
 from ttr.enumerator import enumerate_tilings, placements
 from ttr.errors import StructureError, TilingError
-from ttr.grid import WALKUP_CLASSES, Rect, placement_table, read_tiling, tile_cells, write_tiling
+from ttr.grid import PLACEMENT_ORDER, WALKUP_CLASSES, Rect, placement_table, read_tiling, tile_cells, write_tiling
 
 SIDES = range(1, 25)
 
@@ -45,9 +45,8 @@ def test_table_fields_describe_each_tile():
         for tile, quad, walkup in zip(table.tiles, table.cells, table.walkup, strict=True):
             assert quad == tuple(sorted(r * w + c for r, c in tile_cells(tile)))
             assert table.by_cells[quad] is tile
-            assert table.by_anchor[(tile.orientation.index, tile.row, tile.col)] is tile
             assert walkup == ((tile.orientation, tile.row % 4, tile.col % 4) in WALKUP_CLASSES)
-        assert len(table.by_cells) == len(table.by_anchor) == len(table.tiles)
+        assert len(table.by_cells) == len(table.tiles)
 
 
 def test_placement_index_equals_the_walkup_filter():
@@ -62,11 +61,11 @@ def test_placement_index_equals_the_walkup_filter():
 
 def test_layers_return_the_tables_own_tiles():
     rect = Rect(8, 12)
-    interned = placement_table(rect).by_anchor
+    interned = {PLACEMENT_ORDER(t): t for t in placement_table(rect).tiles}
 
     def assert_interned(tiling):
         for t in tiling.tiles:
-            assert interned[(t.orientation.index, t.row, t.col)] is t
+            assert interned[PLACEMENT_ORDER(t)] is t
 
     tilings = list(enumerate_tilings(rect, limit=40))
     for tiling in tilings:
@@ -95,18 +94,19 @@ def test_chain_lookups_follow_the_live_table():
     tilings = list(enumerate_tilings(rect, limit=20))
     graphs = [build_chain_graph(t) for t in tilings]
     first = placement_table(rect)
+    chains = chain_table(rect)
     assert [chain_to_tiling(g) for g in graphs] == tilings
-    assert first.chain_edges and first.edge_tiles
     for n in range(1, 40):
         placement_table(Rect(2, n))  # more than the cache holds: the 8x12 table is evicted
     table = placement_table(rect)
-    assert table is not first and not table.edge_tiles
+    assert table is not first and chain_table(rect) is chains
+    interned = {PLACEMENT_ORDER(t): t for t in table.tiles}
     for tiling, graph in zip(tilings, graphs):
         assert build_chain_graph(tiling) == graph
         chained = chain_to_tiling(graph)
         assert chained == tiling
         for t in chained.tiles:
-            assert table.by_anchor[(t.orientation.index, t.row, t.col)] is t
+            assert interned[PLACEMENT_ORDER(t)] is t
 
 
 CHAIN_SOURCES = [
