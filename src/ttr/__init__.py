@@ -27,7 +27,6 @@ from .enumerator import count_tilings, enumerate_tilings, has_tiling, placements
 from .aps import APWitness, dxdy_class, enumerate_aps, longest_ap, mod4_class
 from .boundary import BoundaryCovering, boundary_forces, enumerate_boundary_coverings
 from .width4 import (
-    TwoColoring,
     UnitCatalog,
     ab_map,
     coloring_to_tiling,
@@ -83,7 +82,6 @@ __all__ = [
     "SolverVerdict",
     "Tile",
     "Tiling",
-    "TwoColoring",
     "UnitCatalog",
     "ValidityReport",
     "ab_map",

@@ -178,10 +178,6 @@ def clauses_to_dimacs(num_vars: int, clauses: Sequence[Clause]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dimacs(cnf: CNF) -> str:
-    return clauses_to_dimacs(cnf.num_vars, cnf.clauses)
-
-
 def var_map_sidecar(cnf: CNF) -> str:
     """One line per variable: ``<var> <orient-letter> <row> <col>``."""
     lines = [
@@ -212,10 +208,9 @@ def parse_dimacs(text: str) -> tuple[int, list[Clause]]:
         if num_vars is None:
             raise ParseError(ln, 1, "clause before problem line")
         for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(ln, 1, f"bad literal {tok!r}") from None
+            if not _is_decimal(tok.removeprefix("-")):
+                raise ParseError(ln, 1, f"bad literal {tok!r}")
+            lit = int(tok)
             if lit == 0:
                 clauses.append(tuple(pending))
                 pending = []

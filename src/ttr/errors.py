@@ -39,12 +39,12 @@ class LemmaViolationError(TtrError):
 
 
 class CatalogError(TtrError):
-    """Unit catalog too small for the tiling being decomposed."""
+    """A fault-free segment is longer than the unit catalog's bound."""
 
-    def __init__(self, required_length: int):
+    def __init__(self, required_length: int, max_len: int):
         super().__init__(
             f"tiling contains a fault-free segment of length {required_length}; "
-            f"extend the unit catalog to at least that length"
+            f"the unit catalog stops at MAX_UNIT_LEN = {max_len}"
         )
         self.required_length = required_length
 

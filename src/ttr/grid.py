@@ -8,8 +8,8 @@ anchor by the same vector.
 A :class:`Tiling` keeps its cell-to-tile map as one flat row-major list: the
 index of the tile covering cell (r, c) of an h x w rectangle sits at
 ``r * w + c``.  ``validate`` builds the list, and the readers (``owner_index``,
-``tile_at``, ``owner_row``, the corner count of the cut check, ``write_tiling``
-and the renderers) index it or slice one row at a time.
+``owner_row``, the corner count of the cut check, ``write_tiling`` and the
+renderers) index it or slice one row at a time.
 
 ``placement_table(rect)`` interns every placement that fits, once per
 rectangle in a bounded cache: the tiles in canonical placement order, their
@@ -71,11 +71,6 @@ class Tile:
     @property
     def anchor(self) -> Cell:
         return (self.row, self.col)
-
-    @property
-    def type_code(self) -> str:
-        """Two-character code: orientation letter plus 1-based top row."""
-        return f"{self.orientation.value}{self.row + 1}"
 
     def translated(self, dr: int, dc: int) -> "Tile":
         return Tile(self.orientation, self.row + dr, self.col + dc)
@@ -259,9 +254,6 @@ class Tiling:
         if 0 <= r < self.rect.height and 0 <= c < w:
             return self._owner[r * w + c]
         raise KeyError(cell)
-
-    def tile_at(self, cell: Cell) -> Tile:
-        return self.tiles[self.owner_index(cell)]
 
     def owner_row(self, r: int) -> list[int]:
         """The tile indices of row ``r``, left to right (a fresh list)."""

@@ -26,7 +26,7 @@ from . import cdcl
 from .errors import IndeterminateError, LemmaViolationError, SolverError, TilingError
 from .aps import longest_ap
 from .cnf import CNF, Clause, clauses_to_dimacs, decode_model
-from .grid import Tiling
+from .grid import Tiling, _is_decimal
 
 SOLVER_ENV_VAR = "TTR_SOLVER"
 
@@ -220,10 +220,9 @@ def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[
                 raise SolverError(f"unrecognized status line {line!r}")
         elif line.startswith("v ") or line == "v":
             for tok in line[1:].split():
-                try:
-                    values.append(int(tok))
-                except ValueError:
-                    raise SolverError(f"bad literal {tok!r} in value line") from None
+                if not _is_decimal(tok.removeprefix("-")):
+                    raise SolverError(f"bad literal {tok!r} in value line")
+                values.append(int(tok))
     if status is None:
         raise SolverError("solver output contained no 's' status line")
     if status is not SolverStatus.SAT:

@@ -5,16 +5,19 @@ AP pruning, independent of any SAT machinery so it can serve as an oracle.
 The 2D analogue asks for monochromatic APs of *cells* in a 2-colored grid,
 where steps range over all nonzero integer vectors (diagonal and knight-like
 steps included).
+
+:class:`GridColoring` is the package's one 2-coloring type.  A one-row
+coloring is also the A/B projection of a width-4 tiling (``ttr.width4``),
+with color 0 read as A and 1 as B, the letters of its ``TCOLOR`` text form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndeterminateError, ResourceLimitError, SolverError
-from .grid import Cell, Rect
+from .errors import IndeterminateError, ParseError, ResourceLimitError, SolverError
+from .grid import Cell, Rect, read_header
 from .solver import DecideResult, ScanResult, SearchConfig, SolverStatus, greatest_forced, run_sat
-from .width4 import read_tcolor, write_tcolor
 
 MAX_VDW_LEN = 4
 
@@ -30,14 +33,14 @@ def _has_ap_ending_at(colors: list[int], pos: int, l: int) -> bool:
 
 def vdw_number(l: int) -> int:
     """The least W such that every 2-coloring of {1..W} has a monochromatic l-AP."""
-    return len(extremal_coloring(l)) + 1
+    return extremal_coloring(l).width + 1
 
 
-def extremal_coloring(l: int) -> tuple[int, ...]:
-    """A 2-coloring of length W(2, l) - 1 with no monochromatic l-AP."""
+def extremal_coloring(l: int) -> GridColoring:
+    """A one-row 2-coloring of length W(2, l) - 1 with no monochromatic l-AP."""
     if l < 2 or l > MAX_VDW_LEN:
         raise ResourceLimitError(f"l must be in 2..{MAX_VDW_LEN}, got {l}")
-    return _longest_apfree_length(l)
+    return GridColoring((_longest_apfree_length(l),))
 
 
 def _longest_apfree_length(l: int) -> tuple[int, ...]:
@@ -62,9 +65,18 @@ def _longest_apfree_length(l: int) -> tuple[int, ...]:
     return best
 
 
+# TCOLOR text format
+#
+#   line 1:       TCOLOR 1
+#   line 2:       <h> <w>
+#   lines 3..h+2: w characters from {A, B}; A is color 0, B is color 1
+
+TCOLOR_MAGIC = "TCOLOR 1"
+
+
 @dataclass(frozen=True)
 class GridColoring:
-    """An h x w grid of colors 0/1."""
+    """An h x w grid of colors 0/1; ``str`` gives its rows over {A, B}, 0 as A."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -95,13 +107,25 @@ class GridColoring:
     def color(self, cell: Cell) -> int:
         return self.rows[cell[0]][cell[1]]
 
+    def __str__(self) -> str:
+        return "\n".join("".join("AB"[c] for c in row) for row in self.rows)
+
     def to_tcolor(self) -> str:
-        return write_tcolor(["".join("AB"[c] for c in row) for row in self.rows])
+        return f"{TCOLOR_MAGIC}\n{self.height} {self.width}\n{self}\n"
 
     @classmethod
     def from_tcolor(cls, data: str | bytes) -> "GridColoring":
-        rows = read_tcolor(data)
-        return cls(tuple(tuple(0 if ch == "A" else 1 for ch in row) for row in rows))
+        """Parse TCOLOR; errors name the line and column of the first bad row or color."""
+        h, w, body = read_header(data, TCOLOR_MAGIC)
+        if len(body) != h:  # report the first missing or the first extra line
+            raise ParseError(min(len(body), h) + 3, 1, f"expected {h} rows, found {len(body)}")
+        for r, row in enumerate(body):
+            if len(row) != w:
+                raise ParseError(3 + r, 1, f"expected {w} characters, found {len(row)}")
+            for c, ch in enumerate(row):
+                if ch not in "AB":
+                    raise ParseError(3 + r, c + 1, f"bad color {ch!r} (want A or B)")
+        return cls(tuple(tuple(0 if ch == "A" else 1 for ch in row) for row in body))
 
 
 @dataclass(frozen=True)

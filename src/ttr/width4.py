@@ -2,14 +2,18 @@
 
 Every tiling of a height-4 strip splits at its vertical fault lines into
 indecomposable *units*.  There are exactly two units of each length (verified
-exhaustively up to the catalog bound): one whose first column matches unit A
-(a single R tile over rows 1-3 plus the stem of a U), one matching unit B
-(a D bar cell above an R tile).  Replacing each unit by a run of A's or B's
-according to that first column is the A/B projection; it fixes every d1 tile,
-which is what makes the projection preserve the existence of long APs.
+exhaustively up to the catalog bound ``MAX_UNIT_LEN``): one whose first column
+matches unit A (a single R tile over rows 1-3 plus the stem of a U), one
+matching unit B (a D bar cell above an R tile).  Replacing each unit by a run
+of A's or B's according to that first column is the A/B projection; it fixes
+every d1 tile, which is what makes the projection preserve the existence of
+long APs.
 
-``decompose`` and ``concatenate`` called without a catalog share one default
-catalog (every unit up to ``MAX_UNIT_LEN``), built once per process.
+A strip made of A and B units only is a one-row :class:`~ttr.vdw.GridColoring`
+(color 0 for A, 1 for B), so 4xN tilings without an l-term AP correspond to
+2-colorings without a monochromatic l-term AP.  ``decompose`` and
+``concatenate`` share one catalog of every unit up to ``MAX_UNIT_LEN``, built
+once per process.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ from __future__ import annotations
 import functools
 import string
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import CatalogError, ParseError, ResourceLimitError, StructureError
+from .errors import CatalogError, ResourceLimitError, StructureError
 from .enumerator import enumerate_tilings
-from .grid import TILING_ORDER, Orientation, Rect, Tile, Tiling, read_header, tile_cells
+from .grid import TILING_ORDER, Orientation, Rect, Tile, Tiling, tile_cells
 from .aps import has_ap_of_length, maximal_runs
+from .vdw import GridColoring
 
 UNIT_A_TILES: tuple[Tile, ...] = (
     Tile(Orientation.R, 0, 0),
@@ -60,34 +65,6 @@ class UnitString:
         return sum(self.lengths)
 
 
-@dataclass(frozen=True)
-class TwoColoring:
-    """A sequence over {A, B}; position i maps to the unit at columns 4i..4i+3."""
-
-    colors: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.colors:
-            raise ValueError("coloring must be nonempty")
-        bad = set(self.colors) - {"A", "B"}
-        if bad:
-            raise ValueError(f"colors must be 'A' or 'B', got {sorted(bad)}")
-
-    @classmethod
-    def from_string(cls, s: str) -> "TwoColoring":
-        return cls(tuple(s))
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "TwoColoring":
-        return cls(tuple("A" if b == 0 else "B" for b in bits))
-
-    def __str__(self) -> str:
-        return "".join(self.colors)
-
-    def __len__(self) -> int:
-        return len(self.colors)
-
-
 def _first_col_signature(tiles: Sequence[Tile]) -> frozenset[Tile]:
     """The tiles touching the leftmost column, translated so that column is 0."""
     min_col = min(c for t in tiles for _, c in tile_cells(t))
@@ -118,8 +95,8 @@ def fault_columns(tiling: Tiling) -> list[int]:
     return [x for x in range(1, tiling.rect.width) if not crossed[x]]
 
 
-def _segments(tiling: Tiling) -> list[tuple[int, tuple[Tile, ...]]]:
-    """Split at fault lines; yields (start column, tiles translated to column 0)."""
+def _segments(tiling: Tiling) -> list[tuple[int, int, tuple[Tile, ...]]]:
+    """Split at fault lines; yields (start column, width, tiles translated to column 0)."""
     if tiling.rect.height != 4:
         raise ValueError(f"expected a height-4 tiling, got {tiling.rect}")
     cuts = [0] + fault_columns(tiling) + [tiling.rect.width]
@@ -131,7 +108,7 @@ def _segments(tiling: Tiling) -> list[tuple[int, tuple[Tile, ...]]]:
                 key=TILING_ORDER,
             )
         )
-        out.append((left, seg))
+        out.append((left, right - left, seg))
     return out
 
 
@@ -167,11 +144,10 @@ def enumerate_units(max_len: int) -> list[Unit]:
 
 
 class UnitCatalog:
-    """Lookup from tile sets to named units."""
+    """Lookup from tile sets to named units, every unit up to ``MAX_UNIT_LEN``."""
 
-    def __init__(self, max_len: int = MAX_UNIT_LEN):
-        self.max_len = max_len
-        self.units = enumerate_units(max_len)
+    def __init__(self):
+        self.units = enumerate_units(MAX_UNIT_LEN)
         self._by_tiles = {u.tiles: u for u in self.units}
         self._by_kind = {u.kind: u for u in self.units}
 
@@ -184,32 +160,31 @@ class UnitCatalog:
 
 @functools.cache
 def _default_catalog() -> UnitCatalog:
-    """The full catalog, built on first use; units are immutable, so it is shared."""
+    """The catalog, built on first use; units are immutable, so it is shared."""
     return UnitCatalog()
 
 
-def decompose(tiling: Tiling, catalog: UnitCatalog | None = None) -> UnitString:
+def decompose(tiling: Tiling) -> UnitString:
     """Express a height-4 tiling as a concatenation of catalog units.
 
-    Raises :class:`CatalogError` if a fault-free segment is longer than the
-    catalog covers, reporting the required length.
+    Raises :class:`CatalogError` if a fault-free segment is longer than
+    ``MAX_UNIT_LEN``, reporting its length.
     """
-    catalog = catalog or _default_catalog()
+    catalog = _default_catalog()
     kinds: list[str] = []
     lengths: list[int] = []
-    for left, seg in _segments(tiling):
+    for _left, width, seg in _segments(tiling):
         unit = catalog.lookup(seg)
         if unit is None:
-            width = max(t.col for t in seg) + 2 - min(t.col for t in seg)
-            raise CatalogError(required_length=max(width, catalog.max_len + 4))
+            raise CatalogError(required_length=width, max_len=MAX_UNIT_LEN)
         kinds.append(unit.kind)
         lengths.append(unit.length)
     return UnitString(tuple(kinds), tuple(lengths))
 
 
-def concatenate(kinds: Sequence[str], catalog: UnitCatalog | None = None) -> Tiling:
+def concatenate(kinds: Sequence[str]) -> Tiling:
     """Inverse of :func:`decompose`: lay out the named units left to right."""
-    catalog = catalog or _default_catalog()
+    catalog = _default_catalog()
     tiles: list[Tile] = []
     col = 0
     for kind in kinds:
@@ -226,8 +201,7 @@ def ab_map(tiling: Tiling) -> Tiling:
     both of which the test suite checks exhaustively at desk scale.
     """
     tiles: list[Tile] = []
-    for left, seg in _segments(tiling):
-        width = max(c for t in seg for _, c in tile_cells(t)) + 1
+    for left, width, seg in _segments(tiling):
         source = UNIT_A_TILES if first_column_class(seg) == "A" else UNIT_B_TILES
         for block in range(width // 4):
             tiles.extend(t.translated(0, left + 4 * block) for t in source)
@@ -255,32 +229,28 @@ def d1_equiv_check(tiling: Tiling, l: int) -> tuple[bool, bool]:
     return any_ap, d1_ap
 
 
-def coloring_to_tiling(coloring: TwoColoring) -> Tiling:
-    """Lay out unit A or B per color; inverse of :func:`tiling_to_coloring`."""
-    tiles: list[Tile] = []
-    for i, color in enumerate(coloring.colors):
-        source = UNIT_A_TILES if color == "A" else UNIT_B_TILES
-        tiles.extend(t.translated(0, 4 * i) for t in source)
-    return Tiling(Rect(4, 4 * len(coloring)), tiles)
+def coloring_to_tiling(coloring: GridColoring) -> Tiling:
+    """Lay out unit A (color 0) or B (color 1) per cell of a one-row coloring.
+
+    The inverse of :func:`tiling_to_coloring`; more than one row is a ``ValueError``.
+    """
+    if coloring.height != 1:
+        raise ValueError(f"expected a one-row coloring, got {coloring.height} rows")
+    return concatenate(str(coloring))
 
 
-def tiling_to_coloring(tiling: Tiling) -> TwoColoring:
-    """Read off the A/B sequence of a tiling made of A and B units only."""
-    a_set, b_set = set(UNIT_A_TILES), set(UNIT_B_TILES)
-    colors: list[str] = []
-    for _left, seg in _segments(tiling):
-        seg_set = set(seg)
-        if seg_set == a_set:
-            colors.append("A")
-        elif seg_set == b_set:
-            colors.append("B")
-        else:
+def tiling_to_coloring(tiling: Tiling) -> GridColoring:
+    """Read off the one-row coloring (A = 0, B = 1) of a tiling made of A and B units only."""
+    colors: list[int] = []
+    for _left, _width, seg in _segments(tiling):
+        if seg not in (UNIT_A_TILES, UNIT_B_TILES):
             raise StructureError("tiling contains a unit other than A or B")
-    return TwoColoring(tuple(colors))
+        colors.append(int(seg == UNIT_B_TILES))
+    return GridColoring((tuple(colors),))
 
 
-def stack_rows(coloring: TwoColoring, k: int) -> Tiling:
-    """k vertically stacked copies of the strip tiling of ``coloring``."""
+def stack_rows(coloring: GridColoring, k: int) -> Tiling:
+    """k vertically stacked copies of the strip tiling of a one-row ``coloring``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     strip = coloring_to_tiling(coloring)
@@ -288,48 +258,3 @@ def stack_rows(coloring: TwoColoring, k: int) -> Tiling:
     for j in range(k):
         tiles.extend(t.translated(4 * j, 0) for t in strip.tiles)
     return Tiling(Rect(4 * k, strip.rect.width), tiles)
-
-
-# --------------------------------------------------------------------------
-# TCOLOR text format
-#
-#   line 1:       TCOLOR 1
-#   line 2:       <h> <w>
-#   lines 3..h+2: w characters from {A, B}
-
-TCOLOR_MAGIC = "TCOLOR 1"
-
-
-def write_tcolor(rows: Sequence[str]) -> str:
-    h = len(rows)
-    w = len(rows[0]) if rows else 0
-    lines = [TCOLOR_MAGIC, f"{h} {w}"]
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
-
-
-def read_tcolor(data: str | bytes) -> list[str]:
-    """Parse TCOLOR; returns the rows as strings over {A, B}."""
-    h, w, body = read_header(data, TCOLOR_MAGIC)
-    if len(body) != h:  # report the first missing or the first extra line
-        raise ParseError(min(len(body), h) + 3, 1, f"expected {h} rows, found {len(body)}")
-    rows = []
-    for r, row in enumerate(body):
-        if len(row) != w:
-            raise ParseError(3 + r, 1, f"expected {w} characters, found {len(row)}")
-        for c, ch in enumerate(row):
-            if ch not in "AB":
-                raise ParseError(3 + r, c + 1, f"bad color {ch!r} (want A or B)")
-        rows.append(row)
-    return rows
-
-
-def coloring_to_tcolor(coloring: TwoColoring) -> str:
-    return write_tcolor([str(coloring)])
-
-
-def tcolor_to_coloring(data: str | bytes) -> TwoColoring:
-    rows = read_tcolor(data)
-    if len(rows) != 1:
-        raise ParseError(2, 1, f"expected a 1-row coloring, got {len(rows)} rows")
-    return TwoColoring.from_string(rows[0])

@@ -56,7 +56,7 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def catalog():
-    return UnitCatalog(16)
+    return UnitCatalog()
 
 
 @pytest.fixture()

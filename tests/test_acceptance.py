@@ -19,7 +19,7 @@ from ttr.decide import decide_forces
 from ttr.cli import main
 from ttr.solver import SearchConfig, SolverStatus, solve
 from ttr.vdw import compute_Lvdw, grid_mono_ap, GridColoring, vdw_number
-from ttr.width4 import TwoColoring, ab_map, d1_equiv_check, d1_tiles, stack_rows
+from ttr.width4 import ab_map, d1_equiv_check, d1_tiles, stack_rows
 from ttr.vdw import extremal_coloring
 
 from conftest import PINWHEEL_A, PINWHEEL_B
@@ -79,7 +79,7 @@ def test_criterion_06_width8_threshold():
     assert forced.forced is True
     assert time.monotonic() - start < 600
 
-    stacked = stack_rows(TwoColoring.from_bits(extremal_coloring(3)), 2)
+    stacked = stack_rows(extremal_coloring(3), 2)
     result = decide_forces(8, 32, 3, witness_hint=stacked)
     assert result.forced is False
     assert result.method == "hint"

@@ -17,7 +17,6 @@ from ttr.cnf import (
     clauses_to_dimacs,
     decode_model,
     parse_dimacs,
-    to_dimacs,
     var_map_sidecar,
 )
 from ttr.cdcl import solve_clauses
@@ -227,7 +226,7 @@ def test_rot180_clauses_equal_the_tile_lookup(h, w):
 
 def test_dimacs_round_trip():
     cnf = add_ap_blocking(build_cnf(Rect(4, 8)), 3)
-    text = "c generated for a test\n" + to_dimacs(cnf)
+    text = "c generated for a test\n" + clauses_to_dimacs(cnf.num_vars, cnf.clauses)
     num_vars, clauses = parse_dimacs(text)
     assert num_vars == cnf.num_vars
     assert [tuple(c) for c in clauses] == list(cnf.clauses)
@@ -259,6 +258,19 @@ def test_dimacs_entry_point_reports_bad_input_in_one_line(tmp_path, capsys, text
     assert dimacs.main([str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("token", ["+2", "1_0", "\u0663", "\u00b2", "1.0", "x", "--1"])
+def test_dimacs_literals_are_signed_ascii_decimal(tmp_path, capsys, token):
+    text = f"p cnf 10 1\n1 {token} 0\n"
+    with pytest.raises(ParseError) as exc:
+        parse_dimacs(text)
+    assert exc.value.line == 2 and str(exc.value).endswith(f"bad literal {token!r}")
+    path = tmp_path / "in.cnf"
+    path.write_text(text, encoding="utf-8")
+    assert dimacs.main([str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and repr(token) in err
 
 
 def test_var_map_sidecar_lines():

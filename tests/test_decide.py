@@ -9,8 +9,8 @@ from ttr.decide import compute_L, compute_T, decide_forces, _completes_ap, _deci
 from ttr.enumerator import frontier_search, placements
 from ttr.cnf import add_ap_blocking, build_cnf
 from ttr.solver import SearchConfig, SolverStatus, solve
-from ttr.vdw import extremal_coloring
-from ttr.width4 import TwoColoring, stack_rows
+from ttr.vdw import GridColoring, extremal_coloring
+from ttr.width4 import stack_rows
 
 
 def test_forced_at_width4_length36():
@@ -32,23 +32,19 @@ def test_small_pair_decisions_cross_checked():
     assert decide_forces(8, 8, 3).forced is False
 
 
-def test_engines_agree_without_builtin_cross_check():
-    # The SAT route alone (decide_forces would add its own cross-check) against the enumeration oracle.
-    for h, w, l in [(4, 8, 2), (4, 12, 3), (8, 8, 2), (4, 16, 3)]:
-        sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).status is SolverStatus.UNSAT
-        assert sat_forced == _decide_by_enumeration(h, w, l).forced
-
-
 def test_oracle_agreement_every_rect_up_to_96_cells():
-    # decide_forces cross-checks the SAT answer against the pruned enumerator
-    # internally (raising on disagreement), so invoking it over every small
-    # rectangle and l in {2, 3} is the full dual-route sweep.
+    # The SAT route alone against the enumeration oracle, with no help from
+    # decide_forces: every tileable rectangle of at most 96 cells, l in {2, 3, 4}.
+    questions = 0
     for h in range(4, 25, 4):
         for w in range(4, 25, 4):
             if h * w > 96:
                 continue
-            for l in (2, 3):
-                decide_forces(h, w, l)
+            for l in (2, 3, 4):
+                sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).status is SolverStatus.UNSAT
+                assert sat_forced == _decide_by_enumeration(h, w, l).forced, (h, w, l)
+                questions += 1
+    assert questions == 3 * 14
 
 
 def test_determinism_of_witnesses():
@@ -70,7 +66,7 @@ def test_apfree_enumeration_prunes_correctly(corpus):
 
 
 def test_witness_hint_short_circuits():
-    hint = stack_rows(TwoColoring.from_bits(extremal_coloring(3)), 2)
+    hint = stack_rows(extremal_coloring(3), 2)
     result = decide_forces(8, 32, 3, witness_hint=hint)
     assert result.forced is False
     assert result.method == "hint"
@@ -78,7 +74,7 @@ def test_witness_hint_short_circuits():
 
 
 def test_bad_witness_hint_falls_through():
-    bad = stack_rows(TwoColoring.from_string("A" * 8), 2)  # full of APs
+    bad = stack_rows(GridColoring(((0,) * 8,)), 2)  # full of APs
     result = decide_forces(8, 32, 3, witness_hint=bad)
     assert result.method == "sat"
     assert result.forced is False
@@ -90,7 +86,7 @@ def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         decide_forces(4, 8, 1)
     with pytest.raises(ValueError):
-        decide_forces(8, 32, 3, witness_hint=stack_rows(TwoColoring.from_string("AB"), 2))
+        decide_forces(8, 32, 3, witness_hint=stack_rows(GridColoring(((0, 1),)), 2))
 
 
 def test_budget_exhaustion_is_explicit():

@@ -27,7 +27,7 @@ from ttr.grid import (
     validate,
     write_tiling,
 )
-from ttr.width4 import read_tcolor, write_tcolor
+from ttr.vdw import GridColoring
 
 from conftest import PINWHEEL_A, PINWHEEL_B
 
@@ -59,12 +59,6 @@ def test_tile_cells_always_a_t_shape():
                 (stem,) = [cc for cc in cells if cc[1] != bar_col]
                 assert [b[0] for b in bar] == list(range(bar[0][0], bar[0][0] + 3))
                 assert stem[0] == bar[1][0]
-
-
-def test_type_codes_use_one_based_top_row():
-    assert Tile(Orientation.D, 0, 5).type_code == "d1"
-    assert Tile(Orientation.U, 2, 0).type_code == "u3"
-    assert Tile(Orientation.R, 1, 0).type_code == "r2"
 
 
 def brute_force_cover_check(rect: Rect, tiles) -> bool:
@@ -177,8 +171,6 @@ def test_owner_index_and_tile_at_reject_cells_outside(cell):
     tiling = Tiling(Rect(4, 8), PINWHEEL_A + tuple(t.translated(0, 4) for t in PINWHEEL_B))
     with pytest.raises(KeyError):
         tiling.owner_index(cell)
-    with pytest.raises(KeyError):
-        tiling.tile_at(cell)
 
 
 def test_owner_row_and_anchor_groups(corpus):
@@ -442,7 +434,7 @@ def test_read_tiling_accepts_bytes(pinwheel_b):
 # One valid file per text format that shares the header rules, with its reader.
 HEADER_FORMATS = {
     "TTILING": (read_tiling, write_tiling(Tiling(Rect(4, 4), PINWHEEL_A))),
-    "TCOLOR": (read_tcolor, write_tcolor(["ABBA", "BAAB"])),
+    "TCOLOR": (GridColoring.from_tcolor, GridColoring(((0, 1, 1, 0), (1, 0, 0, 1))).to_tcolor()),
     "CHAIN": (read_chain, write_chain(build_chain_graph(Tiling(Rect(4, 4), PINWHEEL_B)))),
 }
 

@@ -42,6 +42,13 @@ def test_parse_solver_output_rejects_garbage():
         parse_solver_output("s SATISFIABLE\nv 1 5 0\n", 2)  # out of range
 
 
+@pytest.mark.parametrize("token", ["+2", "1_0", "\u0663", "\u00b2", "1.0", "x", "--1"])
+def test_value_lines_take_signed_ascii_decimal_literals(token):
+    with pytest.raises(SolverError) as exc:
+        parse_solver_output(f"s SATISFIABLE\nv 1 {token} 0\n", 2)
+    assert repr(token) in str(exc.value)
+
+
 def test_internal_engine_solves_and_reverifies():
     cnf = add_ap_blocking(build_cnf(Rect(4, 8)), 3)
     verdict = solve(cnf, SearchConfig())

@@ -25,9 +25,8 @@ def test_vdw_values():
 def test_extremal_colorings_verify():
     for l in (2, 3, 4):
         coloring = extremal_coloring(l)
-        assert len(coloring) == vdw_number(l) - 1
-        grid = GridColoring((coloring,))
-        assert grid_mono_ap(grid, l) is None
+        assert (coloring.height, coloring.width) == (1, vdw_number(l) - 1)
+        assert grid_mono_ap(coloring, l) is None
 
 
 def test_vdw_guards():

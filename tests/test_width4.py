@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ttr import width4
-from ttr.errors import CatalogError, ParseError, StructureError
+from ttr.errors import CatalogError, ParseError, ResourceLimitError, StructureError
 from ttr.grid import Orientation, Rect
 from ttr.aps import has_ap_of_length, longest_ap
+from ttr.enumerator import enumerate_tilings
 from ttr.width4 import (
-    TwoColoring,
+    MAX_UNIT_LEN,
     UNIT_A_TILES,
     UNIT_B_TILES,
-    UnitCatalog,
     ab_map,
     coloring_to_tiling,
     concatenate,
@@ -20,14 +20,15 @@ from ttr.width4 import (
     decompose,
     enumerate_units,
     first_column_class,
-    read_tcolor,
     stack_rows,
-    tcolor_to_coloring,
-    coloring_to_tcolor,
     tiling_to_coloring,
-    write_tcolor,
 )
-from ttr.vdw import extremal_coloring
+from ttr.vdw import GridColoring, extremal_coloring, grid_mono_ap
+
+
+def strip(colors: str) -> GridColoring:
+    """The one-row coloring spelled in A/B letters."""
+    return GridColoring((tuple("AB".index(ch) for ch in colors),))
 
 
 def test_exactly_two_units_of_length_four():
@@ -58,16 +59,16 @@ def test_two_units_per_length_up_to_16(catalog):
     assert lengths == [4, 4, 8, 8, 12, 12, 16, 16]
 
 
-def test_decompose_single_units(catalog, pinwheel_a):
-    assert decompose(pinwheel_a, catalog).kinds == ("A",)
-    ab = concatenate(["A", "B"], catalog)
-    assert decompose(ab, catalog).kinds == ("A", "B")
+def test_decompose_single_units(pinwheel_a):
+    assert decompose(pinwheel_a).kinds == ("A",)
+    ab = concatenate(["A", "B"])
+    assert decompose(ab).kinds == ("A", "B")
 
 
-def test_decompose_concatenate_round_trip(catalog, corpus):
+def test_decompose_concatenate_round_trip(corpus):
     for tiling in corpus[(4, 12)]:
-        us = decompose(tiling, catalog)
-        assert concatenate(us.kinds, catalog) == tiling
+        us = decompose(tiling)
+        assert concatenate(us.kinds) == tiling
         assert us.total_length == 12
 
 
@@ -89,26 +90,31 @@ def test_default_catalog_is_built_once(monkeypatch, corpus):
     assert calls == [16]
 
 
-def test_decompose_catalog_too_small(corpus):
-    small = UnitCatalog(4)
-    fault_free_8 = [t for t in corpus[(4, 8)] if len(decompose(t, UnitCatalog(8)).kinds) == 1]
-    assert fault_free_8
-    with pytest.raises(CatalogError) as exc:
-        decompose(fault_free_8[0], small)
-    assert exc.value.required_length >= 8
+def test_decompose_catalog_too_small():
+    # The two fault-free tilings of 4x20 are units one step past the catalog.
+    length = MAX_UNIT_LEN + 4
+    fault_free = [t for t in enumerate_tilings(Rect(4, length)) if not width4.fault_columns(t)]
+    assert len(fault_free) == 2
+    for tiling in fault_free:
+        with pytest.raises(CatalogError) as exc:
+            decompose(tiling)
+        assert exc.value.required_length == length
+        assert f"MAX_UNIT_LEN = {MAX_UNIT_LEN}" in str(exc.value)
+    with pytest.raises(ResourceLimitError):
+        enumerate_units(length)
 
 
-def test_ab_map_fixes_ab_tilings(catalog):
-    ab = concatenate(["A", "B"], catalog)
+def test_ab_map_fixes_ab_tilings():
+    ab = concatenate(["A", "B"])
     assert ab_map(ab) == ab
 
 
-def test_ab_map_replaces_length8_unit_by_aa(catalog):
-    c_unit = concatenate(["C"], catalog)
+def test_ab_map_replaces_length8_unit_by_aa():
+    c_unit = concatenate(["C"])
     assert first_column_class(c_unit.tiles) == "A"
-    assert ab_map(c_unit) == concatenate(["A", "A"], catalog)
-    f_unit = concatenate(["F"], catalog)
-    assert ab_map(f_unit) == concatenate(["B", "B", "B"], catalog)
+    assert ab_map(c_unit) == concatenate(["A", "A"])
+    f_unit = concatenate(["F"])
+    assert ab_map(f_unit) == concatenate(["B", "B", "B"])
 
 
 def test_ab_map_idempotent_and_fixes_d1(corpus):
@@ -130,41 +136,64 @@ def test_d1_lemma_on_4x16(corpus):
 
 
 def test_d1_equiv_on_constructions():
-    nine_a = coloring_to_tiling(TwoColoring.from_string("A" * 9))
+    nine_a = coloring_to_tiling(strip("A" * 9))
     assert d1_equiv_check(nine_a, 3) == (True, True)
-    apfree = TwoColoring.from_bits(extremal_coloring(3))
-    strip = coloring_to_tiling(apfree)
-    assert strip.rect == Rect(4, 32)
-    assert d1_equiv_check(strip, 3) == (False, False)
+    apfree = coloring_to_tiling(extremal_coloring(3))
+    assert apfree.rect == Rect(4, 32)
+    assert d1_equiv_check(apfree, 3) == (False, False)
 
 
 def test_coloring_round_trips():
-    single = TwoColoring.from_string("A")
+    single = strip("A")
     assert tiling_to_coloring(coloring_to_tiling(single)) == single
-    ab = TwoColoring.from_string("AB")
+    ab = strip("AB")
     tiling = coloring_to_tiling(ab)
     assert tiling.rect == Rect(4, 8)
     assert tiling_to_coloring(tiling) == ab
+    assert str(tiling_to_coloring(tiling)) == "AB"
 
 
 @given(st.text(alphabet="AB", min_size=1, max_size=10))
 def test_coloring_round_trip_random(s):
-    c = TwoColoring.from_string(s)
+    c = strip(s)
     assert tiling_to_coloring(coloring_to_tiling(c)) == c
+    assert str(c) == s
 
 
-def test_tiling_to_coloring_rejects_other_units(catalog):
+def test_colorings_of_two_rows_are_rejected():
+    two_rows = GridColoring(((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="one-row"):
+        coloring_to_tiling(two_rows)
+    with pytest.raises(ValueError, match="one-row"):
+        stack_rows(two_rows, 2)
+
+
+def test_reduction_to_monochromatic_aps():
+    # A 4xN tiling has an l-term AP exactly when its projection's coloring has
+    # a monochromatic l-term AP: T(4, l) = 4 * W(2, l) through one coloring type.
+    checks = 0
+    for n in range(4, 25, 4):
+        for tiling in enumerate_tilings(Rect(4, n)):
+            coloring = tiling_to_coloring(ab_map(tiling))
+            assert coloring.width == n // 4
+            for l in (3, 4):
+                assert has_ap_of_length(tiling, l) == (grid_mono_ap(coloring, l) is not None), (tiling, l)
+                checks += 1
+    assert checks == 2 * (2 + 6 + 18 + 54 + 162 + 486)
+
+
+def test_tiling_to_coloring_rejects_other_units():
     with pytest.raises(StructureError):
-        tiling_to_coloring(concatenate(["C"], catalog))
+        tiling_to_coloring(concatenate(["C"]))
 
 
 def test_stack_rows_small():
-    stacked = stack_rows(TwoColoring.from_string("AB"), 2)
+    stacked = stack_rows(strip("AB"), 2)
     assert stacked.rect == Rect(8, 8)
 
 
 def test_stacked_apfree_rows_have_no_triple():
-    apfree = TwoColoring.from_bits(extremal_coloring(3))
+    apfree = extremal_coloring(3)
     double = stack_rows(apfree, 2)
     assert double.rect == Rect(8, 32)
     assert longest_ap(double).length == 2
@@ -173,31 +202,36 @@ def test_stacked_apfree_rows_have_no_triple():
 def test_three_stacked_rows_top_out_at_vertical_triples():
     # Three identical rows admit vertical 3-term APs (step (4, 0)) but nothing
     # longer, which is what the stacked construction needs for lengths > 3.
-    apfree = TwoColoring.from_bits(extremal_coloring(3))
+    apfree = extremal_coloring(3)
     triple = stack_rows(apfree, 3)
     assert triple.rect == Rect(12, 32)
     best = longest_ap(triple)
     assert best.length == 3
     assert best.step == (4, 0)
-    quad = stack_rows(TwoColoring.from_bits(extremal_coloring(4)), 4)
+    quad = stack_rows(extremal_coloring(4), 4)
     assert quad.rect == Rect(16, 136)
     assert longest_ap(quad).length == 4
 
 
 def test_tcolor_round_trip():
-    text = write_tcolor(["ABBA"])
+    c = strip("ABBA")
+    text = c.to_tcolor()
     assert text == "TCOLOR 1\n1 4\nABBA\n"
-    assert read_tcolor(text) == ["ABBA"]
-    c = TwoColoring.from_string("ABBA")
-    assert tcolor_to_coloring(coloring_to_tcolor(c)) == c
+    assert GridColoring.from_tcolor(text) == c
+    assert tiling_to_coloring(coloring_to_tiling(c)).to_tcolor() == text
 
 
 def test_tcolor_errors():
     with pytest.raises(ParseError):
-        read_tcolor("TCOLOR 2\n1 1\nA\n")
+        GridColoring.from_tcolor("TCOLOR 2\n1 1\nA\n")
     with pytest.raises(ParseError) as exc:
-        read_tcolor("TCOLOR 1\n1 3\nABX\n")
+        GridColoring.from_tcolor("TCOLOR 1\n1 3\nABX\n")
     assert (exc.value.line, exc.value.column) == (3, 3)
+    assert str(exc.value) == "line 3, column 3: bad color 'X' (want A or B)"
     with pytest.raises(ParseError) as exc:
-        read_tcolor("TCOLOR 1\n1 2\nAB\nAB\nAB\n")  # the first extra row is line 4
+        GridColoring.from_tcolor("TCOLOR 1\n1 2\nAB\nAB\nAB\n")  # the first extra row is line 4
     assert (exc.value.line, exc.value.column) == (4, 1)
+    assert str(exc.value) == "line 4, column 1: expected 1 rows, found 3"
+    with pytest.raises(ParseError) as exc:
+        GridColoring.from_tcolor("TCOLOR 1\n2 2\nAB\nABA\n")
+    assert str(exc.value) == "line 4, column 1: expected 2 characters, found 3"
