@@ -32,6 +32,13 @@ def test_small_pair_decisions_cross_checked():
     assert decide_forces(8, 8, 3).forced is False
 
 
+def test_engines_agree_without_builtin_cross_check():
+    # The SAT route alone (decide_forces would add its own cross-check) against the enumeration oracle.
+    for h, w, l in [(4, 8, 2), (4, 12, 3), (8, 8, 2), (4, 16, 3)]:
+        sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).status is SolverStatus.UNSAT
+        assert sat_forced == _decide_by_enumeration(h, w, l).forced
+
+
 def test_oracle_agreement_every_rect_up_to_96_cells():
     # The SAT route alone against the enumeration oracle, with no help from
     # decide_forces: every tileable rectangle of at most 96 cells, l in {2, 3, 4}.
