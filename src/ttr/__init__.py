@@ -27,7 +27,6 @@ from .enumerator import count_tilings, enumerate_tilings, has_tiling, placements
 from .aps import APWitness, dxdy_class, enumerate_aps, longest_ap, mod4_class
 from .boundary import BoundaryCovering, boundary_forces, enumerate_boundary_coverings
 from .width4 import (
-    UnitCatalog,
     ab_map,
     coloring_to_tiling,
     d1_equiv_check,
@@ -48,7 +47,7 @@ from .chains import (
     tile_for_arrow,
 )
 from .cnf import CNF, PlacementIndex, add_ap_blocking, add_rot180_symmetry, build_cnf
-from .solver import DecideResult, ScanResult, SearchConfig, SolverVerdict, SolverStatus, solve
+from .solver import DecideResult, ScanResult, SearchConfig, SolverStatus, solve
 from .decide import compute_L, compute_T, decide_forces
 from .vdw import (
     GridAP,
@@ -58,7 +57,7 @@ from .vdw import (
     grid_mono_ap,
     vdw_number,
 )
-from .render import RenderOptions, render
+from .render import render_ascii, render_svg
 
 __version__ = "0.1.0"
 
@@ -74,15 +73,12 @@ __all__ = [
     "Orientation",
     "PlacementIndex",
     "Rect",
-    "RenderOptions",
     "ScanResult",
     "SearchConfig",
     "ShadedArrow",
     "SolverStatus",
-    "SolverVerdict",
     "Tile",
     "Tiling",
-    "UnitCatalog",
     "ValidityReport",
     "ab_map",
     "add_ap_blocking",
@@ -116,7 +112,8 @@ __all__ = [
     "mod4_class",
     "placements",
     "read_tiling",
-    "render",
+    "render_ascii",
+    "render_svg",
     "shaded_arrow_aps",
     "solve",
     "stack_rows",

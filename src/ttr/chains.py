@@ -242,7 +242,7 @@ ARROW_TILE_TABLE: dict[tuple[tuple[int, int], str], tuple[Orientation, tuple[int
 }
 
 
-def arrow_for_tile(tiling: Tiling, tile: Tile) -> ShadedArrow:
+def arrow_for_tile(tile: Tile) -> ShadedArrow:
     """The shaded arrow corresponding to a tile of a valid tiling."""
     edge = majority_minority(tile)
     return ShadedArrow(edge, _gray_side(edge))

@@ -20,8 +20,8 @@ from .aps import enumerate_aps, longest_ap
 from .chains import build_chain_graph, write_chain
 from .cnf import add_ap_blocking, add_rot180_symmetry, build_cnf
 from .decide import compute_L, compute_T, decide_forces
-from .render import RenderOptions, render
-from .solver import ScanResult, SearchConfig, SolverStatus, solve
+from .render import render_ascii, render_svg
+from .solver import ScanResult, SearchConfig, solve
 from .vdw import compute_Lvdw, vdw_number
 
 EXIT_OK = 0
@@ -134,19 +134,24 @@ def _cmd_tile(args: argparse.Namespace) -> int:
 def _cmd_apfree(args: argparse.Namespace) -> int:
     config = _config(args)
     rect = Rect(args.height, args.width)
+    if args.length < 2:
+        raise ValueError(f"l must be >= 2, got {args.length}")
+    if not is_tileable(rect):
+        print(f"NONE (no complete tiling of {rect} exists)")
+        return EXIT_OK
     cnf = add_ap_blocking(build_cnf(rect), args.length)
     if args.symmetry == "rot180":
         cnf = add_rot180_symmetry(cnf)
-    verdict = solve(cnf, config)
-    if verdict.status is SolverStatus.UNKNOWN:
+    try:
+        result = solve(cnf, config)
+    except IndeterminateError:
         print(f"UNKNOWN (budget exhausted; no {args.length}-AP-free tiling of {rect} found,"
               f" none ruled out)")
         return EXIT_UNKNOWN
-    if verdict.status is SolverStatus.UNSAT:
+    if result.forced:
         print(f"NONE (every tiling of {rect} contains an AP of length >= {args.length})")
         return EXIT_OK
-    assert verdict.witness is not None
-    _emit(write_tiling(verdict.witness), args.out)
+    _emit(write_tiling(result.witness), args.out)
     return EXIT_OK
 
 
@@ -221,18 +226,16 @@ def _cmd_render(args: argparse.Namespace) -> int:
         print(f"ttr render: error: {refused[0]} does not apply to --format {args.format}", file=sys.stderr)
         return EXIT_USAGE
     tiling = read_tiling(args.infile.read_bytes())
+    if args.format == "ascii":
+        _emit(render_ascii(tiling, borders=args.borders), args.out)
+        return EXIT_OK
     highlight = ()
     if args.highlight_ap:
         aps = enumerate_aps(tiling, 2)
         top = max((ap.length for ap in aps), default=0)
         highlight = tuple(ap for ap in aps if ap.length == top) or (longest_ap(tiling),)
-    opts = RenderOptions(
-        format=args.format,
-        cell_size=RenderOptions.cell_size if args.cell_size is None else args.cell_size,
-        highlight=highlight,
-        borders=args.borders,
-    )
-    _emit(render(tiling, opts), args.out)
+    cell_size = 20 if args.cell_size is None else args.cell_size
+    _emit(render_svg(tiling, cell_size=cell_size, highlight=highlight), args.out)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from .enumerator import DEFAULT_ENUM_AREA, frontier_search, placements
 from .grid import Rect, Tile, Tiling
 from .aps import longest_ap
 from .cnf import add_ap_blocking, build_cnf
-from .solver import DecideResult, ScanResult, SearchConfig, SolverStatus, greatest_forced, solve
+from .solver import DecideResult, ScanResult, SearchConfig, greatest_forced, solve
 from .vdw import vdw_number
 
 MAX_T_SCAN = 400
@@ -82,17 +82,12 @@ def decide_forces(
         if witness_hint.rect != Rect(h, w):
             raise ValueError(f"witness is for {witness_hint.rect}, expected {h}x{w}")
         if longest_ap(witness_hint).length < l:
-            return DecideResult(h, w, l, forced=False, witness=witness_hint, method="hint")
+            return DecideResult(h, w, l, forced=False, method="hint", witness=witness_hint)
         # A bad hint proves nothing; fall through to the search.
 
     if config.remaining_s() == 0:
         raise IndeterminateError(f"budget exhausted before deciding ({h},{w}) -> {l}")
-    cnf = add_ap_blocking(build_cnf(Rect(h, w)), l)
-    verdict = solve(cnf, config)
-    if verdict.status is SolverStatus.UNKNOWN:
-        raise IndeterminateError(f"budget exhausted deciding ({h},{w}) -> {l}")
-    result = DecideResult(h, w, l, forced=verdict.status is SolverStatus.UNSAT,
-                          witness=verdict.witness, method="sat")
+    result = solve(add_ap_blocking(build_cnf(Rect(h, w)), l), config)
     if h * w <= DEFAULT_ENUM_AREA:
         oracle = _decide_by_enumeration(h, w, l)
         if oracle.forced != result.forced:
@@ -107,7 +102,7 @@ def _decide_by_enumeration(h: int, w: int, l: int) -> DecideResult:
     """The oracle: search the tilings of h x w for one without an l-term AP."""
     rect = Rect(h, w)
     for tiling in frontier_search(rect, placements(rect), prune=_completes_ap(l), limit=1):
-        return DecideResult(h, w, l, forced=False, witness=tiling, method="enumeration")
+        return DecideResult(h, w, l, forced=False, method="enumeration", witness=tiling)
     return DecideResult(h, w, l, forced=True, method="enumeration")
 
 
@@ -144,12 +139,17 @@ def compute_T(w: int, l: int, config: SearchConfig | None = None) -> ScanResult:
 def compute_L(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:
     """Greatest l such that every tiling of h x w contains an l-term AP.
 
-    Every nonempty tiling contains a 1-term AP, so the scan ascends from
-    l = 2; the first AP-free-at-l tiling pins L and is the result's witness.
+    With at least 5 tiles, two share an orientation and form a 2-term AP, so
+    by pigeonhole the scan starts at l = 3 (at l = 2 on 4x4, whose tilings
+    use all four orientations once).  The first AP-free-at-l tiling pins L
+    and is the result's witness; on budget exhaustion the result is the
+    proven bracket [l - 1, inf).
     """
     Rect(h, w)  # rejects a side <= 0, which the % 4 test lets through
     if h % 4 or w % 4:
         raise ValueError(f"sides must be multiples of 4, got {h}x{w}")
     config = config or SearchConfig()
-    ceiling = h * w // 4 + 1  # more terms than tiles is trivially avoidable
-    return greatest_forced(range(2, ceiling + 1), lambda l: decide_forces(h, w, l, config))
+    tiles = h * w // 4
+    ceiling = tiles + 1  # more terms than tiles is trivially avoidable
+    first = 3 if tiles >= 5 else 2
+    return greatest_forced(range(first, ceiling + 1), lambda l: decide_forces(h, w, l, config))

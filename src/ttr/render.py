@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from .grid import Cell, Orientation, Tile, Tiling, tile_cells
 from .aps import APWitness
@@ -14,28 +14,6 @@ PALETTE: dict[Orientation, str] = {
     Orientation.L: "#4daf4a",
     Orientation.R: "#984ea3",
 }
-
-
-@dataclass
-class RenderOptions:
-    format: str = "ascii"  # "ascii" or "svg"
-    cell_size: int = 20
-    highlight: tuple[APWitness, ...] = ()
-    borders: bool = False  # ascii only: draw tile boundaries
-
-    def __post_init__(self):
-        if self.format not in ("ascii", "svg"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-
-
-def render(tiling: Tiling, opts: RenderOptions | None = None) -> str:
-    """Deterministic text rendering (ASCII letters or an SVG document)."""
-    opts = opts or RenderOptions()
-    if opts.format == "ascii":
-        return render_ascii(tiling, borders=opts.borders)
-    return render_svg(tiling, opts)
 
 
 def render_ascii(tiling: Tiling, *, borders: bool = False) -> str:
@@ -94,10 +72,11 @@ def _tile_outline_path(tile: Tile, cs: int) -> str:
     return " ".join(f"M{x1} {y1} L{x2} {y2}" for x1, y1, x2, y2 in sorted(segs))
 
 
-def render_svg(tiling: Tiling, opts: RenderOptions | None = None) -> str:
-    """One rect per cell, stroked tile outlines, thick strokes on highlighted APs."""
-    opts = opts or RenderOptions(format="svg")
-    cs = opts.cell_size
+def render_svg(tiling: Tiling, *, cell_size: int = 20, highlight: Sequence[APWitness] = ()) -> str:
+    """One ``cell_size``-pixel rect per cell, stroked tile outlines, thick strokes on ``highlight``."""
+    if cell_size <= 0:
+        raise ValueError("cell_size must be positive")
+    cs = cell_size
     h, w = tiling.rect.height, tiling.rect.width
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * cs}" height="{h * cs}" '
@@ -116,7 +95,7 @@ def render_svg(tiling: Tiling, opts: RenderOptions | None = None) -> str:
     for tile in tiling.tiles:
         path = outlines[tile.orientation][tile.anchor] = _tile_outline_path(tile, cs)
         out.append(f'<path d="{path}" stroke="#000000" stroke-width="1" fill="none"/>')
-    for ap in opts.highlight:
+    for ap in highlight:
         known = outlines[ap.orientation]
         for anchor in ap.anchors():
             path = known.get(anchor)

@@ -26,7 +26,7 @@ from . import cdcl
 from .errors import IndeterminateError, LemmaViolationError, SolverError, TilingError
 from .aps import longest_ap
 from .cnf import CNF, Clause, clauses_to_dimacs, decode_model
-from .grid import Tiling, _is_decimal
+from .grid import _is_decimal
 
 SOLVER_ENV_VAR = "TTR_SOLVER"
 
@@ -65,6 +65,11 @@ class SearchConfig:
     def resolved_solver_cmd(self) -> str | None:
         return self.solver_cmd or os.environ.get(SOLVER_ENV_VAR) or None
 
+    @property
+    def engine(self) -> str:
+        """The SAT backend this config runs: "external" or "internal"."""
+        return "external" if self.resolved_solver_cmd() else "internal"
+
 
 @dataclass
 class ScanResult:
@@ -90,14 +95,18 @@ class DecideResult:
 
     ``witness`` is the avoider when not forced: an AP-free tiling for the
     tiling question, an avoiding coloring for the van der Waerden one.
+    ``method`` names what answered: the SAT engine ("internal" or
+    "external", see :attr:`SearchConfig.engine`), a verified ``"hint"``, or
+    the ``"enumeration"`` oracle.  ``length`` is None only for a tiling CNF
+    without AP blocking, where "forced" means no tiling exists.
     """
 
     height: int
     width: int
-    length: int
+    length: int | None
     forced: bool
+    method: str
     witness: object | None = None
-    method: str = "sat"
 
 
 def greatest_forced(lengths: range, decide: Callable[[int], DecideResult]) -> ScanResult:
@@ -121,13 +130,6 @@ def greatest_forced(lengths: range, decide: Callable[[int], DecideResult]) -> Sc
     )
 
 
-@dataclass
-class SolverVerdict:
-    status: SolverStatus
-    witness: Tiling | None = None
-    engine: str = "internal"
-
-
 def run_sat(
     num_vars: int,
     clauses: Sequence[Clause],
@@ -148,33 +150,34 @@ def run_sat(
     return SolverStatus(result.status), result.model
 
 
-def solve(cnf: CNF, config: SearchConfig | None = None) -> SolverVerdict:
-    """Solve a tiling CNF and re-verify any witness independently.
+def solve(cnf: CNF, config: SearchConfig | None = None) -> DecideResult:
+    """Solve a tiling CNF; UNSAT is forced, SAT yields the re-verified avoider.
 
     A SAT witness is decoded and checked again from scratch: the tiling must
     validate, must beat the AP bound recorded on the CNF, and must equal its
     own 180-degree rotation when symmetry clauses were added; a witness that
-    fails any of these raises :class:`SolverError`.  UNSAT answers
-    are taken on trust from the solver (no proof logging); the decision layer
+    fails any of these raises :class:`SolverError`.  UNKNOWN (the budget ran
+    out) raises :class:`IndeterminateError`.  UNSAT answers are taken on
+    trust from the solver (no proof logging); the decision layer
     cross-checks them against the exhaustive enumerator at desk scale.
     """
     config = config or SearchConfig()
-    engine = "external" if config.resolved_solver_cmd() else "internal"
+    h, w, l = cnf.rect.height, cnf.rect.width, cnf.blocked_len
     status, model = run_sat(cnf.num_vars, cnf.clauses, config)
-    if status is not SolverStatus.SAT:
-        return SolverVerdict(status, engine=engine)
+    if status is SolverStatus.UNKNOWN:
+        raise IndeterminateError(f"budget exhausted deciding ({h},{w}) -> {l}")
+    if status is SolverStatus.UNSAT:
+        return DecideResult(h, w, l, forced=True, method=config.engine)
     assert model is not None
     try:
         witness = decode_model(cnf, model)  # Tiling constructor re-validates
     except TilingError as e:
         raise SolverError(f"witness re-verification failed: {e}") from None
-    if cnf.blocked_len is not None and longest_ap(witness).length >= cnf.blocked_len:
-        raise SolverError(
-            f"witness re-verification failed: contains an AP of length >= {cnf.blocked_len}"
-        )
+    if l is not None and longest_ap(witness).length >= l:
+        raise SolverError(f"witness re-verification failed: contains an AP of length >= {l}")
     if cnf.rot180 and witness != witness.rotated_180():
         raise SolverError("witness re-verification failed: not rotationally symmetric")
-    return SolverVerdict(SolverStatus.SAT, witness=witness, engine=engine)
+    return DecideResult(h, w, l, forced=False, method=config.engine, witness=witness)
 
 
 def _run_external(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .aps import maximal_runs
 from .errors import IndeterminateError, ParseError, ResourceLimitError, SolverError
 from .grid import Cell, Rect, read_header
 from .solver import DecideResult, ScanResult, SearchConfig, SolverStatus, greatest_forced, run_sat
@@ -158,21 +159,25 @@ def _ap_candidates(h: int, w: int, l: int) -> list[tuple[Cell, ...]]:
 
 
 def grid_mono_ap(coloring: GridColoring, l: int) -> GridAP | None:
-    """The canonically first monochromatic l-AP of cells, or None."""
+    """The canonically first monochromatic l-AP of cells, or None.
+
+    Canonical order is (start, step), steps positive in (row, col) order.
+    Every l-AP lies in a maximal same-color run with its step that starts no
+    later, so each color's first run of length >= l starts that color's
+    first l-AP, and the earlier of the two is the answer.
+    """
     if l < 2:
         raise ValueError(f"l must be >= 2, got {l}")
-    h, w = coloring.height, coloring.width
-    best: GridAP | None = None
-    for cells in _ap_candidates(h, w, l):
-        c0 = coloring.color(cells[0])
-        if all(coloring.color(cell) == c0 for cell in cells[1:]):
-            dy = cells[1][0] - cells[0][0]
-            dx = cells[1][1] - cells[0][1]
-            cand = GridAP(cells[0], (dy, dx), l)
-            key = (cand.start, cand.step)
-            if best is None or key < (best.start, best.step):
-                best = cand
-    return best
+    firsts = []
+    for color in (0, 1):
+        cells = {(r, c) for r, row in enumerate(coloring.rows) for c, x in enumerate(row) if x == color}
+        runs = maximal_runs(cells, l)
+        if runs:
+            firsts.append(runs[0][:2])
+    if not firsts:
+        return None
+    start, step = min(firsts)
+    return GridAP(start, step, l)
 
 
 def _forced_brute(h: int, w: int, l: int) -> tuple[bool, GridColoring | None]:
@@ -222,7 +227,7 @@ def _forced_sat(h: int, w: int, l: int, config: SearchConfig) -> DecideResult:
     if status is SolverStatus.UNKNOWN:
         raise IndeterminateError(f"budget exhausted deciding L_vdW({h},{w}) at l={l}")
     if status is SolverStatus.UNSAT:
-        return DecideResult(h, w, l, forced=True)
+        return DecideResult(h, w, l, forced=True, method=config.engine)
     assert model is not None
     coloring = GridColoring(tuple(tuple(int(model[r * w + c + 1]) for c in range(w)) for r in range(h)))
     ap = grid_mono_ap(coloring, l)
@@ -230,7 +235,7 @@ def _forced_sat(h: int, w: int, l: int, config: SearchConfig) -> DecideResult:
         raise SolverError(
             f"witness re-verification failed: monochromatic {l}-AP from {ap.start} with step {ap.step}"
         )
-    return DecideResult(h, w, l, forced=False, witness=coloring)
+    return DecideResult(h, w, l, forced=False, method=config.engine, witness=coloring)
 
 
 def compute_Lvdw(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:

@@ -143,25 +143,14 @@ def enumerate_units(max_len: int) -> list[Unit]:
     return units
 
 
-class UnitCatalog:
-    """Lookup from tile sets to named units, every unit up to ``MAX_UNIT_LEN``."""
-
-    def __init__(self):
-        self.units = enumerate_units(MAX_UNIT_LEN)
-        self._by_tiles = {u.tiles: u for u in self.units}
-        self._by_kind = {u.kind: u for u in self.units}
-
-    def by_kind(self, kind: str) -> Unit:
-        return self._by_kind[kind]
-
-    def lookup(self, tiles: tuple[Tile, ...]) -> Unit | None:
-        return self._by_tiles.get(tiles)
-
-
 @functools.cache
-def _default_catalog() -> UnitCatalog:
-    """The catalog, built on first use; units are immutable, so it is shared."""
-    return UnitCatalog()
+def _catalog() -> tuple[dict[tuple[Tile, ...], Unit], dict[str, Unit]]:
+    """Every unit up to ``MAX_UNIT_LEN`` by tile set and by kind, built on first use.
+
+    Units are immutable, so the two dicts are shared.
+    """
+    units = enumerate_units(MAX_UNIT_LEN)
+    return {u.tiles: u for u in units}, {u.kind: u for u in units}
 
 
 def decompose(tiling: Tiling) -> UnitString:
@@ -170,11 +159,11 @@ def decompose(tiling: Tiling) -> UnitString:
     Raises :class:`CatalogError` if a fault-free segment is longer than
     ``MAX_UNIT_LEN``, reporting its length.
     """
-    catalog = _default_catalog()
+    by_tiles = _catalog()[0]
     kinds: list[str] = []
     lengths: list[int] = []
     for _left, width, seg in _segments(tiling):
-        unit = catalog.lookup(seg)
+        unit = by_tiles.get(seg)
         if unit is None:
             raise CatalogError(required_length=width, max_len=MAX_UNIT_LEN)
         kinds.append(unit.kind)
@@ -184,11 +173,11 @@ def decompose(tiling: Tiling) -> UnitString:
 
 def concatenate(kinds: Sequence[str]) -> Tiling:
     """Inverse of :func:`decompose`: lay out the named units left to right."""
-    catalog = _default_catalog()
+    by_kind = _catalog()[1]
     tiles: list[Tile] = []
     col = 0
     for kind in kinds:
-        unit = catalog.by_kind(kind)
+        unit = by_kind[kind]
         tiles.extend(t.translated(0, col) for t in unit.tiles)
         col += unit.length
     return Tiling(Rect(4, col), tiles)

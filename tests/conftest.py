@@ -7,7 +7,7 @@ import pytest
 
 from ttr.grid import Rect, Tile, Tiling, Orientation
 from ttr.enumerator import enumerate_tilings
-from ttr.width4 import UNIT_A_TILES, UnitCatalog
+from ttr.width4 import UNIT_A_TILES, _catalog
 
 # ``pythonpath`` in pyproject.toml puts src/ on sys.path for this process only;
 # child processes (``python -m ttr.dimacs`` as an external solver) read it here.
@@ -56,7 +56,8 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def catalog():
-    return UnitCatalog()
+    """Every width-4 unit up to ``MAX_UNIT_LEN``, by kind, in catalog order."""
+    return _catalog()[1]
 
 
 @pytest.fixture()

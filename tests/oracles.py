@@ -28,6 +28,7 @@ from ttr.grid import (
     rotate_tile_180,
     tile_cells,
 )
+from ttr.vdw import GridAP, GridColoring, _ap_candidates
 
 
 def runs(anchors: set[tuple[int, int]]):
@@ -229,3 +230,21 @@ def read_tiling(data: str | bytes) -> Tiling:
     if violations:
         raise TilingError(ValidityReport(tuple(violations)))
     return Tiling(Rect(h, w), tiles)
+
+
+def grid_mono_ap(coloring: GridColoring, l: int) -> GridAP | None:
+    """The canonically first monochromatic l-AP, by a scan over every candidate AP of cells."""
+    if l < 2:
+        raise ValueError(f"l must be >= 2, got {l}")
+    h, w = coloring.height, coloring.width
+    best: GridAP | None = None
+    for cells in _ap_candidates(h, w, l):
+        c0 = coloring.color(cells[0])
+        if all(coloring.color(cell) == c0 for cell in cells[1:]):
+            dy = cells[1][0] - cells[0][0]
+            dx = cells[1][1] - cells[0][1]
+            cand = GridAP(cells[0], (dy, dx), l)
+            key = (cand.start, cand.step)
+            if best is None or key < (best.start, best.step):
+                best = cand
+    return best

@@ -91,12 +91,12 @@ def test_arrow_tile_round_trip(corpus):
     for rect_key in [(4, 4), (4, 8), (8, 8), (8, 12)]:
         for tiling in corpus[rect_key]:
             for tile in tiling.tiles:
-                arrow = arrow_for_tile(tiling, tile)
+                arrow = arrow_for_tile(tile)
                 assert tile_for_arrow(tiling.rect, arrow) == tile
 
 
 def test_pinwheel_arrows_consistent_shading(pinwheel_a):
-    arrows = [arrow_for_tile(pinwheel_a, t) for t in pinwheel_a.tiles]
+    arrows = [arrow_for_tile(t) for t in pinwheel_a.tiles]
     assert len({a.side for a in arrows}) == 1  # one gray box serves all four
 
 
@@ -248,7 +248,7 @@ def test_some_tile_pair_has_no_arrow_pair(corpus):
     for tiling in corpus[(8, 8)]:
         for ap in enumerate_aps(tiling, 2):
             if ap.length == 2:
-                a1, a2 = (arrow_for_tile(tiling, t) for t in ap.tiles())
+                a1, a2 = (arrow_for_tile(t) for t in ap.tiles())
                 if (a1.direction, a1.side) != (a2.direction, a2.side):
                     found = True
                     break

@@ -54,6 +54,19 @@ def test_apfree_none_when_forced(capsys):
     assert "NONE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("h, w", [(6, 6), (4, 6), (1, 1)])
+def test_apfree_reports_untileable(h, w, capsys):
+    assert main(["apfree", "--height", str(h), "--width", str(w), "--len", "3"]) == 0
+    assert capsys.readouterr().out == f"NONE (no complete tiling of {h}x{w} exists)\n"
+
+
+def test_apfree_checks_len_before_tileability(capsys):
+    assert main(["apfree", "--height", "1", "--width", "1", "--len", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: l must be >= 2, got 1\n"
+
+
 def test_apfree_writes_certificate(tmp_path):
     out = tmp_path / "apfree.ttiling"
     assert main(["apfree", "--height", "4", "--width", "16", "--len", "3",
@@ -136,6 +149,16 @@ def test_render_ascii_and_svg(tmp_path, capsys):
     assert main(["render", "--in", str(src), "--format", "svg", "--highlight-ap",
                  "--out", str(svg)]) == 0
     assert svg.read_text().startswith("<svg ")
+
+
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_render_rejects_nonpositive_cell_size(size, tmp_path, capsys):
+    src = tmp_path / "t.ttiling"
+    main(["tile", "--height", "4", "--width", "4", "--out", str(src)])
+    assert main(["render", "--in", str(src), "--format", "svg", "--cell-size", size]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cell_size must be positive\n"
 
 
 @pytest.mark.parametrize("fmt, flag", [("svg", ["--borders"]), ("ascii", ["--cell-size", "10"]),

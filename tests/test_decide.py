@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from ttr.errors import IndeterminateError
@@ -8,7 +10,7 @@ from ttr.aps import longest_ap
 from ttr.decide import compute_L, compute_T, decide_forces, _completes_ap, _decide_by_enumeration
 from ttr.enumerator import frontier_search, placements
 from ttr.cnf import add_ap_blocking, build_cnf
-from ttr.solver import SearchConfig, SolverStatus, solve
+from ttr.solver import SearchConfig, solve
 from ttr.vdw import GridColoring, extremal_coloring
 from ttr.width4 import stack_rows
 
@@ -35,7 +37,7 @@ def test_small_pair_decisions_cross_checked():
 def test_engines_agree_without_builtin_cross_check():
     # The SAT route alone (decide_forces would add its own cross-check) against the enumeration oracle.
     for h, w, l in [(4, 8, 2), (4, 12, 3), (8, 8, 2), (4, 16, 3)]:
-        sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).status is SolverStatus.UNSAT
+        sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).forced
         assert sat_forced == _decide_by_enumeration(h, w, l).forced
 
 
@@ -48,7 +50,7 @@ def test_oracle_agreement_every_rect_up_to_96_cells():
             if h * w > 96:
                 continue
             for l in (2, 3, 4):
-                sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).status is SolverStatus.UNSAT
+                sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).forced
                 assert sat_forced == _decide_by_enumeration(h, w, l).forced, (h, w, l)
                 questions += 1
     assert questions == 3 * 14
@@ -83,8 +85,18 @@ def test_witness_hint_short_circuits():
 def test_bad_witness_hint_falls_through():
     bad = stack_rows(GridColoring(((0,) * 8,)), 2)  # full of APs
     result = decide_forces(8, 32, 3, witness_hint=bad)
-    assert result.method == "sat"
+    assert result.method == "internal"
     assert result.forced is False
+
+
+@pytest.mark.parametrize("solver, engine", [(None, "internal"), (f"{sys.executable} -m ttr.dimacs", "external")])
+def test_answers_name_their_engine(solver, engine):
+    config = SearchConfig(solver_cmd=solver)
+    forced = decide_forces(4, 8, 2, config)
+    avoidable = decide_forces(4, 16, 3, config)
+    assert (forced.forced, forced.method) == (True, engine)
+    assert (avoidable.forced, avoidable.method) == (False, engine)
+    assert longest_ap(avoidable.witness).length < 3
 
 
 def test_rejects_bad_arguments():

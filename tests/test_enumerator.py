@@ -29,7 +29,7 @@ def test_non_multiple_of_four_rects_have_no_tilings():
 def test_strip_counts_match_unit_compositions(catalog):
     # Independent count: compositions of the strip length into catalog unit lengths.
     by_len: dict[int, int] = {}
-    for u in catalog.units:
+    for u in catalog.values():
         by_len[u.length // 4] = by_len.get(u.length // 4, 0) + 1
     # The catalog stops at length 16 with two units of each length; strips up
     # to 4x40 use Walkup's two fault-free units per length beyond that.

@@ -33,7 +33,7 @@ from ttr.cli import main
 from ttr.enumerator import count_tilings, enumerate_tilings
 from ttr.errors import StructureError, TilingError
 from ttr.grid import Rect, cut_cornerless_ok, read_tiling, write_tiling
-from ttr.render import RenderOptions, render_ascii, render_svg
+from ttr.render import render_ascii, render_svg
 from ttr.width4 import ab_map, decompose
 
 GOLDEN_SHA1 = "7db9ae3b90cd5864f65498789f25e2835b3861ac"
@@ -69,8 +69,8 @@ def round_trip_digest(periodic) -> str:
     # The highlight set of ``ttr render --highlight-ap``: every AP of the top length.
     aps = enumerate_aps(periodic, 2)
     top = max(ap.length for ap in aps)
-    opts = RenderOptions(format="svg", highlight=tuple(ap for ap in aps if ap.length == top))
-    sha.update(render_svg(periodic, opts).encode())
+    highlight = tuple(ap for ap in aps if ap.length == top)
+    sha.update(render_svg(periodic, highlight=highlight).encode())
     return sha.hexdigest()
 
 

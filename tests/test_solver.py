@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ttr.errors import SolverError
+from ttr.errors import IndeterminateError, SolverError
 from ttr.grid import Rect
 from ttr.cnf import add_ap_blocking, build_cnf
 from ttr.solver import (
@@ -51,10 +51,17 @@ def test_value_lines_take_signed_ascii_decimal_literals(token):
 
 def test_internal_engine_solves_and_reverifies():
     cnf = add_ap_blocking(build_cnf(Rect(4, 8)), 3)
-    verdict = solve(cnf, SearchConfig())
-    assert verdict.status is SolverStatus.SAT
-    assert verdict.witness is not None
-    assert verdict.engine == "internal"
+    result = solve(cnf, SearchConfig())
+    assert (result.height, result.width, result.length) == (4, 8, 3)
+    assert result.forced is False
+    assert result.witness is not None
+    assert result.method == "internal"
+
+
+def test_unknown_raises_with_the_question():
+    cnf = add_ap_blocking(build_cnf(Rect(4, 8)), 3)
+    with pytest.raises(IndeterminateError, match=r"^budget exhausted deciding \(4,8\) -> 3$"):
+        solve(cnf, SearchConfig(time_budget_s=1e-9))
 
 
 def test_builtin_solver_takes_any_number_of_variables():
@@ -75,13 +82,13 @@ def test_time_budget_must_be_positive_and_finite(budget):
 def test_external_solver_contract_sat_and_unsat():
     config = SearchConfig(solver_cmd=DIMACS_SOLVER)
     sat_cnf = build_cnf(Rect(4, 4))
-    verdict = solve(sat_cnf, config)
-    assert verdict.status is SolverStatus.SAT
-    assert verdict.engine == "external"
-    assert verdict.witness is not None and verdict.witness.rect == Rect(4, 4)
+    result = solve(sat_cnf, config)
+    assert result.forced is False
+    assert result.method == "external"
+    assert result.witness is not None and result.witness.rect == Rect(4, 4)
 
-    unsat_cnf = build_cnf(Rect(4, 6))
-    assert solve(unsat_cnf, config).status is SolverStatus.UNSAT
+    unsat = solve(build_cnf(Rect(4, 6)), config)
+    assert (unsat.forced, unsat.witness, unsat.method) == (True, None, "external")
 
 
 def test_external_solver_not_found():
@@ -95,9 +102,9 @@ def test_env_var_configures_solver(monkeypatch):
     assert SearchConfig().resolved_solver_cmd() == DIMACS_SOLVER
     # the explicit flag wins over the environment
     assert SearchConfig(solver_cmd="other").resolved_solver_cmd() == "other"
-    verdict = solve(build_cnf(Rect(4, 4)), SearchConfig())
-    assert verdict.engine == "external"
-    assert verdict.status is SolverStatus.SAT
+    result = solve(build_cnf(Rect(4, 4)), SearchConfig())
+    assert result.method == "external"
+    assert result.forced is False
 
 
 def test_lying_external_solver_is_caught(tmp_path, monkeypatch):

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from ttr import vdw
+from ttr.decide import compute_L
 from ttr.errors import ResourceLimitError
 from ttr.solver import ScanResult, SearchConfig
 from ttr.vdw import (
@@ -55,6 +61,27 @@ def test_grid_mono_ap_sees_diagonal_steps():
     assert ap is not None  # color 0 also has plenty; scan finds something
     diag = GridAP((0, 0), (1, 1), 3)
     assert all(grid.color(cell) == 1 for cell in diag.cells())
+
+
+@st.composite
+def colorings(draw):
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9))
+    bits = draw(st.lists(st.integers(0, 1), min_size=h * w, max_size=h * w))
+    return GridColoring(tuple(tuple(bits[r * w:(r + 1) * w]) for r in range(h)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(colorings(), st.integers(2, 5))
+def test_grid_mono_ap_matches_candidate_scan(coloring, l):
+    # The AP kernel over each color's cells against the scan over every candidate AP.
+    assert grid_mono_ap(coloring, l) == oracles.grid_mono_ap(coloring, l)
+
+
+def test_grid_mono_ap_matches_candidate_scan_on_long_rows():
+    for coloring in (extremal_coloring(4), GridColoring(((0, 1) * 30,)), GridColoring(((1,) * 7,))):
+        for l in (2, 3, 4, 5):
+            assert grid_mono_ap(coloring, l) == oracles.grid_mono_ap(coloring, l)
 
 
 def test_lvdw_small_values():
@@ -128,6 +155,28 @@ def test_lvdw_budget_bracket_starts_at_pigeonhole():
     spent = SearchConfig(time_budget_s=1e-9)
     assert compute_Lvdw(24, 24, spent) == ScanResult(None, 2, None)
     assert compute_Lvdw(1, 2, spent) == ScanResult(None, 1, None)
+
+
+def test_l_budget_bracket_starts_at_pigeonhole():
+    # At least 5 tiles put two in one orientation, a 2-term AP; 4x4 has 4 tiles.
+    spent = SearchConfig(time_budget_s=1e-9)
+    assert compute_L(12, 12, spent) == ScanResult(None, 2, None)
+    assert compute_L(4, 8, spent) == ScanResult(None, 2, None)
+    assert compute_L(4, 4, spent) == ScanResult(None, 1, None)
+    assert compute_L(4, 4).value == 1
+
+
+@pytest.mark.parametrize("solver, engine", [(None, "internal"), (f"{sys.executable} -m ttr.dimacs", "external")])
+def test_lvdw_answers_name_their_engine(solver, engine, monkeypatch):
+    answers = []
+
+    def recording(*args):
+        answers.append(_forced_sat(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(vdw, "_forced_sat", recording)
+    assert compute_Lvdw(3, 5, SearchConfig(solver_cmd=solver)).value == 3
+    assert [(a.length, a.forced, a.method) for a in answers] == [(3, True, engine), (4, False, engine)]
 
 
 def test_grid_coloring_tcolor_round_trip():

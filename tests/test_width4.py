@@ -47,15 +47,15 @@ def test_unit_a_first_column_is_an_r_tile():
 
 
 def test_every_unit_first_column_matches_a_or_b(catalog):
-    for u in catalog.units:
+    for u in catalog.values():
         assert first_column_class(u.tiles) in ("A", "B")
     # naming rule: A-matching units at even positions, so C matches A and F matches B
-    assert first_column_class(catalog.by_kind("C").tiles) == "A"
-    assert first_column_class(catalog.by_kind("F").tiles) == "B"
+    assert first_column_class(catalog["C"].tiles) == "A"
+    assert first_column_class(catalog["F"].tiles) == "B"
 
 
 def test_two_units_per_length_up_to_16(catalog):
-    lengths = [u.length for u in catalog.units]
+    lengths = [u.length for u in catalog.values()]
     assert lengths == [4, 4, 8, 8, 12, 12, 16, 16]
 
 
@@ -80,13 +80,13 @@ def test_default_catalog_is_built_once(monkeypatch, corpus):
         return enumerate_units(max_len)
 
     monkeypatch.setattr(width4, "enumerate_units", counting)
-    width4._default_catalog.cache_clear()
+    width4._catalog.cache_clear()
     try:
         for tiling in corpus[(4, 16)][:5]:
             decompose(tiling)
             assert concatenate(decompose(tiling).kinds) == tiling
     finally:
-        width4._default_catalog.cache_clear()
+        width4._catalog.cache_clear()
     assert calls == [16]
 
 
