@@ -1,7 +1,10 @@
 """Classical and two-dimensional van der Waerden computations.
 
-``vdw_number(l)`` computes W(2, l) by depth-first search over colorings with
-AP pruning, independent of any SAT machinery so it can serve as an oracle.
+``vdw_number(l)`` computes W(2, l) by depth-first search over colorings,
+independent of any SAT machinery so it can serve as an oracle.  Each node's
+AP check is a bit-set check (see ``_longest_apfree_length``); the list-based
+scan it replaced is kept in the tests as their oracle.
+
 The 2D analogue asks for monochromatic APs of *cells* in a 2-colored grid,
 where steps range over all nonzero integer vectors (diagonal and knight-like
 steps included).
@@ -23,15 +26,6 @@ from .solver import DecideResult, ScanResult, SearchConfig, SolverStatus, greate
 MAX_VDW_LEN = 4
 
 
-def _has_ap_ending_at(colors: list[int], pos: int, l: int) -> bool:
-    """Monochromatic l-AP among colors[0..pos] whose last term is pos."""
-    c = colors[pos]
-    for step in range(1, pos // (l - 1) + 1):
-        if all(colors[pos - k * step] == c for k in range(1, l)):
-            return True
-    return False
-
-
 def vdw_number(l: int) -> int:
     """The least W such that every 2-coloring of {1..W} has a monochromatic l-AP."""
     return extremal_coloring(l).width + 1
@@ -48,22 +42,39 @@ def _longest_apfree_length(l: int) -> tuple[int, ...]:
     """The first longest l-AP-free 2-coloring in depth-first order; its length is W(2, l) - 1.
 
     The first color is fixed to 0 by symmetry, and color 0 is tried before 1.
+    Each color's positions are one integer bit-set.  ``step_masks[pos]`` holds,
+    for each step s with (l - 1) * s <= pos, the bits pos - s, ..., pos - (l - 1) * s;
+    a color may take pos unless its set covers one of those masks.  The table
+    is filled the first time the search reaches each position.
     """
-    best: tuple[int, ...] = ()
-    colors: list[int] = []
+    best_len = 0
+    best_ones = 0  # the color-1 set of the longest coloring so far
+    step_masks: list[list[int]] = []
 
-    def extend() -> None:
-        nonlocal best
-        if len(colors) > len(best):
-            best = tuple(colors)
-        for c in (0, 1) if colors else (0,):
-            colors.append(c)
-            if not _has_ap_ending_at(colors, len(colors) - 1, l):
-                extend()
-            colors.pop()
+    def extend(pos: int, zeros: int, ones: int) -> None:
+        nonlocal best_len, best_ones
+        if pos > best_len:
+            best_len, best_ones = pos, ones
+        if pos == len(step_masks):
+            step_masks.append(
+                [sum(1 << (pos - k * s) for k in range(1, l)) for s in range(1, pos // (l - 1) + 1)]
+            )
+        masks = step_masks[pos]
+        bit = 1 << pos
+        for m in masks:
+            if zeros & m == m:
+                break
+        else:
+            extend(pos + 1, zeros | bit, ones)
+        if pos:
+            for m in masks:
+                if ones & m == m:
+                    break
+            else:
+                extend(pos + 1, zeros, ones | bit)
 
-    extend()
-    return best
+    extend(0, 0, 0)
+    return tuple((best_ones >> i) & 1 for i in range(best_len))
 
 
 # TCOLOR text format

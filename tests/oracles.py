@@ -248,3 +248,35 @@ def grid_mono_ap(coloring: GridColoring, l: int) -> GridAP | None:
             if best is None or key < (best.start, best.step):
                 best = cand
     return best
+
+
+def _has_ap_ending_at(colors: list[int], pos: int, l: int) -> bool:
+    """Monochromatic l-AP among colors[0..pos] whose last term is pos."""
+    c = colors[pos]
+    for step in range(1, pos // (l - 1) + 1):
+        if all(colors[pos - k * step] == c for k in range(1, l)):
+            return True
+    return False
+
+
+def longest_apfree_length(l: int) -> tuple[int, ...]:
+    """The first longest l-AP-free 2-coloring in depth-first order; its length is W(2, l) - 1.
+
+    The first color is fixed to 0 by symmetry, and color 0 is tried before 1.
+    This is the list-based scan that ``vdw._longest_apfree_length`` replaced.
+    """
+    best: tuple[int, ...] = ()
+    colors: list[int] = []
+
+    def extend() -> None:
+        nonlocal best
+        if len(colors) > len(best):
+            best = tuple(colors)
+        for c in (0, 1) if colors else (0,):
+            colors.append(c)
+            if not _has_ap_ending_at(colors, len(colors) - 1, l):
+                extend()
+            colors.pop()
+
+    extend()
+    return best

@@ -238,6 +238,16 @@ def test_budget_bounds_the_whole_scan(argv, capsys):
     assert capsys.readouterr().out.startswith("UNKNOWN ")
 
 
+def test_budget_bounds_the_ceiling_of_a_t_scan(capsys):
+    # compute_T finds W(2, 4) for its ceiling before the first deadline check.
+    # The 4x4 question may still finish inside the budget, so the lower end is 4 or more.
+    start = time.monotonic()
+    assert main(["tvalue", "--width", "4", "--len", "4", "--budget-seconds", "0.01"]) == 4
+    assert time.monotonic() - start < 0.08
+    out = capsys.readouterr().out.strip()
+    assert out.startswith("UNKNOWN T in [") and out.endswith(", 140]")
+
+
 def test_solver_flag_uses_external_command(capsys):
     assert main(["decide", "--height", "4", "--width", "8", "--len", "2",
                  "--solver", DIMACS_SOLVER]) == 0

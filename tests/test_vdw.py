@@ -35,6 +35,12 @@ def test_extremal_colorings_verify():
         assert grid_mono_ap(coloring, l) is None
 
 
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_backtracker_matches_list_scan(l):
+    # The exact tuple, not only its length: extremal_coloring(4) feeds stack_rows.
+    assert vdw._longest_apfree_length(l) == oracles.longest_apfree_length(l)
+
+
 def test_vdw_guards():
     for l in (1, 5):
         with pytest.raises(ResourceLimitError):
