@@ -5,7 +5,8 @@ rectangle contains an AP of length >= l through the CNF/SAT pipeline
 (blocking clauses; UNSAT means forced), cross-checked by the AP-pruned
 enumerator up to ``DEFAULT_ENUM_AREA`` cells.  ``compute_T`` and ``compute_L``
 scan those answers for the least forcing length and the greatest forced AP
-length.
+length; below its 4*W(2, l) ceiling the T scan answers from a verified
+stacked van der Waerden strip instead of the solver.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .grid import Rect, Tile, Tiling
 from .aps import longest_ap
 from .cnf import add_ap_blocking, build_cnf
 from .solver import DecideResult, ScanResult, SearchConfig, greatest_forced, solve
-from .vdw import vdw_number
+from .vdw import GridColoring, extremal_coloring
+from .width4 import stack_rows
 
 MAX_T_SCAN = 400
 
@@ -110,21 +112,35 @@ def compute_T(w: int, l: int, config: SearchConfig | None = None) -> ScanResult:
     """Least length N (multiple of 4) such that (w, N) forces an l-term AP.
 
     Scans N = 4, 8, ... upward (forcedness is not known to be monotone in N
-    for general widths, so no binary search).  For widths 4..16 and l in
-    {3, 4} the scan is capped by the 4*W(2, l) ceiling; reaching the ceiling
-    without a forced answer indicates a bug and raises.  Other scans stop
-    after N = ``MAX_T_SCAN`` with the value unknown.
+    for general widths, so no binary search), checking the deadline before
+    each question.  For widths 4..16 and l in {3, 4} the scan is capped by
+    the 4*W(2, l) ceiling, read off one extremal l-AP-free coloring; reaching
+    the ceiling without a forced answer indicates a bug and raises.  Below
+    the ceiling, when w/4 < l, each question's ``witness_hint`` is w/4
+    stacked strip tilings of the coloring's first N/4 colors: ``decide_forces``
+    re-checks it, and one that fails falls through to the solver.  (At
+    w/4 >= l the stack holds a vertical l-term AP, so none is built.)  Other
+    scans stop after N = ``MAX_T_SCAN`` with the value unknown.
     """
     if w % 4:
         raise ValueError(f"width must be a multiple of 4, got {w}")
     config = config or SearchConfig()
     ceiling: int | None = None
+    strip: tuple[int, ...] | None = None  # the colors whose stacked prefixes are the hints
     if w in (4, 8, 12, 16) and 3 <= l <= 4:
-        ceiling = 4 * vdw_number(l)
+        colors = extremal_coloring(l).rows[0]
+        ceiling = 4 * (len(colors) + 1)
+        if w // 4 < l:
+            strip = colors
     lengths = range(4, (ceiling or MAX_T_SCAN) + 1, 4)
     for n in lengths:
+        if config.remaining_s() == 0:
+            return ScanResult(None, n, ceiling)
+        hint = None
+        if strip is not None and n < ceiling:
+            hint = stack_rows(GridColoring((strip[: n // 4],)), w // 4)
         try:
-            forced = decide_forces(w, n, l, config).forced
+            forced = decide_forces(w, n, l, config, witness_hint=hint).forced
         except IndeterminateError:
             return ScanResult(None, n, ceiling)
         if forced:

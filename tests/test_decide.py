@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import sys
+import time
 
 import pytest
+
+import ttr.decide
 
 from ttr.errors import IndeterminateError
 from ttr.grid import Rect
@@ -10,8 +13,8 @@ from ttr.aps import longest_ap
 from ttr.decide import compute_L, compute_T, decide_forces, _completes_ap, _decide_by_enumeration
 from ttr.enumerator import frontier_search, placements
 from ttr.cnf import add_ap_blocking, build_cnf
-from ttr.solver import SearchConfig, solve
-from ttr.vdw import GridColoring, extremal_coloring
+from ttr.solver import ScanResult, SearchConfig, solve
+from ttr.vdw import GridColoring, extremal_coloring, vdw_number
 from ttr.width4 import stack_rows
 
 
@@ -146,6 +149,67 @@ def test_width8_monotonicity_in_length():
 def test_theorem_equality_at_width_8():
     # The width-8 threshold equals four times the two-color van der Waerden
     # number, computed end to end through the scan.
-    from ttr.vdw import vdw_number
-
     assert compute_T(8, 3).value == 4 * vdw_number(3)
+
+
+@pytest.mark.parametrize("w", [4, 8])
+def test_hint_free_ascent_first_forces_at_36(w):
+    # The solver route alone, question by question, as the T scan ran before
+    # it answered below the ceiling from the stacked strip.
+    assert [n for n in range(4, 37, 4) if decide_forces(w, n, 3).forced] == [36]
+
+
+def _record_calls(monkeypatch, name: str) -> list[tuple]:
+    """Wrap ``ttr.decide.<name>``; the returned list collects each call's arguments."""
+    calls: list[tuple] = []
+    real = getattr(ttr.decide, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ttr.decide, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("w, l", [(8, 3), (12, 4)])
+def test_t_scan_solves_only_the_ceiling(monkeypatch, w, l):
+    solved = _record_calls(monkeypatch, "solve")
+    ceiling = 4 * vdw_number(l)
+    assert compute_T(w, l).value == ceiling
+    assert [(cnf.rect.height, cnf.rect.width) for cnf, _config in solved] == [(w, ceiling)]
+
+
+def test_t_scan_builds_no_hint_once_the_stack_has_an_l_ap(monkeypatch):
+    # Three stacked strips hold the vertical 3-term AP {(r + 4j, c)}.
+    stacked = _record_calls(monkeypatch, "stack_rows")
+    assert compute_T(12, 3).value == 36
+    assert stacked == []
+
+
+def test_t_scan_falls_back_to_the_solver_on_a_bad_hint(monkeypatch):
+    # The stand-in stacks all-A strips.  On 8x4 and 8x8 no tiling has a 3-term
+    # AP, so those two hints pass; from 8x12 on each one fails its check.
+    monkeypatch.setattr(ttr.decide, "stack_rows",
+                        lambda coloring, k: stack_rows(GridColoring(((0,) * coloring.width,)), k))
+    solved = _record_calls(monkeypatch, "solve")
+    assert compute_T(8, 3).value == 36
+    assert [cnf.rect.width for cnf, _config in solved] == list(range(12, 37, 4))
+
+
+def test_t_scan_checks_the_deadline_before_each_hint(monkeypatch):
+    stacked = _record_calls(monkeypatch, "stack_rows")
+    config = SearchConfig(time_budget_s=1.0)
+    config.deadline = time.monotonic() - 1.0
+    assert compute_T(8, 3, config) == ScanResult(None, 4, 36)
+    assert stacked == []
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_stacked_prefixes_of_the_extremal_coloring(l):
+    colors = extremal_coloring(l).rows[0]
+    for n in range(1, len(colors) + 1):
+        prefix = GridColoring((colors[:n],))
+        for k in range(1, l):
+            assert longest_ap(stack_rows(prefix, k)).length < l, (n, k)
+        assert longest_ap(stack_rows(prefix, l)).length >= l, n
