@@ -2,59 +2,26 @@
 
 ``decide_forces(h, w, l)`` answers whether every complete tiling of the h x w
 rectangle contains an AP of length >= l through the CNF/SAT pipeline
-(blocking clauses; UNSAT means forced), cross-checked by the AP-pruned
-enumerator up to ``DEFAULT_ENUM_AREA`` cells.  ``compute_T`` and ``compute_L``
-scan those answers for the least forcing length and the greatest forced AP
+(blocking clauses; UNSAT means forced).  Up to ``DEFAULT_ENUM_AREA`` cells
+it cross-checks the answer against an oracle that filters the plain
+enumeration through the AP kernel.  ``compute_T`` and ``compute_L`` scan
+those answers for the least forcing length and the greatest forced AP
 length; below its 4*W(2, l) ceiling the T scan answers from a verified
 stacked van der Waerden strip instead of the solver.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 from .errors import IndeterminateError, LemmaViolationError
-from .enumerator import DEFAULT_ENUM_AREA, frontier_search, placements
-from .grid import Rect, Tile, Tiling
-from .aps import longest_ap
+from .enumerator import DEFAULT_ENUM_AREA, enumerate_tilings
+from .grid import Rect, Tiling
+from .aps import has_ap_of_length, longest_ap
 from .cnf import add_ap_blocking, build_cnf
 from .solver import DecideResult, ScanResult, SearchConfig, greatest_forced, solve
 from .vdw import GridColoring, extremal_coloring
 from .width4 import stack_rows
 
 MAX_T_SCAN = 400
-
-
-def _completes_ap(l: int) -> Callable[[Tile, Sequence[Tile]], bool]:
-    """Prune hook: does the new tile complete l equally spaced same-orientation anchors?
-
-    Cutting such a placement as soon as it is tried keeps every partial
-    tiling the search explores free of l-term APs.
-    """
-
-    def completes(tile: Tile, placed: Sequence[Tile]) -> bool:
-        o = tile.orientation
-        same = {t.anchor for t in placed if t.orientation is o}
-        r, c = tile.row, tile.col
-        for (br, bc) in same:
-            dy, dx = r - br, c - bc
-            # Longest run through (r, c) with step (dy, dx), counting both sides.
-            run = 1
-            rr, cc = r - dy, c - dx
-            while (rr, cc) in same:
-                run += 1
-                rr -= dy
-                cc -= dx
-            rr, cc = r + dy, c + dx
-            while (rr, cc) in same:
-                run += 1
-                rr += dy
-                cc += dx
-            if run >= l:
-                return True
-        return False
-
-    return completes
 
 
 def decide_forces(
@@ -101,10 +68,10 @@ def decide_forces(
 
 
 def _decide_by_enumeration(h: int, w: int, l: int) -> DecideResult:
-    """The oracle: search the tilings of h x w for one without an l-term AP."""
-    rect = Rect(h, w)
-    for tiling in frontier_search(rect, placements(rect), prune=_completes_ap(l), limit=1):
-        return DecideResult(h, w, l, forced=False, method="enumeration", witness=tiling)
+    """The oracle: the first tiling of h x w, in canonical order, without an l-term AP."""
+    for tiling in enumerate_tilings(Rect(h, w)):
+        if not has_ap_of_length(tiling, l):
+            return DecideResult(h, w, l, forced=False, method="enumeration", witness=tiling)
     return DecideResult(h, w, l, forced=True, method="enumeration")
 
 

@@ -1,24 +1,18 @@
 """Exhaustive row-major frontier search over complete tilings.
 
-:func:`frontier_search` is the one tiling search in the package.  It fills
-the first uncovered cell in row-major order with each placement whose first
-covered cell is there, tried in canonical order (orientation U < D < L < R,
-then row, then col), so its output stream is itself canonically ordered.  It
-searches over a given tuple of placements and takes an optional
-``prune(tile, placed)`` hook that cuts a candidate given the tiles already
-placed; :mod:`ttr.decide` passes its AP-window check there.
+:func:`enumerate_tilings` is the one tiling search in the package.  It
+fills the first uncovered cell in row-major order with each placement whose
+first covered cell is there, tried in canonical order (orientation U < D <
+L < R, then row, then col), so its output stream is itself canonically
+ordered.
 
 The frontier state is the first free cell plus the cover bits from there
 on, a window of at most ``2*width`` bits: each placement's mask is relative
 to its first cell, so no mask spans the whole rectangle.  The placements are
-the interned tiles of ``grid.placement_table``.  The search memoizes dead
-states, which makes emptiness proofs (non-tileable rectangles) fast.  A
-state is recorded as dead only when its subtree yielded no tiling *and* the
-hook cut nothing inside it: only then was the subtree searched in full, so
-no completion exists from that state whatever was placed before it.  With
-no hook this is the plain dead-state memo.
+the interned tiles of ``grid.placement_table``.  The search records a state
+as dead when its subtree yielded no tiling, which makes emptiness proofs
+(non-tileable rectangles) fast.
 
-:func:`enumerate_tilings` is the search over every placement.
 :func:`count_tilings` shares the candidate table, the frontier window and
 the recursion guard, memoizes counts instead, and promises only the number.
 """
@@ -27,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .grid import PLACEMENT_ORDER, Rect, Tile, Tiling, _flat_steps, placement_table
@@ -75,65 +69,6 @@ def _deep_enough(rect: Rect) -> Iterator[None]:
             sys.setrecursionlimit(old_limit)
 
 
-def frontier_search(
-    rect: Rect,
-    tiles: Sequence[Tile],
-    *,
-    prune: Callable[[Tile, Sequence[Tile]], bool] | None = None,
-    limit: int | None = None,
-) -> Iterator[Tiling]:
-    """Yield every tiling of ``rect`` by placements from ``tiles``, in canonical order.
-
-    ``prune(tile, placed)`` cuts a candidate placement that the caller rules
-    out given the tiles placed so far; ``limit`` stops the stream after that
-    many tilings.  The area is not bounded here; callers bound it.
-    """
-    if limit is not None and limit <= 0:
-        return
-    if rect.area % 4:
-        return
-
-    by_cell = _frontier(rect, tiles)
-    area = rect.area
-    dead: set[tuple[int, int]] = set()
-    placed: list[Tile] = []
-    yielded = 0
-    cuts = 0
-
-    def search(window: int, first_free: int) -> Iterator[Tiling]:
-        nonlocal yielded, cuts
-        while window & 1:
-            window >>= 1
-            first_free += 1
-        if first_free == area:
-            yielded += 1
-            yield Tiling(rect, placed)
-            return
-        key = (first_free, window)
-        if key in dead:
-            return
-        before = (yielded, cuts)
-        for mask, tile in by_cell[first_free]:
-            if window & mask:
-                continue
-            if prune is not None and prune(tile, placed):
-                cuts += 1
-                continue
-            placed.append(tile)
-            yield from search((window | mask) >> 1, first_free + 1)
-            placed.pop()
-            if limit is not None and yielded >= limit:
-                return
-        if (yielded, cuts) == before:
-            dead.add(key)
-
-    with _deep_enough(rect):
-        for tiling in search(0, 0):
-            yield tiling
-            if limit is not None and yielded >= limit:
-                return
-
-
 def enumerate_tilings(
     rect: Rect,
     limit: int | None = None,
@@ -151,7 +86,46 @@ def enumerate_tilings(
             f"enumeration of {rect} ({rect.area} cells) exceeds the configured "
             f"bound of {max_area} cells"
         )
-    yield from frontier_search(rect, placements(rect), limit=limit)
+    if limit is not None and limit <= 0:
+        return
+    if rect.area % 4:
+        return
+
+    by_cell = _frontier(rect, placements(rect))
+    area = rect.area
+    dead: set[tuple[int, int]] = set()
+    placed: list[Tile] = []
+    yielded = 0
+
+    def search(window: int, first_free: int) -> Iterator[Tiling]:
+        nonlocal yielded
+        while window & 1:
+            window >>= 1
+            first_free += 1
+        if first_free == area:
+            yielded += 1
+            yield Tiling(rect, placed)
+            return
+        key = (first_free, window)
+        if key in dead:
+            return
+        before = yielded
+        for mask, tile in by_cell[first_free]:
+            if window & mask:
+                continue
+            placed.append(tile)
+            yield from search((window | mask) >> 1, first_free + 1)
+            placed.pop()
+            if limit is not None and yielded >= limit:
+                return
+        if yielded == before:
+            dead.add(key)
+
+    with _deep_enough(rect):
+        for tiling in search(0, 0):
+            yield tiling
+            if limit is not None and yielded >= limit:
+                return
 
 
 def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:

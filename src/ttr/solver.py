@@ -186,8 +186,13 @@ def _run_external(
     clauses: Sequence[Clause],
     time_budget_s: float | None,
 ) -> tuple[SolverStatus, list[bool] | None]:
+    try:
+        argv = shlex.split(cmd)
+    except ValueError as e:
+        raise SolverError(f"cannot parse solver command {cmd!r}: {e}") from None
+    if not argv:
+        raise SolverError(f"empty solver command {cmd!r}")
     dimacs = clauses_to_dimacs(num_vars, clauses)
-    argv = shlex.split(cmd)
     with tempfile.TemporaryDirectory(prefix="ttr-sat-") as tmp:
         path = Path(tmp) / "instance.cnf"
         path.write_text(dimacs, encoding="utf-8")
@@ -200,6 +205,8 @@ def _run_external(
             )
         except FileNotFoundError:
             raise SolverError(f"solver command not found: {argv[0]!r}") from None
+        except OSError as e:
+            raise SolverError(f"cannot start solver command {argv[0]!r}: {e.strerror or e}") from None
         except subprocess.TimeoutExpired:
             return SolverStatus.UNKNOWN, None
     return parse_solver_output(proc.stdout, num_vars)

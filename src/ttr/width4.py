@@ -13,7 +13,8 @@ A strip made of A and B units only is a one-row :class:`~ttr.vdw.GridColoring`
 (color 0 for A, 1 for B), so 4xN tilings without an l-term AP correspond to
 2-colorings without a monochromatic l-term AP.  ``decompose`` and
 ``concatenate`` share one catalog of every unit up to ``MAX_UNIT_LEN``, built
-once per process.
+once per process; the A/B strips of ``ab_map`` and ``coloring_to_tiling``
+are laid out from ``UNIT_A_TILES`` and ``UNIT_B_TILES`` without it.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def enumerate_units(max_len: int) -> list[Unit]:
     names = string.ascii_uppercase
     for k in range(4, max_len + 1, 4):
         found = []
-        for t in enumerate_tilings(Rect(4, k), max_area=max(64, 4 * k)):
+        for t in enumerate_tilings(Rect(4, k)):
             if not fault_columns(t):
                 found.append((first_column_class(t.tiles) != "A", list(map(TILING_ORDER, t.tiles)), t.tiles))
         found.sort()
@@ -189,12 +190,17 @@ def ab_map(tiling: Tiling) -> Tiling:
     Idempotent, and fixes every d1 tile (D-orientation tiles in the top row),
     both of which the test suite checks exhaustively at desk scale.
     """
-    tiles: list[Tile] = []
-    for left, width, seg in _segments(tiling):
-        source = UNIT_A_TILES if first_column_class(seg) == "A" else UNIT_B_TILES
-        for block in range(width // 4):
-            tiles.extend(t.translated(0, left + 4 * block) for t in source)
-    return Tiling(tiling.rect, tiles)
+    colors: list[int] = []
+    for _left, width, seg in _segments(tiling):
+        colors += [int(first_column_class(seg) != "A")] * (width // 4)
+    return _ab_strip(colors)
+
+
+def _ab_strip(colors: Sequence[int]) -> Tiling:
+    """The height-4 strip of unit A (color 0) or B (color 1) per 4-column block, left to right."""
+    units = (UNIT_A_TILES, UNIT_B_TILES)
+    tiles = [t.translated(0, 4 * i) for i, color in enumerate(colors) for t in units[color]]
+    return Tiling(Rect(4, 4 * len(colors)), tiles)
 
 
 def d1_tiles(tiling: Tiling) -> list[Tile]:
@@ -225,7 +231,7 @@ def coloring_to_tiling(coloring: GridColoring) -> Tiling:
     """
     if coloring.height != 1:
         raise ValueError(f"expected a one-row coloring, got {coloring.height} rows")
-    return concatenate(str(coloring))
+    return _ab_strip(coloring.rows[0])
 
 
 def tiling_to_coloring(tiling: Tiling) -> GridColoring:

@@ -285,6 +285,20 @@ def test_missing_solver_binary_exits_3(capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", ["not-executable", " ", "'unterminated"])
+def test_unlaunchable_solver_exits_3(solver, tmp_path, capsys):
+    # A command that exists but may not run, one that is empty, one that does not parse.
+    if solver == "not-executable":
+        script = tmp_path / "solver.sh"
+        script.write_text("#!/bin/sh\necho 's UNSATISFIABLE'\n")
+        script.chmod(0o644)
+        solver = str(script)
+    code = main(["decide", "--height", "4", "--width", "8", "--len", "3", "--solver", solver])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and err.count("\n") == 1
+
+
 def test_tile_handles_large_rectangles(tmp_path):
     out = tmp_path / "big.ttiling"
     assert main(["tile", "--height", "16", "--width", "136", "--out", str(out)]) == 0

@@ -273,6 +273,18 @@ def test_dimacs_literals_are_signed_ascii_decimal(tmp_path, capsys, token):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and repr(token) in err
 
 
+def test_dimacs_entry_point_takes_only_the_file(tmp_path, capsys):
+    path = tmp_path / "in.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        dimacs.main([str(path), "--time-budget", "1"])
+    assert exc.value.code == 2
+    assert "--time-budget" in capsys.readouterr().err
+    assert dimacs.main([str(path)]) == 10
+    path.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    assert dimacs.main([str(path)]) == 20
+
+
 def test_var_map_sidecar_lines():
     cnf = build_cnf(Rect(4, 4))
     lines = var_map_sidecar(cnf).splitlines()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import sys
 import time
 
@@ -8,10 +9,9 @@ import pytest
 import ttr.decide
 
 from ttr.errors import IndeterminateError
-from ttr.grid import Rect
+from ttr.grid import Rect, write_tiling
 from ttr.aps import longest_ap
-from ttr.decide import compute_L, compute_T, decide_forces, _completes_ap, _decide_by_enumeration
-from ttr.enumerator import frontier_search, placements
+from ttr.decide import compute_L, compute_T, decide_forces, _decide_by_enumeration
 from ttr.cnf import add_ap_blocking, build_cnf
 from ttr.solver import ScanResult, SearchConfig, solve
 from ttr.vdw import GridColoring, extremal_coloring, vdw_number
@@ -59,22 +59,37 @@ def test_oracle_agreement_every_rect_up_to_96_cells():
     assert questions == 3 * 14
 
 
+#: SHA-256 of the oracle's answers on every tileable rectangle of at most 96
+#: cells, l = 2..5: per question ``"{h}x{w} l={l} forced={forced}\n"``, then
+#: the TTILING text of the witness when there is one.  Taken while the oracle
+#: was still a pruned search of its own.
+ORACLE_SHA256 = "e7b470020f24c988fc1563353a12fbbed2cd3e14757d304b87412a665d8da9fd"
+
+
+def test_oracle_answers_and_witnesses_pinned():
+    sha = hashlib.sha256()
+    questions = forced = 0
+    for h in range(4, 25, 4):
+        for w in range(4, 25, 4):
+            if h * w > 96:
+                continue
+            for l in range(2, 6):
+                result = _decide_by_enumeration(h, w, l)
+                sha.update(f"{h}x{w} l={l} forced={result.forced}\n".encode())
+                if result.witness is not None:
+                    assert result.method == "enumeration"
+                    sha.update(write_tiling(result.witness).encode())
+                questions += 1
+                forced += result.forced
+    assert (questions, forced) == (56, 13)
+    assert sha.hexdigest() == ORACLE_SHA256
+
+
 def test_determinism_of_witnesses():
     a = decide_forces(4, 32, 3)
     b = decide_forces(4, 32, 3)
     assert a.witness == b.witness
     assert a.forced == b.forced
-
-
-def test_apfree_enumeration_prunes_correctly(corpus):
-    # The pruned stream must equal the filtered full enumeration, in order:
-    # the dead-state memo may skip only subtrees the hook cut nothing in.
-    for key, tilings in corpus.items():
-        rect = Rect(*key)
-        longest = [longest_ap(t).length for t in tilings]
-        for l in (2, 3, 4):
-            pruned = list(frontier_search(rect, placements(rect), prune=_completes_ap(l)))
-            assert pruned == [t for t, n in zip(tilings, longest) if n < l], (key, l)
 
 
 def test_witness_hint_short_circuits():

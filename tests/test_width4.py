@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ttr import width4
 from ttr.errors import CatalogError, ParseError, ResourceLimitError, StructureError
-from ttr.grid import Orientation, Rect
+from ttr.grid import Orientation, Rect, write_tiling
 from ttr.aps import has_ap_of_length, longest_ap
 from ttr.enumerator import enumerate_tilings
 from ttr.width4 import (
@@ -88,6 +90,20 @@ def test_default_catalog_is_built_once(monkeypatch, corpus):
     finally:
         width4._catalog.cache_clear()
     assert calls == [16]
+
+
+#: SHA-256 of the TTILING text of the 8x136 stack of two 4-AP-free strips,
+#: taken while the strip was still laid out from the unit catalog.
+STACKED_STRIP_SHA256 = "b6fb3f452b4e248e01c70677975b4688b48125a7b4653f69756ecf035e8b1b59"
+
+
+def test_stacked_strip_leaves_catalog_unbuilt():
+    width4._catalog.cache_clear()
+    coloring = extremal_coloring(4)
+    stacked = stack_rows(coloring, 2)
+    assert width4._catalog.cache_info().currsize == 0
+    assert hashlib.sha256(write_tiling(stacked).encode()).hexdigest() == STACKED_STRIP_SHA256
+    assert coloring_to_tiling(coloring) == concatenate(str(coloring))
 
 
 def test_decompose_catalog_too_small():
