@@ -1,13 +1,13 @@
 """Deciding whether every tiling of a rectangle is forced to contain long APs.
 
 ``decide_forces(h, w, l)`` answers whether every complete tiling of the h x w
-rectangle contains an AP of length >= l through the CNF/SAT pipeline
-(blocking clauses; UNSAT means forced).  Up to ``DEFAULT_ENUM_AREA`` cells
-it cross-checks the answer against an oracle that filters the plain
-enumeration through the AP kernel.  ``compute_T`` and ``compute_L`` scan
-those answers for the least forcing length and the greatest forced AP
-length; below its 4*W(2, l) ceiling the T scan answers from a verified
-stacked van der Waerden strip instead of the solver.
+rectangle contains an AP of length >= l: ``solver.solve`` takes the
+AP-blocking CNF to the one SAT route, and UNSAT means forced.  Up to
+``DEFAULT_ENUM_AREA`` cells an oracle that filters the plain enumeration
+through the AP kernel cross-checks it.  ``compute_T`` and ``compute_L``
+check the deadline before each question as they scan for the least forcing
+length and the greatest forced AP length; below its 4*W(2, l) ceiling the
+T scan answers from a verified stacked van der Waerden strip instead.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ def decide_forces(
     A ``witness_hint`` (an alleged AP-free tiling, e.g. from a stacked-row
     construction) is verified and, if good, answers the question immediately.
     SAT answers are cross-checked against the exhaustive enumerator on
-    rectangles of at most ``DEFAULT_ENUM_AREA`` cells.  Budget exhaustion,
-    including a deadline already passed before encoding, raises
-    :class:`IndeterminateError`; it is never coerced to a boolean.
+    rectangles of at most ``DEFAULT_ENUM_AREA`` cells.  Budget exhaustion
+    raises :class:`IndeterminateError`; it is never coerced to a boolean.
     """
     if h % 4 or w % 4:
         raise ValueError(f"sides must be multiples of 4, got {h}x{w}")
@@ -54,8 +53,6 @@ def decide_forces(
             return DecideResult(h, w, l, forced=False, method="hint", witness=witness_hint)
         # A bad hint proves nothing; fall through to the search.
 
-    if config.remaining_s() == 0:
-        raise IndeterminateError(f"budget exhausted before deciding ({h},{w}) -> {l}")
     result = solve(add_ap_blocking(build_cnf(Rect(h, w)), l), config)
     if h * w <= DEFAULT_ENUM_AREA:
         oracle = _decide_by_enumeration(h, w, l)
@@ -135,4 +132,4 @@ def compute_L(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:
     tiles = h * w // 4
     ceiling = tiles + 1  # more terms than tiles is trivially avoidable
     first = 3 if tiles >= 5 else 2
-    return greatest_forced(range(first, ceiling + 1), lambda l: decide_forces(h, w, l, config))
+    return greatest_forced(range(first, ceiling + 1), lambda l: decide_forces(h, w, l, config), config)

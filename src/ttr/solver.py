@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -65,11 +66,6 @@ class SearchConfig:
     def resolved_solver_cmd(self) -> str | None:
         return self.solver_cmd or os.environ.get(SOLVER_ENV_VAR) or None
 
-    @property
-    def engine(self) -> str:
-        """The SAT backend this config runs: "external" or "internal"."""
-        return "external" if self.resolved_solver_cmd() else "internal"
-
 
 @dataclass
 class ScanResult:
@@ -95,9 +91,9 @@ class DecideResult:
 
     ``witness`` is the avoider when not forced: an AP-free tiling for the
     tiling question, an avoiding coloring for the van der Waerden one.
-    ``method`` names what answered: the SAT engine ("internal" or
-    "external", see :attr:`SearchConfig.engine`), a verified ``"hint"``, or
-    the ``"enumeration"`` oracle.  ``length`` is None only for a tiling CNF
+    ``method`` names what answered: the SAT engine that :func:`decide_sat`
+    ran ("internal" or "external"), a verified ``"hint"``, or the
+    ``"enumeration"`` oracle.  ``length`` is None only for a tiling CNF
     without AP blocking, where "forced" means no tiling exists.
     """
 
@@ -109,16 +105,18 @@ class DecideResult:
     witness: object | None = None
 
 
-def greatest_forced(lengths: range, decide: Callable[[int], DecideResult]) -> ScanResult:
+def greatest_forced(lengths: range, decide: Callable[[int], DecideResult], config: SearchConfig) -> ScanResult:
     """Ascend ``lengths`` to the first avoidable l; the greatest forced length is l - 1.
 
     Every length below ``lengths.start`` must already be known forced, and
     the last length must be trivially avoidable: a tiling or coloring that
     avoids l-APs also avoids longer ones, so the first avoidable l pins the
-    value, and its avoider is the result's witness.  When the budget runs
-    out the result is the proven bracket [l - 1, inf).
+    value, and its avoider is the result's witness.  The deadline is checked
+    before each question; once it passes the result is the proven bracket [l - 1, inf).
     """
     for l in lengths:
+        if config.remaining_s() == 0:
+            return ScanResult(None, l - 1, None)
         try:
             result = decide(l)
         except IndeterminateError:
@@ -150,34 +148,47 @@ def run_sat(
     return SolverStatus(result.status), result.model
 
 
-def solve(cnf: CNF, config: SearchConfig | None = None) -> DecideResult:
-    """Solve a tiling CNF; UNSAT is forced, SAT yields the re-verified avoider.
+def decide_sat(
+    h: int, w: int, l: int | None, num_vars: int, clauses: Sequence[Clause],
+    recheck: Callable[[list[bool]], tuple[object, str | None]], config: SearchConfig,
+) -> DecideResult:
+    """The one SAT route: UNSAT is forced, UNKNOWN raises :class:`IndeterminateError`.
 
-    A SAT witness is decoded and checked again from scratch: the tiling must
-    validate, must beat the AP bound recorded on the CNF, and must equal its
-    own 180-degree rotation when symmetry clauses were added; a witness that
-    fails any of these raises :class:`SolverError`.  UNKNOWN (the budget ran
-    out) raises :class:`IndeterminateError`.  UNSAT answers are taken on
-    trust from the solver (no proof logging); the decision layer
-    cross-checks them against the exhaustive enumerator at desk scale.
+    On SAT, ``recheck(model)`` decodes the witness, checks it again from
+    scratch and returns ``(witness, reason)``; a reason raises :class:`SolverError`.
     """
-    config = config or SearchConfig()
-    h, w, l = cnf.rect.height, cnf.rect.width, cnf.blocked_len
-    status, model = run_sat(cnf.num_vars, cnf.clauses, config)
+    status, model = run_sat(num_vars, clauses, config)
     if status is SolverStatus.UNKNOWN:
         raise IndeterminateError(f"budget exhausted deciding ({h},{w}) -> {l}")
+    method = "external" if config.resolved_solver_cmd() else "internal"
     if status is SolverStatus.UNSAT:
-        return DecideResult(h, w, l, forced=True, method=config.engine)
-    assert model is not None
-    try:
-        witness = decode_model(cnf, model)  # Tiling constructor re-validates
-    except TilingError as e:
-        raise SolverError(f"witness re-verification failed: {e}") from None
-    if l is not None and longest_ap(witness).length >= l:
-        raise SolverError(f"witness re-verification failed: contains an AP of length >= {l}")
-    if cnf.rot180 and witness != witness.rotated_180():
-        raise SolverError("witness re-verification failed: not rotationally symmetric")
-    return DecideResult(h, w, l, forced=False, method=config.engine, witness=witness)
+        return DecideResult(h, w, l, forced=True, method=method)
+    witness, reason = recheck(model)
+    if reason is not None:
+        raise SolverError(f"witness re-verification failed: {reason}")
+    return DecideResult(h, w, l, forced=False, method=method, witness=witness)
+
+
+def solve(cnf: CNF, config: SearchConfig | None = None) -> DecideResult:
+    """Decide a tiling CNF on :func:`decide_sat`; UNSAT is forced.
+
+    The decoded tiling must validate, beat the CNF's AP bound, and equal its
+    180-degree rotation when symmetry clauses were added.
+    """
+    h, w, l = cnf.rect.height, cnf.rect.width, cnf.blocked_len
+
+    def recheck(model: list[bool]) -> tuple[object, str | None]:
+        try:
+            witness = decode_model(cnf, model)  # Tiling constructor re-validates
+        except TilingError as e:
+            return None, str(e)
+        if l is not None and longest_ap(witness).length >= l:
+            return witness, f"contains an AP of length >= {l}"
+        if cnf.rot180 and witness != witness.rotated_180():
+            return witness, "not rotationally symmetric"
+        return witness, None
+
+    return decide_sat(h, w, l, cnf.num_vars, cnf.clauses, recheck, config or SearchConfig())
 
 
 def _run_external(
@@ -197,19 +208,29 @@ def _run_external(
         path = Path(tmp) / "instance.cnf"
         path.write_text(dimacs, encoding="utf-8")
         try:
-            proc = subprocess.run(
+            proc = subprocess.Popen(
                 argv + [str(path)],
-                capture_output=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
                 text=True,
-                timeout=time_budget_s,
+                start_new_session=True,
             )
         except FileNotFoundError:
             raise SolverError(f"solver command not found: {argv[0]!r}") from None
         except OSError as e:
             raise SolverError(f"cannot start solver command {argv[0]!r}: {e.strerror or e}") from None
-        except subprocess.TimeoutExpired:
-            return SolverStatus.UNKNOWN, None
-    return parse_solver_output(proc.stdout, num_vars)
+        with proc:
+            try:
+                output = proc.communicate(timeout=time_budget_s)[0]
+            except subprocess.TimeoutExpired:
+                return SolverStatus.UNKNOWN, None
+            finally:  # the command's own children too, on a timeout or an interrupt
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+    return parse_solver_output(output, num_vars)
 
 
 def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[bool] | None]:

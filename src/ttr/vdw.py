@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .aps import maximal_runs
-from .errors import IndeterminateError, ParseError, ResourceLimitError, SolverError
+from .errors import ParseError, ResourceLimitError
 from .grid import Cell, Rect, read_header
-from .solver import DecideResult, ScanResult, SearchConfig, SolverStatus, greatest_forced, run_sat
+from .solver import DecideResult, ScanResult, SearchConfig, decide_sat, greatest_forced
 
 MAX_VDW_LEN = 4
 
@@ -221,32 +221,22 @@ def _forced_brute(h: int, w: int, l: int) -> tuple[bool, GridColoring | None]:
 def _forced_sat(h: int, w: int, l: int, config: SearchConfig) -> DecideResult:
     """Whether every 2-coloring of the h x w grid has a monochromatic l-AP.
 
-    SAT route: one variable per cell; block each candidate AP in both colors.
-    An avoiding coloring is re-checked with :func:`grid_mono_ap` and raises
-    :class:`SolverError` if it fails.  Budget exhaustion, including a
-    deadline already passed before encoding, raises
-    :class:`IndeterminateError`.
+    Asks :func:`ttr.solver.decide_sat`: one variable per cell, each
+    candidate AP blocked in both colors.  An avoiding coloring is re-checked
+    with :func:`grid_mono_ap`.
     """
-    if config.remaining_s() == 0:
-        raise IndeterminateError(f"budget exhausted before deciding L_vdW({h},{w}) at l={l}")
     clauses = []
     for cells in _ap_candidates(h, w, l):
         lits = [r * w + c + 1 for r, c in cells]
         clauses.append(tuple(-v for v in lits))
         clauses.append(tuple(lits))
-    status, model = run_sat(h * w, clauses, config)
-    if status is SolverStatus.UNKNOWN:
-        raise IndeterminateError(f"budget exhausted deciding L_vdW({h},{w}) at l={l}")
-    if status is SolverStatus.UNSAT:
-        return DecideResult(h, w, l, forced=True, method=config.engine)
-    assert model is not None
-    coloring = GridColoring(tuple(tuple(int(model[r * w + c + 1]) for c in range(w)) for r in range(h)))
-    ap = grid_mono_ap(coloring, l)
-    if ap is not None:
-        raise SolverError(
-            f"witness re-verification failed: monochromatic {l}-AP from {ap.start} with step {ap.step}"
-        )
-    return DecideResult(h, w, l, forced=False, method=config.engine, witness=coloring)
+
+    def recheck(model: list[bool]) -> tuple[GridColoring, str | None]:
+        coloring = GridColoring(tuple(tuple(int(model[r * w + c + 1]) for c in range(w)) for r in range(h)))
+        ap = grid_mono_ap(coloring, l)
+        return coloring, None if ap is None else f"monochromatic {l}-AP from {ap.start} with step {ap.step}"
+
+    return decide_sat(h, w, l, h * w, clauses, recheck, config)
 
 
 def compute_Lvdw(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:
@@ -262,4 +252,4 @@ def compute_Lvdw(h: int, w: int, config: SearchConfig | None = None) -> ScanResu
     rect = Rect(h, w)
     config = config or SearchConfig()
     first = 3 if rect.area >= 3 else 2
-    return greatest_forced(range(first, max(h, w) + 2), lambda l: _forced_sat(h, w, l, config))
+    return greatest_forced(range(first, max(h, w) + 2), lambda l: _forced_sat(h, w, l, config), config)

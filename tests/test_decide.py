@@ -7,6 +7,7 @@ import time
 import pytest
 
 import ttr.decide
+import ttr.vdw
 
 from ttr.errors import IndeterminateError
 from ttr.grid import Rect, write_tiling
@@ -130,6 +131,24 @@ def test_budget_exhaustion_is_explicit():
     config = SearchConfig(time_budget_s=1e-9)
     with pytest.raises(IndeterminateError):
         decide_forces(20, 20, 3, config)
+
+
+def test_scans_with_a_spent_budget_encode_nothing(monkeypatch):
+    encoded = []
+
+    def counting(encode):
+        def wrapper(*args):
+            encoded.append(encode.__name__)
+            return encode(*args)
+        return wrapper
+
+    monkeypatch.setattr(ttr.decide, "build_cnf", counting(ttr.decide.build_cnf))
+    monkeypatch.setattr(ttr.vdw, "_ap_candidates", counting(ttr.vdw._ap_candidates))
+    spent = SearchConfig(time_budget_s=1e-9)
+    assert compute_L(48, 48, spent) == ScanResult(None, 2, None)
+    assert ttr.vdw.compute_Lvdw(24, 24, spent) == ScanResult(None, 2, None)
+    assert compute_T(16, 3, spent) == ScanResult(None, 4, 36)
+    assert encoded == []
 
 
 def test_compute_T_small_values():

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import stat
 import sys
+import time
 
 import pytest
 
+import ttr.solver
 from ttr.errors import IndeterminateError, SolverError
 from ttr.grid import Rect
 from ttr.cnf import add_ap_blocking, build_cnf
@@ -15,6 +17,7 @@ from ttr.solver import (
     run_sat,
     solve,
 )
+from ttr.vdw import _forced_sat
 
 DIMACS_SOLVER = f"{sys.executable} -m ttr.dimacs"
 
@@ -136,3 +139,47 @@ def test_external_witness_ap_bound_reverified(tmp_path):
     blocked = add_ap_blocking(base, 2)
     with pytest.raises(SolverError):
         solve(blocked, SearchConfig(solver_cmd=str(script)))
+
+
+def test_timeout_kills_the_solver_commands_children(tmp_path, monkeypatch):
+    # A wrapper script whose children outlive it unless the whole process group is killed.
+    mark = tmp_path / "mark"
+    monkeypatch.setenv("MARK", str(mark))
+    script = tmp_path / "wrapper.sh"
+    script.write_text('#!/bin/sh\n(sleep 0.5; touch "$MARK") &\nsleep 5\n')
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    config = SearchConfig(solver_cmd=str(script), time_budget_s=0.2)
+    assert run_sat(2, [(1,), (2,)], config) == (SolverStatus.UNKNOWN, None)
+    time.sleep(1.0)
+    assert not mark.exists()
+
+
+QUESTIONS = {
+    "tiling": ((4, 8, 3), lambda config: solve(add_ap_blocking(build_cnf(Rect(4, 8)), 3), config)),
+    "coloring": ((3, 3, 3), lambda config: _forced_sat(3, 3, 3, config)),
+}
+
+
+@pytest.mark.parametrize("kind", QUESTIONS)
+def test_both_question_kinds_answer_through_the_one_route(kind, monkeypatch):
+    (h, w, l), ask = QUESTIONS[kind]
+    status = SolverStatus.UNKNOWN
+
+    def stub(num_vars, clauses, config):
+        return status, [False] * (num_vars + 1) if status is SolverStatus.SAT else None
+
+    monkeypatch.setattr(ttr.solver, "run_sat", stub)
+    with pytest.raises(IndeterminateError) as exc:
+        ask(SearchConfig())
+    assert str(exc.value) == f"budget exhausted deciding ({h},{w}) -> {l}"
+
+    status = SolverStatus.UNSAT
+    for solver_cmd, method in [(None, "internal"), ("never-started", "external")]:
+        result = ask(SearchConfig(solver_cmd=solver_cmd))
+        assert (result.height, result.width, result.length) == (h, w, l)
+        assert (result.forced, result.method, result.witness) == (True, method, None)
+
+    status = SolverStatus.SAT  # an all-false model is no avoider of either kind
+    with pytest.raises(SolverError) as exc:
+        ask(SearchConfig())
+    assert str(exc.value).startswith("witness re-verification failed: ")
