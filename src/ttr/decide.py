@@ -2,9 +2,10 @@
 
 ``decide_forces(h, w, l)`` answers whether every complete tiling of the h x w
 rectangle contains an AP of length >= l: ``solver.solve`` takes the
-AP-blocking CNF to the one SAT route, and UNSAT means forced.  Up to
-``DEFAULT_ENUM_AREA`` cells an oracle that filters the plain enumeration
-through the AP kernel cross-checks it.  ``compute_T`` and ``compute_L``
+AP-blocking CNF to the one SAT route, and UNSAT means forced.  No answer
+enumerates tilings; ``_decide_by_enumeration``, which filters the plain
+enumeration through the AP kernel, is the tests' oracle for that route on
+every rectangle of at most 96 cells.  ``compute_T`` and ``compute_L``
 check the deadline before each question as they scan for the least forcing
 length and the greatest forced AP length; below its 4*W(2, l) ceiling the
 T scan answers from a verified stacked van der Waerden strip instead.
@@ -13,7 +14,7 @@ T scan answers from a verified stacked van der Waerden strip instead.
 from __future__ import annotations
 
 from .errors import IndeterminateError, LemmaViolationError
-from .enumerator import DEFAULT_ENUM_AREA, enumerate_tilings
+from .enumerator import enumerate_tilings
 from .grid import Rect, Tiling
 from .aps import has_ap_of_length, longest_ap
 from .cnf import add_ap_blocking, build_cnf
@@ -35,10 +36,9 @@ def decide_forces(
     """True iff every tiling of h x w contains an AP of length >= l.
 
     A ``witness_hint`` (an alleged AP-free tiling, e.g. from a stacked-row
-    construction) is verified and, if good, answers the question immediately.
-    SAT answers are cross-checked against the exhaustive enumerator on
-    rectangles of at most ``DEFAULT_ENUM_AREA`` cells.  Budget exhaustion
-    raises :class:`IndeterminateError`; it is never coerced to a boolean.
+    construction) is verified and, if good, answers the question immediately;
+    otherwise ``solve`` answers.  Budget exhaustion raises
+    :class:`IndeterminateError`; it is never coerced to a boolean.
     """
     if h % 4 or w % 4:
         raise ValueError(f"sides must be multiples of 4, got {h}x{w}")
@@ -53,15 +53,7 @@ def decide_forces(
             return DecideResult(h, w, l, forced=False, method="hint", witness=witness_hint)
         # A bad hint proves nothing; fall through to the search.
 
-    result = solve(add_ap_blocking(build_cnf(Rect(h, w)), l), config)
-    if h * w <= DEFAULT_ENUM_AREA:
-        oracle = _decide_by_enumeration(h, w, l)
-        if oracle.forced != result.forced:
-            raise LemmaViolationError(
-                f"solver and enumerator disagree on ({h},{w}) -> {l}: "
-                f"sat={result.forced} enumeration={oracle.forced}"
-            )
-    return result
+    return solve(add_ap_blocking(build_cnf(Rect(h, w)), l), config)
 
 
 def _decide_by_enumeration(h: int, w: int, l: int) -> DecideResult:
@@ -86,8 +78,11 @@ def compute_T(w: int, l: int, config: SearchConfig | None = None) -> ScanResult:
     w/4 >= l the stack holds a vertical l-term AP, so none is built.)  Other
     scans stop after N = ``MAX_T_SCAN`` with the value unknown.
     """
+    Rect(4, w)  # rejects a width <= 0, which the % 4 test lets through
     if w % 4:
         raise ValueError(f"width must be a multiple of 4, got {w}")
+    if l < 2:
+        raise ValueError(f"l must be >= 2, got {l}")
     config = config or SearchConfig()
     ceiling: int | None = None
     strip: tuple[int, ...] | None = None  # the colors whose stacked prefixes are the hints

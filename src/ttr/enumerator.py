@@ -69,25 +69,20 @@ def _deep_enough(rect: Rect) -> Iterator[None]:
             sys.setrecursionlimit(old_limit)
 
 
-def enumerate_tilings(
-    rect: Rect,
-    limit: int | None = None,
-    *,
-    max_area: int = DEFAULT_ENUM_AREA,
-) -> Iterator[Tiling]:
+def enumerate_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> Iterator[Tiling]:
     """Yield every complete tiling of ``rect``, in canonical order.
 
-    ``limit`` stops the stream after that many tilings (useful as an
-    existence check).  Raises :class:`ResourceLimitError` when the area
-    exceeds ``max_area``; raise the bound explicitly for larger searches.
+    Only enumerations run it (the tests' oracles, ``has_tiling``, the
+    width-4 unit catalog); no forcing answer does.  The stream is lazy: a caller that stops early (``has_tiling``,
+    ``itertools.islice``) pays only for the tilings it took.  Raises
+    :class:`ResourceLimitError` when the area exceeds ``max_area``; raise
+    the bound explicitly for larger searches.
     """
     if rect.area > max_area:
         raise ResourceLimitError(
             f"enumeration of {rect} ({rect.area} cells) exceeds the configured "
             f"bound of {max_area} cells"
         )
-    if limit is not None and limit <= 0:
-        return
     if rect.area % 4:
         return
 
@@ -116,16 +111,11 @@ def enumerate_tilings(
             placed.append(tile)
             yield from search((window | mask) >> 1, first_free + 1)
             placed.pop()
-            if limit is not None and yielded >= limit:
-                return
         if yielded == before:
             dead.add(key)
 
     with _deep_enough(rect):
-        for tiling in search(0, 0):
-            yield tiling
-            if limit is not None and yielded >= limit:
-                return
+        yield from search(0, 0)
 
 
 def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
@@ -184,6 +174,6 @@ def has_tiling(rect: Rect) -> bool:
     """
     if rect.area % 4:
         return False
-    for _ in enumerate_tilings(rect, limit=1, max_area=MAX_EXISTENCE_AREA):
+    for _ in enumerate_tilings(rect, max_area=MAX_EXISTENCE_AREA):
         return True
     return False

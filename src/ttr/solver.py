@@ -92,9 +92,10 @@ class DecideResult:
     ``witness`` is the avoider when not forced: an AP-free tiling for the
     tiling question, an avoiding coloring for the van der Waerden one.
     ``method`` names what answered: the SAT engine that :func:`decide_sat`
-    ran ("internal" or "external"), a verified ``"hint"``, or the
-    ``"enumeration"`` oracle.  ``length`` is None only for a tiling CNF
-    without AP blocking, where "forced" means no tiling exists.
+    ran ("internal" or "external") or a verified ``"hint"``; only the tests'
+    oracle ``decide._decide_by_enumeration`` answers ``"enumeration"``.
+    ``length`` is None only for a tiling CNF without AP blocking, where
+    "forced" means no tiling exists.
     """
 
     height: int

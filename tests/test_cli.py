@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import os
 import stat
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import ttr
 from ttr.cli import main
-from ttr.grid import read_tiling
+from ttr.grid import read_tiling, write_tiling
 from ttr.aps import longest_ap
 from ttr.chains import read_chain
 from ttr.vdw import GridColoring, grid_mono_ap
+from ttr.width4 import stack_rows
 
 DIMACS_SOLVER = f"{sys.executable} -m ttr.dimacs"
 
@@ -93,6 +98,20 @@ def test_tvalue_and_lvalue(capsys):
 def test_lvalue_rejects_nonpositive_side(height, capsys):
     assert main(["lvalue", "--height", height, "--width", "4"]) == 1
     assert capsys.readouterr().err.strip() == f"error: rectangle sides must be >= 1, got {height}x4"
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget-seconds", "1e-9"]])
+@pytest.mark.parametrize("width, length, error", [
+    ("4", "1", "l must be >= 2, got 1"),
+    ("0", "3", "rectangle sides must be >= 1, got 4x0"),
+    ("-4", "3", "rectangle sides must be >= 1, got 4x-4"),
+])
+def test_tvalue_rejects_bad_input_before_the_deadline(width, length, error, budget, capsys):
+    # A spent budget must not turn bad input into an UNKNOWN bracket.
+    assert main(["tvalue", "--width", width, "--len", length, *budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("h, w", [("0", "5"), ("-2", "-3")])
@@ -304,6 +323,28 @@ def test_tile_handles_large_rectangles(tmp_path):
     assert main(["tile", "--height", "16", "--width", "136", "--out", str(out)]) == 0
     tiling = read_tiling(out.read_text())
     assert tiling.tile_count == 16 * 136 // 4
+
+
+def test_tile_4x4_bytes(capsys):
+    assert main(["tile", "--height", "4", "--width", "4"]) == 0
+    assert capsys.readouterr().out == "TTILING 1\n4 4\n0 0 0 1\n2 0 1 1\n2 2 3 1\n2 3 3 3\n"
+
+
+def test_tile_copies_the_4x4_block(capsys):
+    assert main(["tile", "--height", "8", "--width", "12"]) == 0
+    assert capsys.readouterr().out == write_tiling(stack_rows(GridColoring(((1,) * 3,)), 2))
+
+
+def test_tile_512x512_in_a_child_process(tmp_path):
+    # A child process, so that a crash deep in a search cannot take pytest with it.
+    out = tmp_path / "t.ttiling"
+    env = dict(os.environ, PYTHONPATH=str(Path(ttr.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-m", "ttr.cli", "tile", "--height", "512", "--width", "512",
+                            "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    lines = out.read_text().splitlines()
+    assert lines[1] == "512 512"
+    assert len(lines) == 514
 
 
 # Each subcommand's required arguments, and the optional flags it reads.

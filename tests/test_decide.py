@@ -31,7 +31,8 @@ def test_avoidable_at_width4_length32():
 
 
 def test_small_pair_decisions_cross_checked():
-    # These run both the SAT route and the enumeration oracle internally.
+    # decide_forces answers these from the SAT route alone; the tests below
+    # compare that route with the enumeration oracle.
     assert decide_forces(4, 8, 2).forced is True
     assert decide_forces(4, 4, 2).forced is False
     assert decide_forces(4, 12, 2).forced is True
@@ -39,7 +40,7 @@ def test_small_pair_decisions_cross_checked():
 
 
 def test_engines_agree_without_builtin_cross_check():
-    # The SAT route alone (decide_forces would add its own cross-check) against the enumeration oracle.
+    # The SAT route alone, called without decide_forces, against the enumeration oracle.
     for h, w, l in [(4, 8, 2), (4, 12, 3), (8, 8, 2), (4, 16, 3)]:
         sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).forced
         assert sat_forced == _decide_by_enumeration(h, w, l).forced
@@ -47,17 +48,18 @@ def test_engines_agree_without_builtin_cross_check():
 
 def test_oracle_agreement_every_rect_up_to_96_cells():
     # The SAT route alone against the enumeration oracle, with no help from
-    # decide_forces: every tileable rectangle of at most 96 cells, l in {2, 3, 4}.
+    # decide_forces: every tileable rectangle of at most 96 cells, every l
+    # from 2 up to one more than its number of tiles (trivially avoidable).
     questions = 0
     for h in range(4, 25, 4):
         for w in range(4, 25, 4):
             if h * w > 96:
                 continue
-            for l in (2, 3, 4):
+            for l in range(2, h * w // 4 + 2):
                 sat_forced = solve(add_ap_blocking(build_cnf(Rect(h, w)), l)).forced
                 assert sat_forced == _decide_by_enumeration(h, w, l).forced, (h, w, l)
                 questions += 1
-    assert questions == 3 * 14
+    assert questions == 228
 
 
 #: SHA-256 of the oracle's answers on every tileable rectangle of at most 96
@@ -91,6 +93,17 @@ def test_determinism_of_witnesses():
     b = decide_forces(4, 32, 3)
     assert a.witness == b.witness
     assert a.forced == b.forced
+
+
+def test_answers_run_no_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration on an answer path")
+
+    monkeypatch.setattr(ttr.decide, "_decide_by_enumeration", refuse)
+    monkeypatch.setattr(ttr.decide, "enumerate_tilings", refuse)
+    assert decide_forces(4, 8, 2).forced is True
+    assert decide_forces(8, 8, 3).forced is False
+    assert compute_L(4, 24).value == 2
 
 
 def test_witness_hint_short_circuits():
