@@ -17,18 +17,28 @@ first unit take the general path.
 The decision heap keeps at most one current entry per variable.  An entry
 ``(-activity, v)`` is current while ``activity[v]`` still has that value.
 ``in_heap[v]`` is set when v's entry is pushed and cleared when that entry is
-popped, so backtracking pushes only variables without one.  An activity
-rescale makes the entry of every bumped variable stale and clears all the
-flags.  A decision takes the least current entry of a free variable, and the
-set of current entries is the one a heap given a duplicate push for every
-backtracked variable would hold, so the decisions are the same too.
+popped.  A bump only ever meets an assigned variable: it makes v's entry
+stale and clears ``in_heap[v]``, and backtracking pushes v's current entry
+when it frees v, as it does for every freed variable without one.  An
+activity rescale makes the entry of every bumped variable stale and clears
+all the flags.  A decision takes the least current entry of a free variable;
+while a variable is free, both this heap and one that pushed a fresh entry
+at every bump hold a current entry for it exactly when the other does, so
+the decisions are the same too.
+
+``solve_clauses`` pauses the cyclic garbage collector while it loads,
+searches and checks the model: the solver's lists and tuples form no
+cycles, so reference counting frees them as before, and the collector's
+passes over the growing clause database are pure overhead.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Sequence
 
 
@@ -229,8 +239,8 @@ class _Solver:
             self.var_inc *= inv
             # Every bumped variable's entry is stale now.
             self.in_heap[:] = bytes(len(self.in_heap))
-        heappush(self.heap, (-activity[v], v))
-        self.in_heap[v] = 1
+        # v is assigned; ``_cancel_until`` pushes its current entry when it frees v.
+        self.in_heap[v] = 0
 
     def _analyze(self, confl: int) -> tuple[list[int], int, int]:
         level = self.level
@@ -428,15 +438,22 @@ def solve_clauses(
     checked against every clause before being handed back; UNSAT answers come
     from conflict analysis at decision level 0.
     """
-    solver = _Solver(num_vars, clauses)
-    result = solver.solve(time_budget, conflict_budget)
-    if result.status == "SAT":
-        model = result.model
-        assert model is not None
-        # truth[l] for DIMACS literal l; truth[-v] wraps around to the tail.
-        truth = model + [not x for x in reversed(model[1:])]
-        is_true = truth.__getitem__
-        for cl in clauses:
-            if not any(map(is_true, cl)):
-                raise AssertionError(f"internal solver produced a bad model on clause {cl}")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        solver = _Solver(num_vars, clauses)
+        result = solver.solve(time_budget, conflict_budget)
+        if result.status == "SAT":
+            model = result.model
+            assert model is not None
+            # truth[l] for DIMACS literal l; truth[-v] wraps around to the tail.
+            truth = model + [not x for x in reversed(model[1:])]
+            is_true = truth.__getitem__
+            if not all(map(any, map(map, repeat(is_true), clauses))):
+                for cl in clauses:
+                    if not any(map(is_true, cl)):
+                        raise AssertionError(f"internal solver produced a bad model on clause {cl}")
+    finally:
+        if enabled:
+            gc.enable()
     return result

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import random
@@ -87,9 +88,8 @@ def test_deterministic_reruns():
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in lits))
     a = solve_clauses(n, clauses)
     b = solve_clauses(n, clauses)
-    assert a.status == b.status
-    assert a.model == b.model
-    assert a.conflicts == b.conflicts
+    assert (a.status, a.conflicts, a.decisions, a.propagations, a.model) == (
+        b.status, b.conflicts, b.decisions, b.propagations, b.model)
 
 
 # --------------------------------------------------------------------------
@@ -166,12 +166,17 @@ GOLDEN_TRAJECTORIES = [
     ("construct 20x20 rot180", lambda: tiling_cnf(20, 20, 3, rot180=True), None,
      ("SAT", 71, 156, 7837, "e4dcd1f683de3bd51defc27b7308d9a1b3acc6ae")),
     ("4x36 l=3", lambda: tiling_cnf(4, 36, 3), None, ("UNSAT", 12, 26, 501, None)),
+    # The T(8, 3) scan's ceiling question.
+    ("8x36 l=3", lambda: tiling_cnf(8, 36, 3), None, ("UNSAT", 68, 128, 3170, None)),
+    ("24x24 l=3", lambda: tiling_cnf(24, 24, 3), None, ("UNSAT", 1817, 2527, 136796, None)),
     ("12x12 l=2", lambda: tiling_cnf(12, 12, 2), None, ("UNSAT", 2, 25, 35, None)),
     ("12x12 l=3", lambda: tiling_cnf(12, 12, 3), None,
      ("SAT", 8, 35, 396, "8af06ea7e52fa0d77555870a667c3072f5c06178")),
     ("vdw2d 8x8 l=3", lambda: vdw2d_cnf(8, 8, 3), None, ("UNSAT", 19, 18, 125, None)),
     ("vdw2d 8x8 l=4", lambda: vdw2d_cnf(8, 8, 4), None,
      ("SAT", 45, 69, 658, "49c584032be4e26f6086171d18ee3a13c54af74c")),
+    # Runs past the first learnt-clause reduction, at conflict 4,001.
+    ("vdw2d 16x16 l=4", lambda: vdw2d_cnf(16, 16, 4), 5000, ("UNKNOWN", 5000, 5842, 86539, None)),
     ("loader mix 0", lambda: loader_mix(0, True), None,
      ("SAT", 0, 9, 42, "686ebeec560a6cbc7a78ee855a1d5cdee164829a")),
     ("loader mix 1", lambda: loader_mix(1, False), None, ("UNSAT", 11, 10, 110, None)),
@@ -229,3 +234,50 @@ def test_model_check_catches_a_flip_in_a_tiling_model(monkeypatch):
     with pytest.raises(AssertionError) as exc:
         solve_clauses(num_vars, clauses)
     assert str(exc.value) == f"internal solver produced a bad model on clause {first_bad}"
+
+
+# --------------------------------------------------------------------------
+# ``solve_clauses`` pauses the cyclic garbage collector and must hand the
+# caller's setting back however it returns.
+
+
+@pytest.fixture(params=[True, False], ids=["gc enabled", "gc disabled"])
+def collector_state(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_collector_paused_while_solving_and_restored(collector_state, monkeypatch):
+    seen = []
+    real_solve = cdcl._Solver.solve
+
+    def solve(self, time_budget, conflict_budget):
+        seen.append(gc.isenabled())
+        return real_solve(self, time_budget, conflict_budget)
+
+    monkeypatch.setattr(cdcl._Solver, "solve", solve)
+    assert solve_clauses(4, [(1,), (-1, 2), (-2, 3), (-3, 4)]).status == "SAT"
+    assert solve_clauses(12, [(1,), (-1,)]).status == "UNSAT"
+    assert seen == [False, False]
+    assert gc.isenabled() is collector_state
+
+
+def test_collector_restored_when_the_search_raises(collector_state, monkeypatch):
+    def solve(self, time_budget, conflict_budget):
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(cdcl._Solver, "solve", solve)
+    with pytest.raises(RuntimeError, match="search failed"):
+        solve_clauses(2, [(1, 2)])
+    assert gc.isenabled() is collector_state
+
+
+def test_collector_restored_when_the_model_check_raises(collector_state, monkeypatch):
+    flip_one_variable(monkeypatch, 2)
+    with pytest.raises(AssertionError, match="bad model"):
+        solve_clauses(4, [(1,), (-1, 2), (-2, 3), (-3, 4)])
+    assert gc.isenabled() is collector_state
