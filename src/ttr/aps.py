@@ -33,11 +33,6 @@ class APWitness:
     def tiles(self) -> list[Tile]:
         return [Tile(self.orientation, r, c) for r, c in self.anchors()]
 
-    def verifies_against(self, tiling: Tiling) -> bool:
-        """True when every tile of the progression is present in ``tiling``."""
-        anchors = tiling.anchors_by_orientation()[self.orientation]
-        return all(a in anchors for a in self.anchors())
-
     def render(self) -> str:
         return (
             f"AP {self.orientation.value} start={self.start} "

@@ -5,11 +5,14 @@ when the computation completed (including negative answers such as
 AVOIDABLE or "no tiling"), 1 for invalid input data or a file that cannot be
 read or written, 2 for usage errors, 3 for solver failures, 4 when a budget
 ran out before an answer (bracketing information is printed when available).
+
+Every ``main`` call in a process shares one parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -63,8 +66,11 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8", newline="")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ttr", description=__doc__)
+    """The ``ttr`` parser, built once per process: callers share it and must not change it."""
+    # --help shows the module docstring without its last paragraph, a note for callers of main.
+    parser = argparse.ArgumentParser(prog="ttr", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tile", help="produce one tiling of the rectangle")

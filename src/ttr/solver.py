@@ -235,7 +235,11 @@ def _run_external(
 
 
 def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[bool] | None]:
-    """Parse SAT-competition style output (``s`` status line, ``v`` value lines)."""
+    """Parse SAT-competition style output (``s`` status line, ``v`` value lines).
+
+    Status lines may repeat but must agree, and the value lines may not
+    assert a variable both ways.
+    """
     status: SolverStatus | None = None
     values: list[int] = []
     for line in output.splitlines():
@@ -243,13 +247,16 @@ def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[
         if line.startswith("s "):
             word = line[2:].strip()
             if word == "SATISFIABLE":
-                status = SolverStatus.SAT
+                said = SolverStatus.SAT
             elif word == "UNSATISFIABLE":
-                status = SolverStatus.UNSAT
+                said = SolverStatus.UNSAT
             elif word == "UNKNOWN":
-                status = SolverStatus.UNKNOWN
+                said = SolverStatus.UNKNOWN
             else:
                 raise SolverError(f"unrecognized status line {line!r}")
+            if status is not None and said is not status:
+                raise SolverError(f"status line {line!r} contradicts an earlier {status.name} line")
+            status = said
         elif line.startswith("v ") or line == "v":
             for tok in line[1:].split():
                 if not _is_decimal(tok.removeprefix("-")):
@@ -267,6 +274,8 @@ def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[
         v = abs(lit)
         if v > num_vars:
             raise SolverError(f"solver asserted out-of-range variable {v}")
+        if v in seen and model[v] != (lit > 0):
+            raise SolverError(f"solver asserted variable {v} both true and false")
         model[v] = lit > 0
         seen.add(v)
     if len(seen) < num_vars:

@@ -61,10 +61,6 @@ class UnitString:
     kinds: tuple[str, ...]
     lengths: tuple[int, ...]
 
-    @property
-    def total_length(self) -> int:
-        return sum(self.lengths)
-
 
 def _first_col_signature(tiles: Sequence[Tile]) -> frozenset[Tile]:
     """The tiles touching the leftmost column, translated so that column is 0."""

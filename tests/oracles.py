@@ -2,11 +2,13 @@
 
 Each function is the program's code as it stood before the rewrite it
 checks, so the tests can require identical output, identical error texts
-and identical clause lists from the current code.
+and identical clause lists from the current code.  A few checks that only
+the tests use live here too.
 """
 
 from __future__ import annotations
 
+from ttr.aps import APWitness
 from ttr.chains import ARROW_TILE_TABLE, ChainGraph, _checked_direction, _gray_side
 from ttr.cnf import CNF, Clause
 from ttr.errors import ParseError, TilingError
@@ -52,6 +54,12 @@ def maximal_runs(anchors: set[tuple[int, int]], min_len: int) -> list:
     if min_len < 2:
         raise ValueError(f"min_len must be >= 2, got {min_len}")
     return [run for run in runs(anchors) if run[2] >= min_len]
+
+
+def verifies_against(ap: APWitness, tiling: Tiling) -> bool:
+    """True when every tile of the progression is present in ``tiling``."""
+    anchors = tiling.anchors_by_orientation()[ap.orientation]
+    return all(a in anchors for a in ap.anchors())
 
 
 def _edge_tile_table() -> dict:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from ttr.decide import decide_forces
 from ttr.errors import LemmaViolationError
 from ttr.grid import Orientation, Rect, Tiling
@@ -75,7 +76,7 @@ def test_aa_strip_contains_step_four_pair():
     tiling = Tiling(Rect(4, 8), tiles)
     aps = enumerate_aps(tiling, 2)
     assert APWitness(Orientation.D, (0, 1), (0, 4), 2) in aps
-    assert all(ap.verifies_against(tiling) for ap in aps)
+    assert all(oracles.verifies_against(ap, tiling) for ap in aps)
 
 
 def test_periodic_20x20_has_length_five_rows(periodic_20x20):
@@ -83,7 +84,7 @@ def test_periodic_20x20_has_length_five_rows(periodic_20x20):
     assert APWitness(Orientation.D, (0, 1), (0, 4), 5) in aps
     assert longest_ap(periodic_20x20).length == 5
     for ap in aps:
-        assert ap.verifies_against(periodic_20x20)
+        assert oracles.verifies_against(ap, periodic_20x20)
 
 
 def test_maximal_aps_are_not_extendable(corpus):

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import ttr
-from ttr.cli import main
+from ttr.cli import build_parser, main
 from ttr.grid import read_tiling, write_tiling
 from ttr.aps import longest_ap
 from ttr.chains import read_chain
+from ttr.render import render_ascii
 from ttr.vdw import GridColoring, grid_mono_ap
 from ttr.width4 import stack_rows
 
@@ -297,6 +298,17 @@ def test_lying_solver_exits_3(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_solver_with_disagreeing_status_lines_exits_3(tmp_path, capsys):
+    script = tmp_path / "fickle.sh"
+    script.write_text('#!/bin/sh\necho "s SATISFIABLE"\necho "v 1 2 0"\necho "s UNSATISFIABLE"\n')
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    assert main(["decide", "--height", "4", "--width", "8", "--len", "3", "--solver", str(script)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("solver error: status line 's UNSATISFIABLE' contradicts"
+                            " an earlier SAT line\n")
+
+
 def test_missing_solver_binary_exits_3(capsys):
     code = main(["decide", "--height", "4", "--width", "8", "--len", "2",
                  "--solver", "no-such-solver-xyz"])
@@ -385,3 +397,54 @@ def test_flag_outside_a_subcommands_row_exits_2(command, capsys):
             main([command, *required, flag, "1"])
         assert exc.value.code == 2, flag
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_shares_one_parser():
+    assert build_parser() is build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    # bench/run.py times import plus one build_parser() call in a fresh interpreter.
+    env = dict(os.environ, PYTHONPATH=str(Path(ttr.__file__).parents[1]))
+    code = ("import ttr.cli; print(ttr.cli.build_parser.cache_info().currsize);"
+            " ttr.cli.build_parser(); ttr.cli.build_parser(); print(ttr.cli.build_parser.cache_info().misses)")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "0\n1\n"
+
+
+def test_usage_error_leaves_the_shared_parser_working(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["vdw", "--len", "three"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'three'" in capsys.readouterr().err
+    assert main(["vdw", "--len", "3"]) == 0
+    assert capsys.readouterr() == ("9\n", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["render", "--help"]])
+def test_help_is_the_same_on_every_call_and_from_a_fresh_parser(argv, capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(argv)
+    assert texts == [capsys.readouterr().out] * 2
+    # The docstring's note on the shared parser is for callers of main, not for --help.
+    assert "one parser" not in texts[0]
+
+
+def test_no_option_leaks_between_calls(tmp_path, capsys):
+    src = tmp_path / "t.ttiling"
+    main(["tile", "--height", "4", "--width", "8", "--out", str(src)])
+    build_parser.cache_clear()
+    assert main(["render", "--in", str(src), "--format", "ascii"]) == 0
+    first = capsys.readouterr().out
+    assert main(["render", "--in", str(src), "--format", "ascii", "--borders"]) == 0
+    bordered = capsys.readouterr().out
+    assert main(["render", "--in", str(src), "--format", "ascii"]) == 0
+    assert capsys.readouterr().out == first == render_ascii(read_tiling(src.read_text()))
+    assert bordered != first

@@ -45,6 +45,25 @@ def test_parse_solver_output_rejects_garbage():
         parse_solver_output("s SATISFIABLE\nv 1 5 0\n", 2)  # out of range
 
 
+def test_value_lines_may_not_assert_a_variable_both_ways():
+    with pytest.raises(SolverError, match="variable 1 both true and false"):
+        parse_solver_output("s SATISFIABLE\nv 1 -1 2 0", 2)
+    with pytest.raises(SolverError, match="variable 2 both true and false"):
+        parse_solver_output("s SATISFIABLE\nv 1 -2\nv 2 0\n", 2)
+    # Repeating a literal the same way is not a contradiction.
+    assert parse_solver_output("s SATISFIABLE\nv 1 -2 1 0\n", 2)[1][1:] == [True, False]
+
+
+def test_status_lines_must_agree():
+    with pytest.raises(SolverError, match="contradicts an earlier SAT line"):
+        parse_solver_output("s SATISFIABLE\nv 1 2 0\ns UNSATISFIABLE", 2)
+    with pytest.raises(SolverError, match="contradicts an earlier UNKNOWN line"):
+        parse_solver_output("s UNKNOWN\ns UNSATISFIABLE\n", 2)
+    assert parse_solver_output("s UNSATISFIABLE\ns UNSATISFIABLE\n", 2) == (SolverStatus.UNSAT, None)
+    status, model = parse_solver_output("s SATISFIABLE\nv 1 -2 0\ns SATISFIABLE\n", 2)
+    assert status is SolverStatus.SAT and model[1:] == [True, False]
+
+
 @pytest.mark.parametrize("token", ["+2", "1_0", "\u0663", "\u00b2", "1.0", "x", "--1"])
 def test_value_lines_take_signed_ascii_decimal_literals(token):
     with pytest.raises(SolverError) as exc:

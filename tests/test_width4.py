@@ -71,7 +71,7 @@ def test_decompose_concatenate_round_trip(corpus):
     for tiling in corpus[(4, 12)]:
         us = decompose(tiling)
         assert concatenate(us.kinds) == tiling
-        assert us.total_length == 12
+        assert sum(us.lengths) == 12
 
 
 def test_default_catalog_is_built_once(monkeypatch, corpus):
