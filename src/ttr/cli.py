@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a TTILING file")
     p.add_argument("--in", dest="infile", type=Path, required=True)
     p.add_argument("--format", choices=["ascii", "svg"], default="ascii")
-    p.add_argument("--highlight-ap", action="store_true", help="stroke the longest AP (svg)")
+    p.add_argument("--highlight-ap", action="store_true", help="stroke every longest AP (svg)")
     p.add_argument("--cell-size", type=int, default=None, help="pixels per cell (svg; default 20)")
     p.add_argument("--borders", action="store_true", help="draw tile boundaries (ascii)")
     _add_out(p)

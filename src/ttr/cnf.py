@@ -198,6 +198,8 @@ def parse_dimacs(text: str) -> tuple[int, list[Clause]]:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError(ln, 1, f"second problem line {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(ln, 1, f"bad problem line {line!r}")

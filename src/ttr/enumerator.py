@@ -72,9 +72,9 @@ def _deep_enough(rect: Rect) -> Iterator[None]:
 def enumerate_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> Iterator[Tiling]:
     """Yield every complete tiling of ``rect``, in canonical order.
 
-    Only enumerations run it (the tests' oracles, ``has_tiling``, the
-    width-4 unit catalog); no forcing answer does.  The stream is lazy: a caller that stops early (``has_tiling``,
-    ``itertools.islice``) pays only for the tilings it took.  Raises
+    Only enumerations run it (the tests' oracles and ``has_tiling``); no
+    forcing answer does.  The stream is lazy: a caller that stops early
+    (``has_tiling``, ``itertools.islice``) pays only for the tilings it took.  Raises
     :class:`ResourceLimitError` when the area exceeds ``max_area``; raise
     the bound explicitly for larger searches.
     """

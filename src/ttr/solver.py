@@ -237,11 +237,12 @@ def _run_external(
 def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[bool] | None]:
     """Parse SAT-competition style output (``s`` status line, ``v`` value lines).
 
-    Status lines may repeat but must agree, and the value lines may not
-    assert a variable both ways.
+    Status lines may repeat but must agree, the value lines may not
+    assert a variable both ways, and nothing may follow the 0 that ends them.
     """
     status: SolverStatus | None = None
     values: list[int] = []
+    ended = False
     for line in output.splitlines():
         line = line.strip()
         if line.startswith("s "):
@@ -259,9 +260,15 @@ def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[
             status = said
         elif line.startswith("v ") or line == "v":
             for tok in line[1:].split():
+                if ended:
+                    raise SolverError(f"literal {tok!r} after the 0 that ends the value list")
                 if not _is_decimal(tok.removeprefix("-")):
                     raise SolverError(f"bad literal {tok!r} in value line")
-                values.append(int(tok))
+                lit = int(tok)
+                if lit:
+                    values.append(lit)
+                else:
+                    ended = True
     if status is None:
         raise SolverError("solver output contained no 's' status line")
     if status is not SolverStatus.SAT:
@@ -269,8 +276,6 @@ def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[
     model = [False] * (num_vars + 1)
     seen = set()
     for lit in values:
-        if lit == 0:
-            continue
         v = abs(lit)
         if v > num_vars:
             raise SolverError(f"solver asserted out-of-range variable {v}")

@@ -1,48 +1,54 @@
 """The width-4 calculus: unit decomposition, the A/B projection, and colorings.
 
 Every tiling of a height-4 strip splits at its vertical fault lines into
-indecomposable *units*.  There are exactly two units of each length (verified
-exhaustively up to the catalog bound ``MAX_UNIT_LEN``): one whose first column
-matches unit A (a single R tile over rows 1-3 plus the stem of a U), one
-matching unit B (a D bar cell above an R tile).  Replacing each unit by a run
-of A's or B's according to that first column is the A/B projection; it fixes
-every d1 tile, which is what makes the projection preserve the existence of
-long APs.
+indecomposable *units*.  There are exactly two units of each length (the
+tests check this against the enumerator up to length 24), and both have a
+closed form.  The A-type unit of length n is an R tile at (0, 0), D and U
+tiles alternating along the top at columns 1, 3, ..., n-3, U and D tiles
+alternating below them at columns 0, 2, ..., n-4, and an L tile at
+(1, n-2); the B-type unit is its top-bottom mirror.  A unit's first tile in
+tiling order, R or D at (0, 0), tells the two apart.  Replacing each unit by
+a run of A's or B's according to that class is the A/B projection;
+it fixes every d1 tile, which is what makes the projection preserve the
+existence of long APs.
 
 A strip made of A and B units only is a one-row :class:`~ttr.vdw.GridColoring`
 (color 0 for A, 1 for B), so 4xN tilings without an l-term AP correspond to
 2-colorings without a monochromatic l-term AP.  ``decompose`` and
-``concatenate`` share one catalog of every unit up to ``MAX_UNIT_LEN``, built
-once per process; the A/B strips of ``ab_map`` and ``coloring_to_tiling``
-are laid out from ``UNIT_A_TILES`` and ``UNIT_B_TILES`` without it.
+``concatenate`` name units up to ``MAX_UNIT_LEN``; ``ab_map`` takes units
+of any length.
 """
 
 from __future__ import annotations
 
 import functools
-import string
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CatalogError, ResourceLimitError, StructureError
-from .enumerator import enumerate_tilings
-from .grid import TILING_ORDER, Orientation, Rect, Tile, Tiling, tile_cells
+from .grid import TILING_ORDER, Orientation, Rect, Tile, Tiling
 from .aps import has_ap_of_length, maximal_runs
 from .vdw import GridColoring
 
-UNIT_A_TILES: tuple[Tile, ...] = (
-    Tile(Orientation.R, 0, 0),
-    Tile(Orientation.D, 0, 1),
-    Tile(Orientation.L, 1, 2),
-    Tile(Orientation.U, 2, 0),
-)
 
-UNIT_B_TILES: tuple[Tile, ...] = (
-    Tile(Orientation.D, 0, 0),
-    Tile(Orientation.L, 0, 2),
-    Tile(Orientation.R, 1, 0),
-    Tile(Orientation.U, 2, 1),
-)
+@functools.cache
+def _unit_tiles(length: int, b: int) -> tuple[Tile, ...]:
+    """The unit of ``length`` in tiling order: A-type, or its top-bottom mirror when ``b``."""
+    U, D = Orientation.U, Orientation.D
+    tiles = [Tile(Orientation.R, 0, 0), Tile(Orientation.L, 1, length - 2)]
+    tiles += [Tile(D if c % 4 == 1 else U, 0, c) for c in range(1, length - 2, 2)]
+    tiles += [Tile(U if c % 4 == 0 else D, 2, c) for c in range(0, length - 3, 2)]
+    if b:  # U and D swap; a tile spanning r rows moves from row `row` to 4 - r - row
+        flip = {U: D, D: U}
+        tiles = [
+            Tile(flip.get(t.orientation, t.orientation), 4 - t.orientation.bbox[0] - t.row, t.col)
+            for t in tiles
+        ]
+    return tuple(sorted(tiles, key=TILING_ORDER))
+
+
+UNIT_A_TILES: tuple[Tile, ...] = _unit_tiles(4, 0)
+UNIT_B_TILES: tuple[Tile, ...] = _unit_tiles(4, 1)
 
 
 @dataclass(frozen=True)
@@ -62,24 +68,13 @@ class UnitString:
     lengths: tuple[int, ...]
 
 
-def _first_col_signature(tiles: Sequence[Tile]) -> frozenset[Tile]:
-    """The tiles touching the leftmost column, translated so that column is 0."""
-    min_col = min(c for t in tiles for _, c in tile_cells(t))
-    return frozenset(t.translated(0, -min_col) for t in tiles if min(c for _, c in tile_cells(t)) == min_col)
-
-
-_A_SIGNATURE = _first_col_signature(UNIT_A_TILES)
-_B_SIGNATURE = _first_col_signature(UNIT_B_TILES)
-
-
-def first_column_class(tiles: Sequence[Tile]) -> str:
-    """'A' or 'B' according to which unit's first column ``tiles`` matches."""
-    sig = _first_col_signature(tiles)
-    if sig == _A_SIGNATURE:
-        return "A"
-    if sig == _B_SIGNATURE:
-        return "B"
-    raise StructureError(f"first column {sorted(sig, key=TILING_ORDER)} matches neither A nor B")
+def _unit_class(seg: Sequence[Tile]) -> int:
+    """0 (A) or 1 (B): whether the segment's first tile is A's R or B's D at (0, 0)."""
+    if seg[0] == UNIT_A_TILES[0]:
+        return 0
+    if seg[0] == UNIT_B_TILES[0]:
+        return 1
+    raise StructureError(f"first tile {seg[0]} is neither A's {UNIT_A_TILES[0]} nor B's {UNIT_B_TILES[0]}")
 
 
 def fault_columns(tiling: Tiling) -> list[int]:
@@ -111,72 +106,54 @@ def _segments(tiling: Tiling) -> list[tuple[int, int, tuple[Tile, ...]]]:
 
 MAX_UNIT_LEN = 16
 
+#: Unit kinds by position: kind i has length 4 * (i // 2 + 1) and is B-type when i is odd.
+_KINDS = "ABCDEFGH"
+_SHAPES = {kind: (4 * (i // 2 + 1), i % 2) for i, kind in enumerate(_KINDS)}
+
 
 def enumerate_units(max_len: int) -> list[Unit]:
     """The unit catalog up to ``max_len``, canonically named.
 
     Kinds: 'A' and 'B' for the two length-4 units (A is the one whose first
     column is an R tile over rows 1-3), then 'C', 'D', ... ordered by
-    (length, first-column class A before B, canonical tile order).  With two
-    units per length this puts every A-matching unit at an even position, so
-    e.g. C matches A's first column and F matches B's.
+    (length, first-column class A before B).  With two units per length this
+    puts every A-type unit at an even position, so e.g. C matches A's first
+    column and F matches B's.
     """
     if max_len % 4 or max_len < 4:
         raise ValueError(f"max_len must be a positive multiple of 4, got {max_len}")
     if max_len > MAX_UNIT_LEN:
         raise ResourceLimitError(f"unit catalog bounded at length {MAX_UNIT_LEN}, got {max_len}")
-    units: list[Unit] = []
-    names = string.ascii_uppercase
-    for k in range(4, max_len + 1, 4):
-        found = []
-        for t in enumerate_tilings(Rect(4, k)):
-            if not fault_columns(t):
-                found.append((first_column_class(t.tiles) != "A", list(map(TILING_ORDER, t.tiles)), t.tiles))
-        found.sort()
-        for _, _, tiles in found:
-            if len(units) >= len(names):
-                raise ResourceLimitError("unit catalog exceeds single-letter names")
-            units.append(Unit(names[len(units)], k, tiles))
-    return units
-
-
-@functools.cache
-def _catalog() -> tuple[dict[tuple[Tile, ...], Unit], dict[str, Unit]]:
-    """Every unit up to ``MAX_UNIT_LEN`` by tile set and by kind, built on first use.
-
-    Units are immutable, so the two dicts are shared.
-    """
-    units = enumerate_units(MAX_UNIT_LEN)
-    return {u.tiles: u for u in units}, {u.kind: u for u in units}
+    return [Unit(kind, k, _unit_tiles(k, b)) for kind, (k, b) in _SHAPES.items() if k <= max_len]
 
 
 def decompose(tiling: Tiling) -> UnitString:
-    """Express a height-4 tiling as a concatenation of catalog units.
+    """Express a height-4 tiling as a concatenation of named units.
 
     Raises :class:`CatalogError` if a fault-free segment is longer than
     ``MAX_UNIT_LEN``, reporting its length.
     """
-    by_tiles = _catalog()[0]
     kinds: list[str] = []
     lengths: list[int] = []
     for _left, width, seg in _segments(tiling):
-        unit = by_tiles.get(seg)
-        if unit is None:
+        if width > MAX_UNIT_LEN:
             raise CatalogError(required_length=width, max_len=MAX_UNIT_LEN)
-        kinds.append(unit.kind)
-        lengths.append(unit.length)
+        b = _unit_class(seg)
+        if seg != _unit_tiles(width, b):
+            raise StructureError(f"fault-free segment of width {width} is not a unit")
+        kinds.append(_KINDS[width // 2 - 2 + b])
+        lengths.append(width)
     return UnitString(tuple(kinds), tuple(lengths))
 
 
 def concatenate(kinds: Sequence[str]) -> Tiling:
     """Inverse of :func:`decompose`: lay out the named units left to right."""
-    by_kind = _catalog()[1]
     tiles: list[Tile] = []
     col = 0
     for kind in kinds:
-        unit = by_kind[kind]
-        tiles.extend(t.translated(0, col) for t in unit.tiles)
-        col += unit.length
+        length, b = _SHAPES[kind]
+        tiles.extend(t.translated(0, col) for t in _unit_tiles(length, b))
+        col += length
     return Tiling(Rect(4, col), tiles)
 
 
@@ -188,7 +165,7 @@ def ab_map(tiling: Tiling) -> Tiling:
     """
     colors: list[int] = []
     for _left, width, seg in _segments(tiling):
-        colors += [int(first_column_class(seg) != "A")] * (width // 4)
+        colors += [_unit_class(seg)] * (width // 4)
     return _ab_strip(colors)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from ttr.grid import Rect, Tile, Tiling, Orientation
 from ttr.enumerator import enumerate_tilings
-from ttr.width4 import UNIT_A_TILES, _catalog
+from ttr.width4 import MAX_UNIT_LEN, UNIT_A_TILES, enumerate_units
 
 # ``pythonpath`` in pyproject.toml puts src/ on sys.path for this process only;
 # child processes (``python -m ttr.dimacs`` as an external solver) read it here.
@@ -68,7 +68,7 @@ def corpus():
 @pytest.fixture(scope="session")
 def catalog():
     """Every width-4 unit up to ``MAX_UNIT_LEN``, by kind, in catalog order."""
-    return _catalog()[1]
+    return {u.kind: u for u in enumerate_units(MAX_UNIT_LEN)}
 
 
 @pytest.fixture()

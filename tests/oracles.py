@@ -8,13 +8,18 @@ the tests use live here too.
 
 from __future__ import annotations
 
+import string
+from typing import Sequence
+
 from ttr.aps import APWitness
 from ttr.chains import ARROW_TILE_TABLE, ChainGraph, _checked_direction, _gray_side
 from ttr.cnf import CNF, Clause
-from ttr.errors import ParseError, TilingError
+from ttr.enumerator import enumerate_tilings
+from ttr.errors import ParseError, ResourceLimitError, StructureError, TilingError
 from ttr.grid import (
     FORMAT_MAGIC,
     ORIENTATIONS,
+    TILING_ORDER,
     WALKUP_CLASSES,
     Orientation,
     Rect,
@@ -31,6 +36,7 @@ from ttr.grid import (
     tile_cells,
 )
 from ttr.vdw import GridAP, GridColoring, _ap_candidates
+from ttr.width4 import MAX_UNIT_LEN, UNIT_A_TILES, UNIT_B_TILES, Unit, fault_columns
 
 
 def runs(anchors: set[tuple[int, int]]):
@@ -288,3 +294,49 @@ def longest_apfree_length(l: int) -> tuple[int, ...]:
 
     extend()
     return best
+
+
+def _first_col_signature(tiles: Sequence[Tile]) -> frozenset[Tile]:
+    """The tiles touching the leftmost column, translated so that column is 0."""
+    min_col = min(c for t in tiles for _, c in tile_cells(t))
+    return frozenset(t.translated(0, -min_col) for t in tiles if min(c for _, c in tile_cells(t)) == min_col)
+
+
+_A_SIGNATURE = _first_col_signature(UNIT_A_TILES)
+_B_SIGNATURE = _first_col_signature(UNIT_B_TILES)
+
+
+def first_column_class(tiles: Sequence[Tile]) -> str:
+    """'A' or 'B' according to which unit's first column ``tiles`` matches."""
+    sig = _first_col_signature(tiles)
+    if sig == _A_SIGNATURE:
+        return "A"
+    if sig == _B_SIGNATURE:
+        return "B"
+    raise StructureError(f"first column {sorted(sig, key=TILING_ORDER)} matches neither A nor B")
+
+
+def enumerate_units(max_len: int) -> list[Unit]:
+    """The unit catalog up to ``max_len`` from every fault-free tiling of 4x4 .. 4x``max_len``.
+
+    Sorted by (length, first-column class A before B, canonical tile order)
+    and named 'A', 'B', 'C', ... in that order: the catalog ``ttr.width4``
+    built before it laid units out from their closed form.
+    """
+    if max_len % 4 or max_len < 4:
+        raise ValueError(f"max_len must be a positive multiple of 4, got {max_len}")
+    if max_len > MAX_UNIT_LEN:
+        raise ResourceLimitError(f"unit catalog bounded at length {MAX_UNIT_LEN}, got {max_len}")
+    units: list[Unit] = []
+    names = string.ascii_uppercase
+    for k in range(4, max_len + 1, 4):
+        found = []
+        for t in enumerate_tilings(Rect(4, k)):
+            if not fault_columns(t):
+                found.append((first_column_class(t.tiles) != "A", list(map(TILING_ORDER, t.tiles)), t.tiles))
+        found.sort()
+        for _, _, tiles in found:
+            if len(units) >= len(names):
+                raise ResourceLimitError("unit catalog exceeds single-letter names")
+            units.append(Unit(names[len(units)], k, tiles))
+    return units

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import ttr
 from ttr.cli import build_parser, main
 from ttr.grid import read_tiling, write_tiling
@@ -16,7 +17,7 @@ from ttr.aps import longest_ap
 from ttr.chains import read_chain
 from ttr.render import render_ascii
 from ttr.vdw import GridColoring, grid_mono_ap
-from ttr.width4 import stack_rows
+from ttr.width4 import concatenate, stack_rows
 
 DIMACS_SOLVER = f"{sys.executable} -m ttr.dimacs"
 
@@ -171,6 +172,20 @@ def test_render_ascii_and_svg(tmp_path, capsys):
     assert svg.read_text().startswith("<svg ")
 
 
+@pytest.mark.parametrize("kinds", ["AAB", "EA"])
+def test_highlight_ap_strokes_every_longest_ap(kinds, tmp_path, capsys):
+    # 4x12 AAB has twelve longest APs of length 2; 4x16 EA has two of length 4.
+    tiling = concatenate(kinds)
+    anchor_sets = tiling.anchors_by_orientation().values()
+    lengths = [length for anchors in anchor_sets for _start, _step, length in oracles.runs(anchors)]
+    top = max(lengths)
+    assert lengths.count(top) > 1
+    src = tmp_path / "t.ttiling"
+    src.write_text(write_tiling(tiling))
+    assert main(["render", "--in", str(src), "--format", "svg", "--highlight-ap"]) == 0
+    assert capsys.readouterr().out.count('stroke-width="4"') == top * lengths.count(top)
+
+
 @pytest.mark.parametrize("size", ["0", "-5"])
 def test_render_rejects_nonpositive_cell_size(size, tmp_path, capsys):
     src = tmp_path / "t.ttiling"
@@ -307,6 +322,23 @@ def test_solver_with_disagreeing_status_lines_exits_3(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("solver error: status line 's UNSATISFIABLE' contradicts"
                             " an earlier SAT line\n")
+
+
+def test_solver_literal_after_the_closing_zero_exits_3(tmp_path, capsys):
+    # An honest answer followed by its first value line again, after the 0 that ended the list.
+    script = tmp_path / "trailing.sh"
+    script.write_text(
+        "#!/bin/sh\n"
+        f'out=$({DIMACS_SOLVER} "$1")\n'
+        "printf '%s\\n' \"$out\"\n"
+        "printf '%s\\n' \"$out\" | grep -m1 '^v '\n"
+    )
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    assert main(["decide", "--height", "4", "--width", "8", "--len", "3", "--solver", str(script)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: literal ")
+    assert captured.err.endswith(" after the 0 that ends the value list\n")
 
 
 def test_missing_solver_binary_exits_3(capsys):

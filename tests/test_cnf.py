@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -239,6 +241,18 @@ def test_dimacs_parse_errors():
         parse_dimacs("p cnf 2 1\n1 3 0\n")
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 2 5\n1 2 0\n")
+
+
+def test_dimacs_second_problem_line_is_refused(tmp_path):
+    text = "p cnf 1 1\n1 0\np cnf 5 2\n5 0\n"
+    with pytest.raises(ParseError) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == "line 3, column 1: second problem line 'p cnf 5 2'"
+    path = tmp_path / "in.cnf"
+    path.write_text(text)
+    run = subprocess.run([sys.executable, "-m", "ttr.dimacs", str(path)], capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == "error: line 3, column 1: second problem line 'p cnf 5 2'\n"
 
 
 @pytest.mark.parametrize("text", ["p cnf x 2\n", "p cnf 2 x\n", "p cnf -2 1\n1 0\n", "p cnf 2 +1\n1 0\n"])

@@ -64,6 +64,16 @@ def test_status_lines_must_agree():
     assert status is SolverStatus.SAT and model[1:] == [True, False]
 
 
+def test_value_list_ends_at_its_zero():
+    with pytest.raises(SolverError) as exc:
+        parse_solver_output("s SATISFIABLE\nv 1 0 -2 0\n", 2)
+    assert str(exc.value) == "literal '-2' after the 0 that ends the value list"
+    with pytest.raises(SolverError, match="literal '1' after the 0"):
+        parse_solver_output("s SATISFIABLE\nv 1 -2 0\nv 1 0\n", 2)
+    with pytest.raises(SolverError, match="literal '0' after the 0"):
+        parse_solver_output("s SATISFIABLE\nv 1 -2 0 0\n", 2)
+
+
 @pytest.mark.parametrize("token", ["+2", "1_0", "\u0663", "\u00b2", "1.0", "x", "--1"])
 def test_value_lines_take_signed_ascii_decimal_literals(token):
     with pytest.raises(SolverError) as exc:

@@ -5,9 +5,11 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+import ttr.enumerator
 from ttr import width4
 from ttr.errors import CatalogError, ParseError, ResourceLimitError, StructureError
-from ttr.grid import Orientation, Rect, write_tiling
+from ttr.grid import Orientation, Rect, Tiling, write_tiling
 from ttr.aps import has_ap_of_length, longest_ap
 from ttr.enumerator import enumerate_tilings
 from ttr.width4 import (
@@ -21,7 +23,6 @@ from ttr.width4 import (
     d1_tiles,
     decompose,
     enumerate_units,
-    first_column_class,
     stack_rows,
     tiling_to_coloring,
 )
@@ -49,11 +50,48 @@ def test_unit_a_first_column_is_an_r_tile():
 
 
 def test_every_unit_first_column_matches_a_or_b(catalog):
-    for u in catalog.values():
-        assert first_column_class(u.tiles) in ("A", "B")
     # naming rule: A-matching units at even positions, so C matches A and F matches B
-    assert first_column_class(catalog["C"].tiles) == "A"
-    assert first_column_class(catalog["F"].tiles) == "B"
+    for i, u in enumerate(catalog.values()):
+        assert u.tiles[0] == (UNIT_A_TILES, UNIT_B_TILES)[i % 2][0]
+        assert ab_map(concatenate([u.kind])) == concatenate("AB"[i % 2] * (u.length // 4))
+
+
+def test_units_equal_the_enumerated_catalog():
+    for max_len in (4, 8, 12, MAX_UNIT_LEN, 0, 6, -4, MAX_UNIT_LEN + 4):
+        try:
+            want = oracles.enumerate_units(max_len)
+        except (ValueError, ResourceLimitError) as e:
+            with pytest.raises(type(e)) as exc:
+                enumerate_units(max_len)
+            assert str(exc.value) == str(e)
+        else:
+            assert enumerate_units(max_len) == want
+
+
+@pytest.mark.parametrize("length", range(4, 25, 4))
+def test_fault_free_tilings_are_the_two_closed_form_units(length):
+    fault_free = [t.tiles for t in enumerate_tilings(Rect(4, length)) if not width4.fault_columns(t)]
+    a, b = width4._unit_tiles(length, 0), width4._unit_tiles(length, 1)
+    assert len(fault_free) == 2 and set(fault_free) == {a, b}
+    assert (oracles.first_column_class(a), oracles.first_column_class(b)) == ("A", "B")
+    # ab_map reads the class of a unit of any length, also past MAX_UNIT_LEN.
+    for color, tiles in enumerate((a, b)):
+        assert ab_map(Tiling(Rect(4, length), tiles)) == width4._ab_strip([color] * (length // 4))
+
+
+def test_width4_runs_without_the_enumerator(monkeypatch, corpus):
+    tilings = corpus[(4, 16)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ttr.width4 called the enumerator")
+
+    monkeypatch.setattr(ttr.enumerator, "enumerate_tilings", refuse)
+    width4._unit_tiles.cache_clear()
+    assert len(enumerate_units(MAX_UNIT_LEN)) == 8
+    for tiling in tilings:
+        assert concatenate(decompose(tiling).kinds) == tiling
+        assert ab_map(ab_map(tiling)) == ab_map(tiling)
+    assert not hasattr(width4, "enumerate_tilings")
 
 
 def test_two_units_per_length_up_to_16(catalog):
@@ -74,34 +112,14 @@ def test_decompose_concatenate_round_trip(corpus):
         assert sum(us.lengths) == 12
 
 
-def test_default_catalog_is_built_once(monkeypatch, corpus):
-    calls = []
-
-    def counting(max_len):
-        calls.append(max_len)
-        return enumerate_units(max_len)
-
-    monkeypatch.setattr(width4, "enumerate_units", counting)
-    width4._catalog.cache_clear()
-    try:
-        for tiling in corpus[(4, 16)][:5]:
-            decompose(tiling)
-            assert concatenate(decompose(tiling).kinds) == tiling
-    finally:
-        width4._catalog.cache_clear()
-    assert calls == [16]
-
-
 #: SHA-256 of the TTILING text of the 8x136 stack of two 4-AP-free strips,
 #: taken while the strip was still laid out from the unit catalog.
 STACKED_STRIP_SHA256 = "b6fb3f452b4e248e01c70677975b4688b48125a7b4653f69756ecf035e8b1b59"
 
 
-def test_stacked_strip_leaves_catalog_unbuilt():
-    width4._catalog.cache_clear()
+def test_stacked_strip_bytes_are_pinned():
     coloring = extremal_coloring(4)
     stacked = stack_rows(coloring, 2)
-    assert width4._catalog.cache_info().currsize == 0
     assert hashlib.sha256(write_tiling(stacked).encode()).hexdigest() == STACKED_STRIP_SHA256
     assert coloring_to_tiling(coloring) == concatenate(str(coloring))
 
@@ -127,7 +145,7 @@ def test_ab_map_fixes_ab_tilings():
 
 def test_ab_map_replaces_length8_unit_by_aa():
     c_unit = concatenate(["C"])
-    assert first_column_class(c_unit.tiles) == "A"
+    assert c_unit.tiles[0] == UNIT_A_TILES[0]
     assert ab_map(c_unit) == concatenate(["A", "A"])
     f_unit = concatenate(["F"])
     assert ab_map(f_unit) == concatenate(["B", "B", "B"])
