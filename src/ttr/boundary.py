@@ -43,19 +43,11 @@ class BoundaryCovering:
 def _candidates_covering(col: int) -> list[Tile]:
     """Placements covering boundary square ``col``, canonically ordered.
 
-    Only anchor-row-0 tiles can touch row 0; a D bar can cover the square as
-    its left, middle or right cell.
+    Only anchor-row-0 tiles can touch row 0: one per row-0 offset of each
+    orientation, so a D bar can cover the square as any of its three cells.
     """
-    cands = [
-        Tile(Orientation.U, 0, col - 1),
-        Tile(Orientation.D, 0, col - 2),
-        Tile(Orientation.D, 0, col - 1),
-        Tile(Orientation.D, 0, col),
-        Tile(Orientation.L, 0, col - 1),
-        Tile(Orientation.R, 0, col),
-    ]
-    cands.sort(key=PLACEMENT_ORDER)
-    return cands
+    cands = [Tile(o, 0, col - dc) for o in Orientation for dr, dc in o.offsets if dr == 0]
+    return sorted(cands, key=PLACEMENT_ORDER)
 
 
 def enumerate_boundary_coverings(n: int) -> list[BoundaryCovering]:

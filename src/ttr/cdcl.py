@@ -26,6 +26,10 @@ while a variable is free, both this heap and one that pushed a fresh entry
 at every bump hold a current entry for it exactly when the other does, so
 the decisions are the same too.
 
+Learnt clauses live in one registry, ``lbd`` (clause index -> LBD, in
+learning order): ``_reduce_db``, the only place that frees a clause, drops
+its entry with it, so the registry holds exactly the live learnt clauses.
+
 ``solve_clauses`` pauses the cyclic garbage collector while it loads,
 searches and checks the model: the solver's lists and tuples form no
 cycles, so reference counting frees them as before, and the collector's
@@ -80,8 +84,7 @@ class _Solver:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.clauses: list[list[int] | None] = []
-        self.lbd: dict[int, int] = {}
-        self.learnt_ids: list[int] = []
+        self.lbd: dict[int, int] = {}  # learnt clause index -> LBD, in learning order
         self.watches: list[list[int]] = [[] for _ in range(n2)]
         self.binwatch: list[list[tuple[int, int]]] = [[] for _ in range(n2)]
         self.ok = True
@@ -138,8 +141,6 @@ class _Solver:
             return self._enqueue(lits[0], -1)
         ci = len(self.clauses)
         self.clauses.append(lits)
-        if learnt:
-            self.learnt_ids.append(ci)
         if len(lits) == 2:
             # Trigger when either literal becomes false; imply the other.
             a, b = lits
@@ -345,41 +346,29 @@ class _Solver:
                 continue  # stale: v has been bumped since
             in_heap[v] = 0
             if assign[2 * v] == 0:
-                self.decisions += 1
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(2 * v + self.phase[v], -1)
-                return True
-        for v in range(1, self.nvars + 1):
-            if assign[2 * v] == 0:
-                self.decisions += 1
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(2 * v + self.phase[v], -1)
-                return True
-        return False
+                break
+        else:
+            v = next((u for u in range(1, self.nvars + 1) if assign[2 * u] == 0), 0)
+            if not v:
+                return False
+        self.decisions += 1
+        self.trail_lim.append(len(self.trail))
+        self._enqueue(2 * v + self.phase[v], -1)
+        return True
 
     def _reduce_db(self) -> None:
-        # Keep glue clauses; drop the worse half of the rest by (lbd, length).
-        locked = set()
-        for v in range(1, self.nvars + 1):
-            ci = self.reason[v]
-            if ci >= 0 and self.assign[2 * v] != 0:
-                locked.add(ci)
-        cand = [
-            ci
-            for ci in self.learnt_ids
-            if self.clauses[ci] is not None and self.lbd.get(ci, 9) > 3 and ci not in locked
-        ]
-        cand.sort(key=lambda ci: (self.lbd.get(ci, 9), len(self.clauses[ci])), reverse=True)
+        # Keep glue clauses and reasons; drop the worse half of the rest by (lbd,
+        # length).  LBD > 3 means at least 4 distinct levels, so no candidate is binary.
+        locked = {self.reason[lit >> 1] for lit in self.trail}
+        cand = [ci for ci, g in self.lbd.items() if g > 3 and ci not in locked]
+        cand.sort(key=lambda ci: (self.lbd[ci], len(self.clauses[ci])), reverse=True)
         for ci in cand[: len(cand) // 2]:
-            cl = self.clauses[ci]
-            if cl is not None and len(cl) > 2:
-                self.clauses[ci] = None
-                self.lbd.pop(ci, None)
-        self.learnt_ids = [ci for ci in self.learnt_ids if self.clauses[ci] is not None]
+            self.clauses[ci] = None
+            del self.lbd[ci]
 
     def solve(self, time_budget: float | None, conflict_budget: int | None) -> SatResult:
         if not self.ok:
-            return SatResult("UNSAT", conflicts=self.conflicts)
+            return self._result("UNSAT")
         deadline = time.monotonic() + time_budget if time_budget else None
         max_learnts = max(4000, len(self.clauses) // 3)
         restart_round = 0
@@ -390,8 +379,7 @@ class _Solver:
             if confl >= 0:
                 self.conflicts += 1
                 if not self.trail_lim:
-                    return SatResult("UNSAT", conflicts=self.conflicts,
-                                     decisions=self.decisions, propagations=self.propagations)
+                    return self._result("UNSAT")
                 learnt, bt, lbd = self._analyze(confl)
                 self._cancel_until(bt)
                 if len(learnt) == 1:
@@ -405,23 +393,21 @@ class _Solver:
                 if (deadline is not None and time.monotonic() > deadline) or (
                     conflict_budget is not None and self.conflicts >= conflict_budget
                 ):
-                    return SatResult("UNKNOWN", conflicts=self.conflicts,
-                                     decisions=self.decisions, propagations=self.propagations)
+                    return self._result("UNKNOWN")
                 if self.conflicts - conflicts_at_restart >= restart_budget:
                     restart_round += 1
                     restart_budget = 100 * _luby(restart_round)
                     conflicts_at_restart = self.conflicts
                     self._cancel_until(0)
-                if len(self.learnt_ids) > max_learnts:
+                if len(self.lbd) > max_learnts:
                     self._reduce_db()
                     max_learnts = int(max_learnts * 1.2)
             else:
                 if not self._decide():
-                    model = [False] * (self.nvars + 1)
-                    for v in range(1, self.nvars + 1):
-                        model[v] = self.assign[2 * v] > 0
-                    return SatResult("SAT", model=model, conflicts=self.conflicts,
-                                     decisions=self.decisions, propagations=self.propagations)
+                    return self._result("SAT", [False] + [a > 0 for a in self.assign[2::2]])
+
+    def _result(self, status: str, model: list[bool] | None = None) -> SatResult:
+        return SatResult(status, model, self.conflicts, self.decisions, self.propagations)
 
 
 def solve_clauses(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ResourceLimitError, StructureError
@@ -329,6 +329,8 @@ def hv_enumerate(rect: Rect) -> Iterator[ChainGraph]:
     antiblock; step 2 tries both horizontal edges / both vertical edges for
     each white antiblock (row-major, H before V); step 3 orients each cycle
     of the resulting 2-regular graph both ways (canonical direction first).
+    Steps 2 and 3 are Cartesian products, so the graphs come in that order:
+    the last white antiblock, and within a choice the last cycle, varies fastest.
     """
     if rect.height % 4 or rect.width % 4:
         raise ValueError(f"rectangle sides must be multiples of 4, got {rect}")
@@ -346,7 +348,8 @@ def hv_enumerate(rect: Rect) -> Iterator[ChainGraph]:
     neighbor = {"top": (-1, 0), "bottom": (1, 0), "left": (0, -1), "right": (0, 1)}
 
     forced: list[tuple[Block, Block]] = []
-    whites: list[dict[str, tuple[Block, Block]]] = []
+    # Per white antiblock, its (H pair, V pair) of edge choices.
+    whites: list[tuple[list[tuple[Block, Block]], list[tuple[Block, Block]]]] = []
     for a in range(1, rows):
         for b in range(1, cols):
             sides = box_sides(a, b)
@@ -356,15 +359,7 @@ def hv_enumerate(rect: Rect) -> Iterator[ChainGraph]:
                     if not (1 <= a + da <= rows - 1 and 1 <= b + db <= cols - 1):
                         forced.append(edge)
             else:
-                whites.append(sides)
-
-    def undirected_choices(idx: int, edges: list[tuple[Block, Block]]) -> Iterator[list[tuple[Block, Block]]]:
-        if idx == len(whites):
-            yield edges
-            return
-        sides = whites[idx]
-        for pick in ("top", "bottom"), ("left", "right"):
-            yield from undirected_choices(idx + 1, edges + [sides[pick[0]], sides[pick[1]]])
+                whites.append(([sides["top"], sides["bottom"]], [sides["left"], sides["right"]]))
 
     def cycles_of(edges: list[tuple[Block, Block]]) -> list[list[Block]]:
         adj: dict[Block, list[Block]] = {}
@@ -393,19 +388,15 @@ def hv_enumerate(rect: Rect) -> Iterator[ChainGraph]:
             cycles.append(cycle)
         return cycles
 
-    def orient(cycles: list[list[Block]], idx: int, acc: list[Edge]) -> Iterator[frozenset[Edge]]:
-        if idx == len(cycles):
-            yield frozenset(acc)
-            return
-        cyc = cycles[idx]
-        fwd = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-        yield from orient(cycles, idx + 1, acc + fwd)
-        rev = [(v, u) for u, v in fwd]
-        yield from orient(cycles, idx + 1, acc + rev)
-
-    for undirected in undirected_choices(0, list(forced)):
-        for directed in orient(cycles_of(undirected), 0, []):
-            yield ChainGraph(rect, directed)
+    # One pair per white antiblock, then one of (forward, reverse) per cycle.
+    for picks in product(*whites):
+        undirected = forced + [edge for pick in picks for edge in pick]
+        ways = []
+        for cyc in cycles_of(undirected):
+            fwd = list(zip(cyc, cyc[1:] + cyc[:1]))
+            ways.append((fwd, [(v, u) for u, v in fwd]))
+        for directed in product(*ways):
+            yield ChainGraph(rect, [edge for cyc in directed for edge in cyc])
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ of any length.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,16 +93,12 @@ def _segments(tiling: Tiling) -> list[tuple[int, int, tuple[Tile, ...]]]:
     if tiling.rect.height != 4:
         raise ValueError(f"expected a height-4 tiling, got {tiling.rect}")
     cuts = [0] + fault_columns(tiling) + [tiling.rect.width]
-    out = []
-    for left, right in zip(cuts, cuts[1:]):
-        seg = tuple(
-            sorted(
-                (t.translated(0, -left) for t in tiling.tiles if left <= t.col < right),
-                key=TILING_ORDER,
-            )
-        )
-        out.append((left, right - left, seg))
-    return out
+    # A tile belongs to the segment its anchor column falls in; a shift keeps tiling order.
+    segs: list[list[Tile]] = [[] for _ in cuts[1:]]
+    for t in tiling.tiles:
+        i = bisect_right(cuts, t.col) - 1
+        segs[i].append(t.translated(0, -cuts[i]))
+    return [(left, right - left, tuple(seg)) for left, right, seg in zip(cuts, cuts[1:], segs)]
 
 
 MAX_UNIT_LEN = 16

@@ -340,3 +340,21 @@ def enumerate_units(max_len: int) -> list[Unit]:
                 raise ResourceLimitError("unit catalog exceeds single-letter names")
             units.append(Unit(names[len(units)], k, tiles))
     return units
+
+
+def segments(tiling: Tiling) -> list[tuple[int, int, tuple[Tile, ...]]]:
+    """``width4._segments`` before it put each tile in its segment in one pass:
+    one filter over every tile per segment, then a sort."""
+    if tiling.rect.height != 4:
+        raise ValueError(f"expected a height-4 tiling, got {tiling.rect}")
+    cuts = [0] + fault_columns(tiling) + [tiling.rect.width]
+    out = []
+    for left, right in zip(cuts, cuts[1:]):
+        seg = tuple(
+            sorted(
+                (t.translated(0, -left) for t in tiling.tiles if left <= t.col < right),
+                key=TILING_ORDER,
+            )
+        )
+        out.append((left, right - left, seg))
+    return out

@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from ttr.errors import ResourceLimitError
-from ttr.grid import Orientation, tile_cells
-from ttr.boundary import boundary_forces, enumerate_boundary_coverings
+from ttr.grid import PLACEMENT_ORDER, Orientation, Tile, tile_cells
+from ttr.boundary import _candidates_covering, boundary_forces, enumerate_boundary_coverings
 
 
 def test_single_square_has_six_coverings():
@@ -13,6 +13,25 @@ def test_single_square_has_six_coverings():
     # three D shifts plus one each of U, L, R
     orients = sorted(c.tiles[0].orientation.value for c in covs)
     assert orients == ["d", "d", "d", "l", "r", "u"]
+
+
+def test_candidates_are_the_six_row0_placements():
+    # U's stem, the top of an L or R bar, or any of a D bar's three cells.
+    for col in range(-3, 15):
+        listed = [
+            Tile(Orientation.U, 0, col - 1),
+            Tile(Orientation.D, 0, col - 2),
+            Tile(Orientation.D, 0, col - 1),
+            Tile(Orientation.D, 0, col),
+            Tile(Orientation.L, 0, col - 1),
+            Tile(Orientation.R, 0, col),
+        ]
+        assert _candidates_covering(col) == sorted(listed, key=PLACEMENT_ORDER)
+
+
+def test_covering_counts_are_pinned():
+    assert [len(enumerate_boundary_coverings(n)) for n in range(1, 13)] == [
+        6, 10, 14, 18, 31, 50, 70, 99, 161, 251, 359, 528]
 
 
 def test_coverings_are_disjoint_and_minimal():

@@ -177,6 +177,9 @@ GOLDEN_TRAJECTORIES = [
      ("SAT", 45, 69, 658, "49c584032be4e26f6086171d18ee3a13c54af74c")),
     # Runs past the first learnt-clause reduction, at conflict 4,001.
     ("vdw2d 16x16 l=4", lambda: vdw2d_cnf(16, 16, 4), 5000, ("UNKNOWN", 5000, 5842, 86539, None)),
+    # Runs past two learnt-clause reductions, at conflicts 4,001 and 6,800,
+    # and the activity rescale at conflict 4,436.
+    ("vdw2d 21x21 l=5", lambda: vdw2d_cnf(21, 21, 5), 7000, ("UNKNOWN", 7000, 9842, 286663, None)),
     ("loader mix 0", lambda: loader_mix(0, True), None,
      ("SAT", 0, 9, 42, "686ebeec560a6cbc7a78ee855a1d5cdee164829a")),
     ("loader mix 1", lambda: loader_mix(1, False), None, ("UNSAT", 11, 10, 110, None)),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,22 @@ def test_width4_runs_without_the_enumerator(monkeypatch, corpus):
         assert concatenate(decompose(tiling).kinds) == tiling
         assert ab_map(ab_map(tiling)) == ab_map(tiling)
     assert not hasattr(width4, "enumerate_tilings")
+
+
+def test_segments_match_the_filtering_oracle():
+    rng = random.Random(11)
+    strips = [concatenate(rng.choices("ABCDEFGH", k=rng.randint(1, 300))) for _ in range(20)]
+    strips += [concatenate("H" * 300), concatenate("A")]
+    strips += [t for w in range(4, 25, 4) for t in enumerate_tilings(Rect(4, w))]
+    for tiling in strips:
+        assert width4._segments(tiling) == oracles.segments(tiling)
+    for bad in (Rect(8, 4), Rect(12, 8)):
+        tiling = next(iter(enumerate_tilings(bad)))
+        with pytest.raises(ValueError) as exc:
+            width4._segments(tiling)
+        with pytest.raises(ValueError) as want:
+            oracles.segments(tiling)
+        assert str(exc.value) == str(want.value)
 
 
 def test_two_units_per_length_up_to_16(catalog):
