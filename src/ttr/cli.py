@@ -7,6 +7,8 @@ read or written, 2 for usage errors, 3 for solver failures, 4 when a budget
 ran out before an answer (bracketing information is printed when available).
 
 Every ``main`` call in a process shares one parser, built on the first call.
+Each handler imports the modules it runs when it is called, so a process
+loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -15,17 +17,14 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import IndeterminateError, ParseError, SolverError, TilingError, TtrError
 from .grid import Rect, cut_cornerless_ok, is_tileable, read_tiling, write_tiling
-from .aps import enumerate_aps, longest_ap
-from .chains import build_chain_graph, write_chain
 from .cnf import add_ap_blocking, add_rot180_symmetry, build_cnf
-from .decide import compute_L, compute_T, decide_forces
-from .render import render_ascii, render_svg
-from .solver import ScanResult, SearchConfig, solve
-from .vdw import GridColoring, compute_Lvdw, vdw_number
-from .width4 import stack_rows
+
+if TYPE_CHECKING:
+    from .solver import ScanResult, SearchConfig
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -56,6 +55,8 @@ def _add_search(p: argparse.ArgumentParser) -> None:
 
 def _config(args: argparse.Namespace) -> SearchConfig:
     """The search settings; the budget's deadline starts counting here."""
+    from .solver import SearchConfig
+
     return SearchConfig(solver_cmd=args.solver, time_budget_s=args.budget_seconds)
 
 
@@ -128,6 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_tile(args: argparse.Namespace) -> int:
+    from .vdw import GridColoring
+    from .width4 import stack_rows
+
     rect = Rect(args.height, args.width)
     if not is_tileable(rect):
         print(f"NONE (no complete tiling of {rect} exists)")
@@ -139,6 +143,8 @@ def _cmd_tile(args: argparse.Namespace) -> int:
 
 
 def _cmd_apfree(args: argparse.Namespace) -> int:
+    from .solver import solve
+
     config = _config(args)
     rect = Rect(args.height, args.width)
     if args.length < 2:
@@ -163,6 +169,8 @@ def _cmd_apfree(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
+    from .decide import decide_forces
+
     result = decide_forces(args.height, args.width, args.length, _config(args))
     if result.forced:
         print("FORCED")
@@ -184,19 +192,27 @@ def _print_scan(name: str, result: ScanResult) -> int:
 
 
 def _cmd_tvalue(args: argparse.Namespace) -> int:
+    from .decide import compute_T
+
     return _print_scan("T", compute_T(args.width, args.length, _config(args)))
 
 
 def _cmd_lvalue(args: argparse.Namespace) -> int:
+    from .decide import compute_L
+
     return _print_scan("L", compute_L(args.height, args.width, _config(args)))
 
 
 def _cmd_vdw(args: argparse.Namespace) -> int:
+    from .vdw import vdw_number
+
     print(vdw_number(args.length))
     return EXIT_OK
 
 
 def _cmd_vdw2d(args: argparse.Namespace) -> int:
+    from .vdw import compute_Lvdw
+
     result = compute_Lvdw(args.height, args.width, _config(args))
     if args.out is not None and result.witness is not None:
         args.out.write_text(result.witness.to_tcolor(), encoding="utf-8", newline="")
@@ -204,12 +220,16 @@ def _cmd_vdw2d(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaingraph(args: argparse.Namespace) -> int:
+    from .chains import build_chain_graph, write_chain
+
     tiling = read_tiling(args.infile.read_bytes())
     _emit(write_chain(build_chain_graph(tiling)), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .aps import longest_ap
+
     if args.max_ap is not None and args.max_ap < 2:
         raise ValueError(f"--max-ap must be >= 2, got {args.max_ap}")
     tiling = read_tiling(args.infile.read_bytes())
@@ -226,6 +246,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .aps import enumerate_aps, longest_ap
+    from .render import render_ascii, render_svg
+
     other_format = {"svg": [("--borders", args.borders)],
                     "ascii": [("--cell-size", args.cell_size is not None), ("--highlight-ap", args.highlight_ap)]}
     refused = [flag for flag, given in other_format[args.format] if given]

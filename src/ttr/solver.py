@@ -13,10 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-import shlex
-import signal
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -198,6 +194,12 @@ def _run_external(
     clauses: Sequence[Clause],
     time_budget_s: float | None,
 ) -> tuple[SolverStatus, list[bool] | None]:
+    # Imported here, not at start-up: starting the process costs far more.
+    import shlex
+    import signal
+    import subprocess
+    import tempfile
+
     try:
         argv = shlex.split(cmd)
     except ValueError as e:
