@@ -9,14 +9,15 @@ congruent to (0,0) or (2,2) mod 4 are gray.  Each edge then has exactly one
 gray antiblock beside it, and (edge, gray side) determines the tile.
 
 By Walkup's cut structure the placements in ``grid.WALKUP_CLASSES`` and the
-block steps inside the block grid pair up one to one.  ``chain_table(rect)``
-holds that pairing, built whole on first use and cached like
+block steps inside the block grid pair up one to one, so a tile is the same
+thing as its shaded arrow.  ``chain_table(rect)`` is that bijection, built
+whole on first use from ``majority_minority`` and cached like
 ``grid.placement_table``: the edge of every Walkup placement and, the other
 way round, the index of each edge's placement in the placement table.
-Building and decoding chain graphs look tiles and edges up in it.
-``majority_minority`` builds it; ``_gray_side`` and ``_checked_direction``
-report an edge it lacks, and with ``ARROW_TILE_TABLE`` they decode single
-shaded arrows.
+Building a chain graph looks its tiles up in it.  Both decoders,
+``chain_to_tiling`` and ``tile_for_arrow``, look edges up in it through one
+helper, which first reports a bad edge in the order flanks, then adjacency,
+then bounds.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ResourceLimitError, StructureError
 from .grid import (
-    CUT_CLASSES, ORIENTATIONS, PLACEMENT_ORDER, Cell, Orientation, Rect, Tile, Tiling, _is_decimal, placement_table,
+    CUT_CLASSES, PLACEMENT_ORDER, Cell, Rect, Tile, Tiling, _is_decimal, placement_table,
     read_header, tile_cells,
 )
 from .aps import maximal_runs
@@ -111,50 +112,18 @@ def antiblock_coloring(rect: Rect) -> list[Antiblock]:
     return out
 
 
-def _split_blocks(tile: Tile) -> tuple[Block, Block]:
-    """Count the tile's cells per block; raises unless they split 3+1 across adjacent blocks."""
+def majority_minority(tile: Tile) -> tuple[Block, Block]:
+    """The blocks holding three cells and one cell of the tile; raises unless it splits 3+1.
+
+    The single cell touches one of the other three, so the two blocks are adjacent.
+    """
     counts: dict[Block, int] = {}
     for r, c in tile_cells(tile):
         blk = (r // 2, c // 2)
         counts[blk] = counts.get(blk, 0) + 1
     if sorted(counts.values()) != [1, 3]:
         raise StructureError(f"tile {tile} does not split 3+1 across two blocks: {counts}")
-    maj = next(b for b, n in counts.items() if n == 3)
-    mino = next(b for b, n in counts.items() if n == 1)
-    if abs(maj[0] - mino[0]) + abs(maj[1] - mino[1]) != 1:
-        raise StructureError(f"tile {tile} majority/minority blocks are not adjacent")
-    return maj, mino
-
-
-def _split_table() -> dict[tuple[int, int, int], tuple[Block, Block]]:
-    """(orientation index, row & 1, col & 1) -> block offsets of (majority, minority).
-
-    Moving a tile by an even vector moves its blocks by half that vector, so
-    the anchor's parities fix the split.  A class left out does not split 3+1.
-    """
-    table = {}
-    for o in ORIENTATIONS:
-        for pr in (0, 1):
-            for pc in (0, 1):
-                try:
-                    table[(o.index, pr, pc)] = _split_blocks(Tile(o, pr, pc))
-                except StructureError:
-                    pass
-    return table
-
-
-_SPLITS = _split_table()
-
-
-def majority_minority(tile: Tile) -> tuple[Block, Block]:
-    """The blocks holding three cells and one cell of the tile."""
-    r, c = tile.row, tile.col
-    split = _SPLITS.get((tile.orientation.index, r & 1, c & 1))
-    if split is None:
-        return _split_blocks(tile)  # raises StructureError
-    (mr, mc), (nr, nc) = split
-    br, bc = r >> 1, c >> 1
-    return (br + mr, bc + mc), (br + nr, bc + nc)
+    return max(counts, key=counts.__getitem__), min(counts, key=counts.__getitem__)
 
 
 class ChainTable(NamedTuple):
@@ -197,49 +166,23 @@ def build_chain_graph(tiling: Tiling) -> ChainGraph:
     return graph
 
 
-def _edge_flanks(edge: Edge) -> tuple[Cell, Cell, Cell]:
-    """(midpoint, left flank center, right flank center) in grid coordinates.
-
-    Walking along direction (dy, dx), the left-hand side is (-dx, dy).
-    """
-    (r1, c1), (r2, c2) = edge
-    v1 = (2 * r1 + 1, 2 * c1 + 1)
-    v2 = (2 * r2 + 1, 2 * c2 + 1)
-    mid = ((v1[0] + v2[0]) // 2, (v1[1] + v2[1]) // 2)
-    dy, dx = (v2[0] - v1[0]) // 2, (v2[1] - v1[1]) // 2
-    left = (mid[0] - dx, mid[1] + dy)
-    right = (mid[0] + dx, mid[1] - dy)
-    return mid, left, right
-
-
 def _gray_side(edge: Edge) -> str:
     """Which side of the (directed) edge its gray antiblock lies on.
 
-    The checkerboard pattern extends periodically past the rectangle edge, so
-    a flanking box may lie (partly) outside; its color still shades the edge.
-    The two flank centers always fall in opposite classes.
+    The flank centers lie one grid unit either side of the edge's midpoint;
+    walking along direction (dy, dx), the left-hand side is (-dx, dy).  The
+    checkerboard pattern extends periodically past the rectangle edge, so a
+    flanking box may lie (partly) outside; its color still shades the edge.
+    The two flank centers of a block step always fall in opposite classes.
     """
-    _, left, right = _edge_flanks(edge)
-    left_gray = _is_gray_center(left)
-    right_gray = _is_gray_center(right)
+    (r1, c1), (r2, c2) = edge
+    mid_r, mid_c = r1 + r2 + 1, c1 + c2 + 1
+    dy, dx = r2 - r1, c2 - c1
+    left_gray = _is_gray_center((mid_r - dx, mid_c + dy))
+    right_gray = _is_gray_center((mid_r + dx, mid_c - dy))
     if left_gray == right_gray:
         raise StructureError(f"edge {edge} has {int(left_gray) + int(right_gray)} gray flanks")
     return "L" if left_gray else "R"
-
-
-# For each (edge direction in block coords, gray side): the tile's orientation
-# and its anchor offset from the majority block's top-left cell.  Derived by
-# brute force over enumerated tilings and frozen; a regression test re-derives it.
-ARROW_TILE_TABLE: dict[tuple[tuple[int, int], str], tuple[Orientation, tuple[int, int]]] = {
-    ((0, 1), "L"): (Orientation.U, (0, 0)),
-    ((0, 1), "R"): (Orientation.D, (0, 0)),
-    ((0, -1), "L"): (Orientation.D, (0, -1)),
-    ((0, -1), "R"): (Orientation.U, (0, -1)),
-    ((1, 0), "L"): (Orientation.R, (0, 0)),
-    ((1, 0), "R"): (Orientation.L, (0, 0)),
-    ((-1, 0), "L"): (Orientation.L, (-1, 0)),
-    ((-1, 0), "R"): (Orientation.R, (-1, 0)),
-}
 
 
 def arrow_for_tile(tile: Tile) -> ShadedArrow:
@@ -248,26 +191,32 @@ def arrow_for_tile(tile: Tile) -> ShadedArrow:
     return ShadedArrow(edge, _gray_side(edge))
 
 
-def _checked_direction(rect: Rect, edge: Edge) -> tuple[int, int]:
-    """The block step of ``edge``; raises unless it joins adjacent blocks inside ``rect``."""
+def _placement_index(rect: Rect, edge: Edge) -> int:
+    """The index in ``placement_table(rect).tiles`` of the tile whose chain edge is ``edge``.
+
+    Both decoders report a bad edge here, checking its flanks
+    (``_gray_side``), then adjacency, then bounds.  The checks come before
+    the lookup: on an odd side the chain table also holds placements that
+    reach into the partial last row or column of blocks, outside the
+    (h/2)x(w/2) block grid, and those are no arrows.
+    """
+    _gray_side(edge)
     (r1, c1), (r2, c2) = edge
-    d = (r2 - r1, c2 - c1)
-    if abs(d[0]) + abs(d[1]) != 1:
+    if abs(r2 - r1) + abs(c2 - c1) != 1:
         raise StructureError(f"edge {edge} endpoints are not adjacent blocks")
     for blk in edge:
         if not (0 <= blk[0] < rect.height // 2 and 0 <= blk[1] < rect.width // 2):
             raise StructureError(f"block {blk} outside {rect}")
-    return d
+    # Walkup's pairing puts every block step inside the grid in the table.
+    return chain_table(rect).tile_index[edge]
 
 
 def tile_for_arrow(rect: Rect, arrow: ShadedArrow) -> Tile:
     """The unique tile realizing a shaded arrow; inverse of :func:`arrow_for_tile`."""
-    d = _checked_direction(rect, arrow.edge)
+    i = _placement_index(rect, arrow.edge)
     if _gray_side(arrow.edge) != arrow.side:
         raise StructureError(f"arrow {arrow} shading inconsistent with the antiblock coloring")
-    orient, (dr, dc) = ARROW_TILE_TABLE[(d, arrow.side)]
-    r1, c1 = arrow.source
-    return Tile(orient, 2 * r1 + dr, 2 * c1 + dc)
+    return placement_table(rect).tiles[i]
 
 
 def chain_to_tiling(graph: ChainGraph) -> Tiling:
@@ -275,21 +224,14 @@ def chain_to_tiling(graph: ChainGraph) -> Tiling:
 
     Each edge is looked up in the chain table, so the tiles are the placement
     table's own; ``Tiling`` puts them in canonical order.  On a miss the
-    edges are checked in canonical order and the first bad one raises: its
-    flanks first (``_gray_side``), then adjacency and bounds
-    (``_checked_direction``).
+    edges are checked in canonical order and the first bad one raises.
     """
     rect = graph.rect
     tile_index = chain_table(rect).tile_index
     try:
         indices = list(map(tile_index.__getitem__, graph.edges))
     except KeyError:
-        for edge in graph.canonical_edges():
-            if edge not in tile_index:
-                _gray_side(edge)
-                _checked_direction(rect, edge)
-                # Walkup's pairing puts every block step inside the grid in the table.
-                raise StructureError(f"edge {edge} has no placement in {rect}") from None
+        indices = [_placement_index(rect, edge) for edge in graph.canonical_edges()]
     return Tiling(rect, map(placement_table(rect).tiles.__getitem__, indices))
 
 

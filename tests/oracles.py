@@ -12,7 +12,7 @@ import string
 from typing import Sequence
 
 from ttr.aps import APWitness
-from ttr.chains import ARROW_TILE_TABLE, ChainGraph, _checked_direction, _gray_side
+from ttr.chains import ChainGraph, ShadedArrow, _gray_side
 from ttr.cnf import CNF, Clause
 from ttr.enumerator import enumerate_tilings
 from ttr.errors import ParseError, ResourceLimitError, StructureError, TilingError
@@ -66,6 +66,46 @@ def verifies_against(ap: APWitness, tiling: Tiling) -> bool:
     """True when every tile of the progression is present in ``tiling``."""
     anchors = tiling.anchors_by_orientation()[ap.orientation]
     return all(a in anchors for a in ap.anchors())
+
+
+# The chain decoder's frozen arrow table and its edge check, as the program
+# kept them before the chain table became the one record of the tile <->
+# shaded-arrow bijection.  For each (edge direction in block coords, gray
+# side): the tile's orientation and its anchor offset from the majority
+# block's top-left cell.  Derived by brute force over enumerated tilings and
+# frozen; a regression test re-derives it.
+ARROW_TILE_TABLE: dict[tuple[tuple[int, int], str], tuple[Orientation, tuple[int, int]]] = {
+    ((0, 1), "L"): (Orientation.U, (0, 0)),
+    ((0, 1), "R"): (Orientation.D, (0, 0)),
+    ((0, -1), "L"): (Orientation.D, (0, -1)),
+    ((0, -1), "R"): (Orientation.U, (0, -1)),
+    ((1, 0), "L"): (Orientation.R, (0, 0)),
+    ((1, 0), "R"): (Orientation.L, (0, 0)),
+    ((-1, 0), "L"): (Orientation.L, (-1, 0)),
+    ((-1, 0), "R"): (Orientation.R, (-1, 0)),
+}
+
+
+def _checked_direction(rect: Rect, edge) -> tuple[int, int]:
+    """The block step of ``edge``; raises unless it joins adjacent blocks inside ``rect``."""
+    (r1, c1), (r2, c2) = edge
+    d = (r2 - r1, c2 - c1)
+    if abs(d[0]) + abs(d[1]) != 1:
+        raise StructureError(f"edge {edge} endpoints are not adjacent blocks")
+    for blk in edge:
+        if not (0 <= blk[0] < rect.height // 2 and 0 <= blk[1] < rect.width // 2):
+            raise StructureError(f"block {blk} outside {rect}")
+    return d
+
+
+def tile_for_arrow(rect: Rect, arrow: ShadedArrow) -> Tile:
+    """The arrow decoder through the frozen table: adjacency and bounds, then flanks and side."""
+    d = _checked_direction(rect, arrow.edge)
+    if _gray_side(arrow.edge) != arrow.side:
+        raise StructureError(f"arrow {arrow} shading inconsistent with the antiblock coloring")
+    orient, (dr, dc) = ARROW_TILE_TABLE[(d, arrow.side)]
+    r1, c1 = arrow.source
+    return Tile(orient, 2 * r1 + dr, 2 * c1 + dc)
 
 
 def _edge_tile_table() -> dict:

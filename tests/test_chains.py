@@ -5,12 +5,13 @@ from itertools import islice
 
 import pytest
 
+import oracles
+from oracles import ARROW_TILE_TABLE
 from ttr.errors import ParseError, ResourceLimitError, StructureError, TilingError
 from ttr.enumerator import enumerate_tilings
-from ttr.grid import PLACEMENT_ORDER, WALKUP_CLASSES, Orientation, Rect, Tile, placement_table, tile_cells
+from ttr.grid import ORIENTATIONS, PLACEMENT_ORDER, WALKUP_CLASSES, Orientation, Rect, Tile, placement_table, tile_cells
 from ttr.aps import enumerate_aps
 from ttr.chains import (
-    ARROW_TILE_TABLE,
     ChainGraph,
     ShadedArrow,
     _gray_side,
@@ -158,9 +159,7 @@ def test_parity_table_matches_per_edge_derivation():
                 if isinstance(want, str):
                     assert outcome(chain_to_tiling, graph) == want, edge
                     for side in "LR":
-                        assert outcome(tile_for_arrow, rect, ShadedArrow(edge, side)).startswith(
-                            "StructureError: "
-                        )
+                        assert outcome(tile_for_arrow, rect, ShadedArrow(edge, side)) == want, (edge, side)
                     continue
                 inside += 1
                 side, tile = want
@@ -171,6 +170,54 @@ def test_parity_table_matches_per_edge_derivation():
                     f"StructureError: arrow {other} shading inconsistent with the antiblock coloring"
                 )
     assert inside == 2 * 4 * 5 + 2 * 3 * 6  # block steps inside the 4x6 block grid
+
+
+@pytest.mark.parametrize("dims", [(5, 5), (5, 8), (7, 9)], ids=lambda d: f"{d[0]}x{d[1]}")
+def test_tile_for_arrow_on_odd_sides_matches_the_frozen_table(dims):
+    """An odd side leaves a partial last row or column of blocks: placements reach into it, arrows may not."""
+    rect = Rect(*dims)
+    rows, cols = rect.height // 2, rect.width // 2
+    steps = [(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)]
+    answered = 0
+    for r1 in range(-2, rows + 2):
+        for c1 in range(-2, cols + 2):
+            for dy, dx in steps:
+                for side in "LR":
+                    arrow = ShadedArrow(((r1, c1), (r1 + dy, c1 + dx)), side)
+                    got = outcome(tile_for_arrow, rect, arrow)
+                    want = outcome(oracles.tile_for_arrow, rect, arrow)
+                    if isinstance(want, Tile):
+                        answered += 1
+                        assert got == want, arrow
+                    else:
+                        assert isinstance(got, str), arrow
+    assert answered == 2 * rows * (cols - 1) + 2 * (rows - 1) * cols  # block steps inside the grid
+    assert max(edge[1][0] for edge in chain_table(rect).tile_index) == rows  # the partial block row
+
+
+def test_majority_minority_splits_half_the_parity_classes():
+    """Eight (orientation, row & 1, col & 1) classes split 3+1 into adjacent blocks; the other eight raise."""
+    splits = {}
+    for o in ORIENTATIONS:
+        for pr in (0, 1):
+            for pc in (0, 1):
+                tile = Tile(o, pr, pc)
+                try:
+                    maj, mino = majority_minority(tile)
+                except StructureError as e:
+                    assert str(e).startswith(f"tile {tile} does not split 3+1 across two blocks: "), e
+                    continue
+                assert abs(maj[0] - mino[0]) + abs(maj[1] - mino[1]) == 1, tile
+                splits[(o, pr, pc)] = (maj, mino)
+    assert len(splits) == 8
+    # Moving a tile by an even vector moves its blocks by half that vector.
+    rect = Rect(12, 12)
+    recorded = chain_table(rect).edges
+    for tile in placement_table(rect).tiles:
+        if PLACEMENT_ORDER(tile) in recorded:
+            (mr, mc), (nr, nc) = splits[(tile.orientation, tile.row & 1, tile.col & 1)]
+            br, bc = tile.row >> 1, tile.col >> 1
+            assert recorded[PLACEMENT_ORDER(tile)] == ((br + mr, bc + mc), (br + nr, bc + nc)), tile
 
 
 def test_walkup_placements_pair_with_block_steps():

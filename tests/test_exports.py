@@ -11,6 +11,7 @@ import pytest
 import ttr
 
 MODULES = sorted(p for p in Path(ttr.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 # Every exported name, by the module that defines it.
 HOMES = {
@@ -119,7 +120,7 @@ def test_unused_import_check_sees_an_unused_name():
         "PathLike"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     # No linter ships with the project; this catches an import an edit leaves behind.
     assert unused_imports(path.read_text()) == []
