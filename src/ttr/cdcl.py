@@ -10,9 +10,18 @@ variables ``v >= 1``; input literals must lie in ``1..num_vars`` in absolute
 value.  Loading reads each clause through one encoding table indexed by the
 DIMACS literal (a negative literal indexes from the end).  While nothing is
 assigned yet, a clause of at least two distinct variables needs none of the
-root-level simplification of ``_add_clause`` and is stored and watched as
+root-level simplification of ``_simplify`` and is stored and watched as
 it is; units, repeated literals, tautologies and every clause after the
 first unit take the general path.
+
+Clauses are referenced, as in MiniSat (Een and Sorensson, "An extensible
+SAT-solver", SAT 2003): a watch list, a binary-implication entry and
+``reason[v]`` hold the clause's literal list itself, not an index into a
+clause table.  A binary clause of the input is watched once however often
+it repeats (in either literal order): a repeat's entries would come after
+the first copy's in both lists, so they could never assign a literal or
+report a conflict first.  Repeats still count among the stored clauses
+(``stored``), which set the learnt-clause limit.
 
 The decision heap keeps at most one current entry per variable.  An entry
 ``(-activity, v)`` is current while ``activity[v]`` still has that value.
@@ -26,9 +35,11 @@ while a variable is free, both this heap and one that pushed a fresh entry
 at every bump hold a current entry for it exactly when the other does, so
 the decisions are the same too.
 
-Learnt clauses live in one registry, ``lbd`` (clause index -> LBD, in
-learning order): ``_reduce_db``, the only place that frees a clause, drops
-its entry with it, so the registry holds exactly the live learnt clauses.
+Learnt clauses live in one registry, ``learnts`` ((clause, LBD) pairs in
+learning order).  ``_reduce_db``, the only place that frees a clause, drops
+its entry and detaches it from every watch list in one sweep, keeping the
+order of the live entries, so the lists hold exactly the live clauses and
+propagation meets no dead one.
 
 ``solve_clauses`` pauses the cyclic garbage collector while it loads,
 searches and checks the model: the solver's lists and tuples form no
@@ -74,7 +85,7 @@ class _Solver:
         n2 = 2 * num_vars + 2
         self.assign = [0] * n2  # per literal: 1 true, -1 false, 0 free
         self.level = [0] * (num_vars + 1)
-        self.reason = [-1] * (num_vars + 1)
+        self.reason: list[list[int] | None] = [None] * (num_vars + 1)
         self.phase = [1] * (num_vars + 1)  # saved polarity bit; 1 -> try negative
         self.activity = [0.0] * (num_vars + 1)
         self.var_inc = 1.0
@@ -83,10 +94,10 @@ class _Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.clauses: list[list[int] | None] = []
-        self.lbd: dict[int, int] = {}  # learnt clause index -> LBD, in learning order
-        self.watches: list[list[int]] = [[] for _ in range(n2)]
-        self.binwatch: list[list[tuple[int, int]]] = [[] for _ in range(n2)]
+        self.stored = 0  # input clauses stored, repeated binaries included
+        self.learnts: list[tuple[list[int], int]] = []  # (clause, LBD), in learning order
+        self.watches: list[list[list[int]]] = [[] for _ in range(n2)]
+        self.binwatch: list[list[tuple[int, list[int]]]] = [[] for _ in range(n2)]
         self.ok = True
         self.conflicts = 0
         self.decisions = 0
@@ -95,9 +106,10 @@ class _Solver:
         enc = [0, *range(2, n2, 2), *range(n2 - 1, 2, -2)]
         get = enc.__getitem__
         trail = self.trail
-        db = self.clauses
         watches = self.watches
         binwatch = self.binwatch
+        binary_keys: set[int] = set()  # a * n2 + b for each attached binary, a < b
+        stored = 0
         for cl in clauses:
             n = len(cl)
             if n == 2 and not trail:
@@ -105,53 +117,62 @@ class _Solver:
                 if a != b and a != -b:
                     a = enc[a]
                     b = enc[b]
-                    binwatch[a].append((b, len(db)))
-                    binwatch[b].append((a, len(db)))
-                    db.append([a, b])
+                    stored += 1
+                    # Trigger when either literal becomes false; imply the other.  A
+                    # repeat's entries would only ever follow these in both lists.
+                    key = a * n2 + b if a < b else b * n2 + a
+                    if key not in binary_keys:
+                        binary_keys.add(key)
+                        lits = [a, b]
+                        binwatch[a].append((b, lits))
+                        binwatch[b].append((a, lits))
                     continue
             elif n > 2 and not trail and len(set(map(abs, cl))) == n:
                 lits = list(map(get, cl))
-                watches[lits[0]].append(len(db))
-                watches[lits[1]].append(len(db))
-                db.append(lits)
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+                stored += 1
                 continue
-            if not self._add_clause(list(map(get, cl)), learnt=False):
+            lits = self._simplify(list(map(get, cl)))
+            if lits is None:
+                continue
+            if len(lits) < 2:
+                if lits and self._enqueue(lits[0], None):
+                    continue
                 self.ok = False
                 break
-
-    def _add_clause(self, lits: list[int], learnt: bool) -> bool:
-        if not learnt:
-            out: list[int] = []
-            seen = set()
-            for l in lits:
-                if l ^ 1 in seen:
-                    return True  # tautology
-                if l in seen:
-                    continue
-                if self.assign[l] > 0 and self.level[l >> 1] == 0:
-                    return True  # already satisfied at root
-                if self.assign[l] < 0 and self.level[l >> 1] == 0:
-                    continue  # falsified at root; drop literal
-                seen.add(l)
-                out.append(l)
-            lits = out
-        if not lits:
-            return False
-        if len(lits) == 1:
-            return self._enqueue(lits[0], -1)
-        ci = len(self.clauses)
-        self.clauses.append(lits)
-        if len(lits) == 2:
-            # Trigger when either literal becomes false; imply the other.
+            stored += 1
+            if len(lits) > 2:
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+                continue
             a, b = lits
-            self.binwatch[a].append((b, ci))
-            self.binwatch[b].append((a, ci))
-        else:
-            self.watches[lits[0]].append(ci)
-            self.watches[lits[1]].append(ci)
-        return True
+            key = a * n2 + b if a < b else b * n2 + a
+            if key not in binary_keys:
+                binary_keys.add(key)
+                binwatch[a].append((b, lits))
+                binwatch[b].append((a, lits))
+        self.stored = stored
 
-    def _enqueue(self, lit: int, reason_ci: int) -> bool:
+    def _simplify(self, lits: list[int]) -> list[int] | None:
+        """An input clause without its root-false and repeated literals; None when it
+        is a tautology or already satisfied at the root."""
+        out: list[int] = []
+        seen = set()
+        for l in lits:
+            if l ^ 1 in seen:
+                return None  # tautology
+            if l in seen:
+                continue
+            if self.assign[l] > 0 and self.level[l >> 1] == 0:
+                return None  # already satisfied at root
+            if self.assign[l] < 0 and self.level[l >> 1] == 0:
+                continue  # falsified at root; drop literal
+            seen.add(l)
+            out.append(l)
+        return out
+
+    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
         if self.assign[lit] < 0:
             return False
         if self.assign[lit] > 0:
@@ -160,16 +181,15 @@ class _Solver:
         self.assign[lit ^ 1] = -1
         v = lit >> 1
         self.level[v] = len(self.trail_lim)
-        self.reason[v] = reason_ci
+        self.reason[v] = reason
         self.trail.append(lit)
         return True
 
-    def _propagate(self) -> int:
+    def _propagate(self) -> list[int] | None:
         # ``_enqueue`` inlined: a literal is only enqueued here while free.
         assign = self.assign
         watches = self.watches
         binwatch = self.binwatch
-        clauses = self.clauses
         level = self.level
         reason = self.reason
         trail = self.trail
@@ -179,92 +199,85 @@ class _Solver:
             p = trail[qhead]
             qhead += 1
             fl = p ^ 1
-            for q, ci in binwatch[fl]:
+            for q, cl in binwatch[fl]:
                 a = assign[q]
                 if a == 0:
                     assign[q] = 1
                     assign[q ^ 1] = -1
                     level[q >> 1] = lvl
-                    reason[q >> 1] = ci
+                    reason[q >> 1] = cl
                     trail.append(q)
                 elif a < 0:
                     self.qhead = qhead
                     self.propagations += qhead - start
-                    return ci
+                    return cl
             wl = watches[fl]
             if not wl:
                 continue
             keep = watches[fl] = []
             it = iter(wl)
-            for ci in it:
-                cl = clauses[ci]
-                if cl is None:
-                    continue
+            for cl in it:
                 first = cl[0]
                 if first == fl:
                     first = cl[0] = cl[1]
                     cl[1] = fl
                 if assign[first] > 0:
-                    keep.append(ci)
+                    keep.append(cl)
                     continue
                 for k in range(2, len(cl)):
                     lk = cl[k]
                     if assign[lk] >= 0:
                         cl[1] = lk
                         cl[k] = fl
-                        watches[lk].append(ci)
+                        watches[lk].append(cl)
                         break
                 else:
-                    keep.append(ci)
+                    keep.append(cl)
                     if assign[first] < 0:
                         keep.extend(it)
                         self.qhead = qhead
                         self.propagations += qhead - start
-                        return ci
+                        return cl
                     assign[first] = 1
                     assign[first ^ 1] = -1
                     level[first >> 1] = lvl
-                    reason[first >> 1] = ci
+                    reason[first >> 1] = cl
                     trail.append(first)
         self.qhead = qhead
         self.propagations += qhead - start
-        return -1
+        return None
 
-    def _bump(self, v: int) -> None:
-        activity = self.activity
-        activity[v] += self.var_inc
-        if activity[v] > 1e100:
-            inv = 1e-100
-            for u in range(1, self.nvars + 1):
-                activity[u] *= inv
-            self.var_inc *= inv
-            # Every bumped variable's entry is stale now.
-            self.in_heap[:] = bytes(len(self.in_heap))
-        # v is assigned; ``_cancel_until`` pushes its current entry when it frees v.
-        self.in_heap[v] = 0
-
-    def _analyze(self, confl: int) -> tuple[list[int], int, int]:
+    def _analyze(self, cl: list[int]) -> tuple[list[int], int, int]:
         level = self.level
         trail = self.trail
-        clauses = self.clauses
         reason = self.reason
-        bump = self._bump
+        activity = self.activity
+        in_heap = self.in_heap
+        var_inc = self.var_inc
         learnt: list[int] = [0]
         seen = bytearray(self.nvars + 1)
         counter = 0
         p = -1
         index = len(trail) - 1
         cur = len(self.trail_lim)
-        cl = clauses[confl]
         while True:
-            assert cl is not None
             for q in cl[1:] if cl[0] == p else cl:
                 if q == p:
                     continue
                 v = q >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
-                    bump(v)
+                    activity[v] += var_inc
+                    if activity[v] > 1e100:
+                        inv = 1e-100
+                        for u in range(1, self.nvars + 1):
+                            activity[u] *= inv
+                        self.var_inc *= inv
+                        var_inc = self.var_inc
+                        # Every bumped variable's entry is stale now.
+                        in_heap[:] = bytes(len(in_heap))
+                    # v is assigned; ``_cancel_until`` pushes its current entry when it frees v.
+                    in_heap[v] = 0
                     if level[v] == cur:
                         counter += 1
                     else:
@@ -278,7 +291,7 @@ class _Solver:
             counter -= 1
             if counter == 0:
                 break
-            cl = clauses[reason[v]]
+            cl = reason[v]
         learnt[0] = p ^ 1
 
         # Cheap minimization: drop literals whose reason is subsumed by the clause.
@@ -287,12 +300,10 @@ class _Solver:
             marked[q >> 1] = 1
         keep = [learnt[0]]
         for q in learnt[1:]:
-            ci = reason[q >> 1]
-            if ci < 0:
+            rcl = reason[q >> 1]
+            if rcl is None:
                 keep.append(q)
                 continue
-            rcl = clauses[ci]
-            assert rcl is not None
             # q's own variable is marked, so marked[] alone covers it.
             for x in rcl:
                 if not marked[x >> 1] and level[x >> 1] != 0:
@@ -327,7 +338,7 @@ class _Solver:
             phase[v] = lit & 1
             assign[lit] = 0
             assign[lit ^ 1] = 0
-            reason[v] = -1
+            reason[v] = None
             if not in_heap[v]:
                 heappush(heap, (-activity[v], v))
                 in_heap[v] = 1
@@ -353,44 +364,55 @@ class _Solver:
                 return False
         self.decisions += 1
         self.trail_lim.append(len(self.trail))
-        self._enqueue(2 * v + self.phase[v], -1)
+        self._enqueue(2 * v + self.phase[v], None)
         return True
 
     def _reduce_db(self) -> None:
         # Keep glue clauses and reasons; drop the worse half of the rest by (lbd,
-        # length).  LBD > 3 means at least 4 distinct levels, so no candidate is binary.
-        locked = {self.reason[lit >> 1] for lit in self.trail}
-        cand = [ci for ci, g in self.lbd.items() if g > 3 and ci not in locked]
-        cand.sort(key=lambda ci: (self.lbd[ci], len(self.clauses[ci])), reverse=True)
-        for ci in cand[: len(cand) // 2]:
-            self.clauses[ci] = None
-            del self.lbd[ci]
+        # length).  LBD > 3 means at least 4 distinct levels, so no candidate is
+        # binary, and every dropped clause is detached from ``watches`` alone.
+        reason = self.reason
+        locked = {id(reason[lit >> 1]) for lit in self.trail}
+        cand = [entry for entry in self.learnts if entry[1] > 3 and id(entry[0]) not in locked]
+        cand.sort(key=lambda entry: (entry[1], len(entry[0])), reverse=True)
+        # ``cand`` holds every dropped clause until the sweep ends, so no id is reused.
+        dead = {id(cl) for cl, _ in cand[: len(cand) // 2]}
+        self.learnts[:] = [entry for entry in self.learnts if id(entry[0]) not in dead]
+        for wl in self.watches:
+            if wl:
+                wl[:] = [cl for cl in wl if id(cl) not in dead]
 
     def solve(self, time_budget: float | None, conflict_budget: int | None) -> SatResult:
         if not self.ok:
             return self._result("UNSAT")
-        deadline = time.monotonic() + time_budget if time_budget else None
-        max_learnts = max(4000, len(self.clauses) // 3)
+        deadline = None if time_budget is None else time.monotonic() + time_budget
+        max_learnts = max(4000, self.stored // 3)
         restart_round = 0
         restart_budget = 100 * _luby(0)
         conflicts_at_restart = 0
+        learnts = self.learnts
         while True:
             confl = self._propagate()
-            if confl >= 0:
+            if confl is not None:
                 self.conflicts += 1
                 if not self.trail_lim:
                     return self._result("UNSAT")
                 learnt, bt, lbd = self._analyze(confl)
                 self._cancel_until(bt)
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], -1)
+                    self._enqueue(learnt[0], None)
                 else:
-                    ci = len(self.clauses)
-                    self._add_clause(learnt, learnt=True)
-                    self.lbd[ci] = lbd
-                    self._enqueue(learnt[0], ci)
+                    a, b = learnt[0], learnt[1]
+                    if len(learnt) == 2:
+                        self.binwatch[a].append((b, learnt))
+                        self.binwatch[b].append((a, learnt))
+                    else:
+                        self.watches[a].append(learnt)
+                        self.watches[b].append(learnt)
+                    learnts.append((learnt, lbd))
+                    self._enqueue(a, learnt)
                 self.var_inc /= 0.95
-                if (deadline is not None and time.monotonic() > deadline) or (
+                if (deadline is not None and time.monotonic() >= deadline) or (
                     conflict_budget is not None and self.conflicts >= conflict_budget
                 ):
                     return self._result("UNKNOWN")
@@ -399,7 +421,7 @@ class _Solver:
                     restart_budget = 100 * _luby(restart_round)
                     conflicts_at_restart = self.conflicts
                     self._cancel_until(0)
-                if len(self.lbd) > max_learnts:
+                if len(learnts) > max_learnts:
                     self._reduce_db()
                     max_learnts = int(max_learnts * 1.2)
             else:
@@ -422,7 +444,10 @@ def solve_clauses(
     Every literal is a nonzero integer of absolute value at most ``num_vars``
     (``cnf.parse_dimacs`` checks this for files).  A returned SAT model is
     checked against every clause before being handed back; UNSAT answers come
-    from conflict analysis at decision level 0.
+    from conflict analysis at decision level 0.  The search answers UNKNOWN
+    after the first conflict at which ``time_budget`` seconds have passed
+    (so 0 stops it at its first conflict) or the ``conflict_budget``-th
+    conflict; None means no bound.
     """
     enabled = gc.isenabled()
     gc.disable()

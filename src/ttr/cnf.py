@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .errors import ParseError
-from .grid import ORIENTATIONS, Orientation, Rect, Tile, Tiling, _is_decimal, is_tileable, placement_table
+from .grid import ORIENTATIONS, Rect, Tile, Tiling, _is_decimal, is_tileable, placement_table
 
 Clause = tuple[int, ...]
 
@@ -101,42 +101,59 @@ def add_ap_blocking(cnf: CNF, l: int) -> CNF:
     class b whose third term's class 2b - a has placements, half the pairs
     under Walkup.  The result is satisfiable exactly when a tiling without
     any l-term AP exists.
+
+    Anchors are packed as ``r * m + c`` with ``m = 2 * l * (w + 1)``, so a
+    window's terms are ``p, q, 2q - p, ...`` in packed form.  The packing is
+    unique on every term: each term's column lies within (l - 1)(w - 1) of
+    the range 0..w-1, an interval of fewer than m columns, so two terms with
+    the same packed value have the same row and column.  Membership is then
+    one dict lookup, and since packed anchors sort in (row, col) order, the
+    second terms a first anchor can use are one slice of a sorted list, cut
+    where a second term's row leaves no room for the l-th term.
     """
     if l < 2:
         raise ValueError(f"l must be >= 2, got {l}")
-    anchors_by_orient: dict[Orientation, list[tuple[tuple[int, int], int]]] = {o: [] for o in ORIENTATIONS}
+    height, m = cnf.rect.height, 2 * l * (cnf.rect.width + 1)
+    # Placement order runs by orientation, then row, then col: each list is sorted.
+    keys_by_orient: list[list[int]] = [[] for _ in ORIENTATIONS]
+    lits_by_orient: list[list[int]] = [[] for _ in ORIENTATIONS]
     for i, t in enumerate(cnf.index.tiles):
-        anchors_by_orient[t.orientation].append((t.anchor, i))
-    height, extra = cnf.rect.height, range(l - 2)
+        keys_by_orient[t.orientation.index].append(t.row * m + t.col)
+        lits_by_orient[t.orientation.index].append(-(i + 1))
+    extra = range(l - 2)
     new_clauses: list[Clause] = []
-    for orient in ORIENTATIONS:
-        anchors = sorted(anchors_by_orient[orient])
-        id_at = dict(anchors)
-        classes = {(r & 3, c & 3) for (r, c), _ in anchors}
+    for keys, lits in zip(keys_by_orient, lits_by_orient):
+        get = dict(zip(keys, lits)).get
+        # Class (row mod 4, col mod 4) of each anchor, coded 4 * (row & 3) + (col & 3).
+        codes = [(k // m & 3) << 2 | (k % m & 3) for k in keys]
+        present = set(codes)
         # Per first-anchor class, the anchors in (row, col) order that may be its second term.
-        seconds = {
-            (ar, ac): [
-                p for p in anchors
-                if l < 3 or ((2 * (p[0][0] & 3) - ar) & 3, (2 * (p[0][1] & 3) - ac) & 3) in classes
-            ]
-            for ar, ac in classes
-        }
-        for pair_start in anchors:
-            (r0, c0), first = pair_start
-            later = seconds[(r0 & 3, c0 & 3)]
-            for (r1, c1), second in later[bisect_right(later, pair_start):]:
-                dy, dx = r1 - r0, c1 - c0
-                if r0 + (l - 1) * dy >= height:
-                    break  # rows only grow from here on, so no later pair fits either
-                window = [-(first + 1), -(second + 1)]
-                rr, cc = r1, c1
+        seconds: dict[int, tuple[list[int], list[int]]] = {}
+        for a in present:
+            fits = {
+                b for b in present
+                if l < 3 or ((2 * (b >> 2) - (a >> 2)) & 3) << 2 | ((2 * b - a) & 3) in present
+            }
+            usable = [b in fits for b in codes]
+            seconds[a] = list(compress(keys, usable)), list(compress(lits, usable))
+        for k0, n0, a in zip(keys, lits, codes):
+            later_keys, later_lits = seconds[a]
+            lo = bisect_right(later_keys, k0)
+            r0 = k0 // m
+            hi = bisect_left(later_keys, (r0 + (height - 1 - r0) // (l - 1) + 1) * m, lo)
+            pairs = zip(later_keys[lo:hi], later_lits[lo:hi])
+            if l == 3:
+                new_clauses += [(n0, n1, n2) for k1, n1 in pairs if (n2 := get(2 * k1 - k0))]
+                continue
+            for k1, n1 in pairs:
+                step = k1 - k0
+                window = [n0, n1]
                 for _ in extra:
-                    rr += dy
-                    cc += dx
-                    nxt = id_at.get((rr, cc))
+                    k1 += step
+                    nxt = get(k1)
                     if nxt is None:
                         break
-                    window.append(-(nxt + 1))
+                    window.append(nxt)
                 else:
                     new_clauses.append(tuple(window))
     return replace(cnf, clauses=cnf.clauses + tuple(new_clauses), blocked_len=l)

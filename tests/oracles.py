@@ -9,6 +9,7 @@ the tests use live here too.
 from __future__ import annotations
 
 import string
+from bisect import bisect_right
 from typing import Sequence
 
 from ttr.aps import APWitness
@@ -191,6 +192,51 @@ def ap_blocking_clauses(cnf: CNF, l: int) -> list[Clause]:
                 window = [-(first + 1), -(second + 1)]
                 rr, cc = r1, c1
                 for _ in range(l - 2):
+                    rr += dy
+                    cc += dx
+                    nxt = id_at.get((rr, cc))
+                    if nxt is None:
+                        break
+                    window.append(-(nxt + 1))
+                else:
+                    new_clauses.append(tuple(window))
+    return new_clauses
+
+
+def ap_blocking_windows(cnf: CNF, l: int) -> list[Clause]:
+    """The AP-blocking clauses of ``cnf.add_ap_blocking`` on tuple anchors.
+
+    The frozen reference for the packed-position windows: the same Walkup
+    class filter, the same row cut and the same clause order, with anchors
+    kept as (row, col) tuples in a sorted list and looked up in a tuple dict.
+    """
+    anchors_by_orient: dict[Orientation, list[tuple[tuple[int, int], int]]] = {o: [] for o in ORIENTATIONS}
+    for i, t in enumerate(cnf.index.tiles):
+        anchors_by_orient[t.orientation].append((t.anchor, i))
+    height, extra = cnf.rect.height, range(l - 2)
+    new_clauses: list[Clause] = []
+    for orient in ORIENTATIONS:
+        anchors = sorted(anchors_by_orient[orient])
+        id_at = dict(anchors)
+        classes = {(r & 3, c & 3) for (r, c), _ in anchors}
+        # Per first-anchor class, the anchors in (row, col) order that may be its second term.
+        seconds = {
+            (ar, ac): [
+                p for p in anchors
+                if l < 3 or ((2 * (p[0][0] & 3) - ar) & 3, (2 * (p[0][1] & 3) - ac) & 3) in classes
+            ]
+            for ar, ac in classes
+        }
+        for pair_start in anchors:
+            (r0, c0), first = pair_start
+            later = seconds[(r0 & 3, c0 & 3)]
+            for (r1, c1), second in later[bisect_right(later, pair_start):]:
+                dy, dx = r1 - r0, c1 - c0
+                if r0 + (l - 1) * dy >= height:
+                    break  # rows only grow from here on, so no later pair fits either
+                window = [-(first + 1), -(second + 1)]
+                rr, cc = r1, c1
+                for _ in extra:
                     rr += dy
                     cc += dx
                     nxt = id_at.get((rr, cc))
@@ -398,3 +444,36 @@ def segments(tiling: Tiling) -> list[tuple[int, int, tuple[Tile, ...]]]:
         )
         out.append((left, right - left, seg))
     return out
+
+
+def watch_invariant(solver, dropped=()) -> None:
+    """Check the clause references of a ``cdcl._Solver`` after a run.
+
+    Every clause of three or more literals in the watch lists sits exactly
+    once in ``watches[cl[0]]`` and once in ``watches[cl[1]]`` and nowhere
+    else, and every learnt clause of that size is among them; no clause in
+    ``dropped`` (what ``_reduce_db`` removed) is left in any list; every
+    distinct binary clause has one implication entry per literal, pointing
+    at the other literal.
+    """
+    seen: dict[int, tuple[list[int], list[int]]] = {}
+    for lit, wl in enumerate(solver.watches):
+        for cl in wl:
+            seen.setdefault(id(cl), (cl, []))[1].append(lit)
+    for cl, lits in seen.values():
+        assert len(cl) >= 3, f"watched clause {cl} has fewer than three literals"
+        assert sorted(lits) == sorted(cl[:2]), f"clause {cl} is watched at {lits}"
+    for cl, _ in solver.learnts:
+        if len(cl) >= 3:
+            assert id(cl) in seen, f"learnt clause {cl} is not watched"
+    dead = {id(cl) for cl in dropped}
+    assert not dead & seen.keys(), "a reduced clause is still watched"
+    assert not dead & {id(cl) for cl, _ in solver.learnts}, "a reduced clause is still registered"
+    entries: dict[frozenset[int], list[int]] = {}
+    for lit, bl in enumerate(solver.binwatch):
+        for other, cl in bl:
+            assert len(cl) == 2 and sorted(cl) == sorted((lit, other)), f"entry {other} at {lit} for {cl}"
+            entries.setdefault(frozenset(cl), []).append(lit)
+    for key, lits in entries.items():
+        assert sorted(lits) == sorted(key), f"binary clause {sorted(key)} has entries at {lits}"
+

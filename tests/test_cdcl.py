@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import oracles
 from ttr import cdcl
 from ttr.cdcl import _luby, solve_clauses
 from ttr.cnf import add_ap_blocking, add_rot180_symmetry, build_cnf
@@ -66,8 +67,8 @@ def test_random_3sat_matches_brute_force():
         assert (got.status == "SAT") == brute_force_sat(n, clauses), clauses
 
 
-def test_conflict_budget_yields_unknown():
-    # A hard unsatisfiable instance cannot finish within one conflict.
+def pigeonhole_7_6():
+    # 7 pigeons, 6 holes: var p*6+h+1 means pigeon p sits in hole h.
     clauses = []
     for p in range(7):
         clauses.append(tuple(p * 6 + h + 1 for h in range(6)))
@@ -75,7 +76,12 @@ def test_conflict_budget_yields_unknown():
         for p1 in range(7):
             for p2 in range(p1 + 1, 7):
                 clauses.append((-(p1 * 6 + h + 1), -(p2 * 6 + h + 1)))
-    result = solve_clauses(42, clauses, conflict_budget=1)
+    return 42, clauses
+
+
+def test_conflict_budget_yields_unknown():
+    # A hard unsatisfiable instance cannot finish within one conflict.
+    result = solve_clauses(*pigeonhole_7_6(), conflict_budget=1)
     assert result.status == "UNKNOWN"
 
 
@@ -202,6 +208,120 @@ GOLDEN_TRAJECTORIES = [
 def test_golden_trajectory(make, conflict_budget, expected):
     r = solve_clauses(*make(), conflict_budget=conflict_budget)
     assert (r.status, r.conflicts, r.decisions, r.propagations, model_digest(r.model)) == expected
+
+
+def random_3sat_with_repeated_binaries(seed, n, m, binaries, repeats):
+    """Random 3-SAT with binary clauses inserted at random places, then
+    repeats of those binaries inserted the same way, about half of them with
+    their two literals swapped."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(m):
+        lits = rng.sample(range(1, n + 1), k=3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in lits))
+    bins = []
+    for _ in range(binaries):
+        a, b = rng.sample(range(1, n + 1), k=2)
+        bins.append((a if rng.random() < 0.5 else -a, b if rng.random() < 0.5 else -b))
+    for cl in bins:
+        clauses.insert(rng.randrange(len(clauses) + 1), cl)
+    for _ in range(repeats):
+        a, b = rng.choice(bins)
+        clauses.insert(rng.randrange(len(clauses) + 1), (b, a) if rng.random() < 0.5 else (a, b))
+    return n, clauses
+
+
+# Runs that pass learnt-clause reductions, each checked against its watch
+# invariant as well as its trajectory.  The first two are goldens above; the
+# third, recorded before the solver watched repeated binaries once and
+# detached reduced clauses, is the only one with binary clauses (repeats among
+# them) in a run that reaches a reduction (at conflicts 4,001 and 6,726).
+REDUCTION_TRAJECTORIES = [
+    ("vdw2d 16x16 l=4", lambda: vdw2d_cnf(16, 16, 4), 5000, ("UNKNOWN", 5000, 5842, 86539, None), 1),
+    ("vdw2d 21x21 l=5", lambda: vdw2d_cnf(21, 21, 5), 7000, ("UNKNOWN", 7000, 9842, 286663, None), 2),
+    ("3-SAT n=250 m=1000 with 30 binaries and 30 repeats, seed 1",
+     lambda: random_3sat_with_repeated_binaries(1, 250, 1000, 30, 30), 9000,
+     ("UNKNOWN", 9000, 11013, 408003, None), 2),
+]
+
+
+@pytest.mark.parametrize("make, conflict_budget, expected, reductions",
+                         [case[1:] for case in REDUCTION_TRAJECTORIES],
+                         ids=[case[0] for case in REDUCTION_TRAJECTORIES])
+def test_reductions_keep_the_watch_invariant(make, conflict_budget, expected, reductions, monkeypatch):
+    dropped = []
+    real_reduce = cdcl._Solver._reduce_db
+
+    def reduce_db(self):
+        before = list(self.learnts)
+        real_reduce(self)
+        kept = {id(cl) for cl, _ in self.learnts}
+        dropped.append([cl for cl, _ in before if id(cl) not in kept])
+
+    monkeypatch.setattr(cdcl._Solver, "_reduce_db", reduce_db)
+    solver = cdcl._Solver(*make())
+    r = solver.solve(None, conflict_budget)
+    assert (r.status, r.conflicts, r.decisions, r.propagations, model_digest(r.model)) == expected
+    assert len(dropped) == reductions and all(dropped)
+    oracles.watch_invariant(solver, [cl for batch in dropped for cl in batch])
+
+
+def test_watch_invariant_catches_a_reduced_clause_left_watched():
+    solver = cdcl._Solver(*vdw2d_cnf(16, 16, 4))
+    solver.solve(None, 300)
+    learnt = next(cl for cl, _ in solver.learnts if len(cl) >= 3)
+    with pytest.raises(AssertionError, match="reduced clause is still watched"):
+        oracles.watch_invariant(solver, [learnt])
+
+
+def without_repeated_binaries(num_vars, clauses):
+    seen = set()
+    kept = []
+    for cl in clauses:
+        if len(cl) == 2:
+            key = frozenset(cl)
+            if key in seen:
+                continue
+            seen.add(key)
+        kept.append(cl)
+    return num_vars, kept
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tiling_cnf(12, 20, 3),
+    lambda: tiling_cnf(16, 16, 3),
+    lambda: tiling_cnf(8, 32, 3),
+    lambda: tiling_cnf(20, 20, 3, rot180=True),
+    lambda: tiling_cnf(4, 36, 3),
+    lambda: tiling_cnf(8, 36, 3),
+    lambda: tiling_cnf(12, 12, 2),
+    lambda: tiling_cnf(12, 12, 3),
+    lambda: tiling_cnf(24, 24, 3),
+], ids=["construct 12x20", "construct 16x16", "construct 8x32", "construct 20x20 rot180",
+        "scan 4x36 l=3", "scan 8x36 l=3", "scan 12x12 l=2", "scan 12x12 l=3", "24x24 l=3"])
+def test_repeated_binaries_change_nothing(make):
+    # ``build_cnf`` repeats an at-most-one pair once per shared cell.  These
+    # CNFs stay under the 12,000 clauses where dropping the repeats would move
+    # the learnt-clause limit, so the search must be the same without them.
+    num_vars, clauses = make()
+    pruned = without_repeated_binaries(num_vars, clauses)[1]
+    assert len(pruned) < len(clauses) < 12000
+    a = solve_clauses(num_vars, clauses)
+    b = solve_clauses(num_vars, pruned)
+    assert (a.status, a.conflicts, a.decisions, a.propagations, a.model) == (
+        b.status, b.conflicts, b.decisions, b.propagations, b.model)
+
+
+def test_repeated_binary_is_watched_once():
+    solver = cdcl._Solver(3, [(1, 2), (2, 1), (-1, 3), (1, 2), (3, -1)])
+    assert solver.stored == 5
+    oracles.watch_invariant(solver)
+    assert sum(map(len, solver.binwatch)) == 4
+
+
+def test_zero_time_budget_stops_at_the_first_conflict():
+    result = solve_clauses(*pigeonhole_7_6(), time_budget=0)
+    assert (result.status, result.conflicts) == ("UNKNOWN", 1)
 
 
 # --------------------------------------------------------------------------

@@ -3,13 +3,15 @@ from __future__ import annotations
 import itertools
 import subprocess
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
 from ttr.errors import ParseError
 from ttr.enumerator import _count, count_tilings, enumerate_tilings
-from ttr.grid import ORIENTATIONS, Rect, is_tileable, rotate_tile_180
+from ttr.grid import ORIENTATIONS, Rect, is_tileable, placement_table, rotate_tile_180
 from ttr.cnf import (
     CNF,
     PlacementIndex,
@@ -209,6 +211,27 @@ def test_anchor_pair_windows_match_step_oracle(h, w, l, mod4_only):
         assert expected < added
     else:
         assert added == expected
+
+
+PACKED_WINDOW_SIZES = [(h, w) for h in (4, 5, 7, 8, 12, 16) for w in (4, 5, 7, 8, 12, 16)] + [
+    (20, 20), (24, 24), (32, 32), (16, 32), (32, 16), (4, 36), (8, 36), (3, 9), (9, 3), (4, 140),
+]
+# Tileable sizes again with every placement indexed, as if the Walkup restriction were off.
+PACKED_WINDOW_CASES = [(h, w, True) for h, w in PACKED_WINDOW_SIZES] + [
+    (h, w, False) for h, w in PACKED_WINDOW_SIZES if is_tileable(Rect(h, w)) and h * w <= 512
+]
+
+
+@pytest.mark.parametrize("h, w, walkup", PACKED_WINDOW_CASES,
+                         ids=[f"{h}x{w}{'' if walkup else ' every placement'}" for h, w, walkup in PACKED_WINDOW_CASES])
+def test_packed_windows_equal_the_tuple_reference(h, w, walkup):
+    # Same clauses in the same order as the (row, col) tuple loop, for l = 2..5.
+    base = build_cnf(Rect(h, w))
+    if not walkup:
+        base = replace(base, index=SimpleNamespace(tiles=placement_table(base.rect).tiles))
+    for l in (2, 3, 4, 5):
+        added = add_ap_blocking(base, l).clauses[base.num_clauses:]
+        assert list(added) == oracles.ap_blocking_windows(base, l), l
 
 
 def test_rot180_symmetry_clauses_pair_variables():
