@@ -27,11 +27,8 @@ from functools import lru_cache
 from itertools import compress, product
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, ResourceLimitError, StructureError
-from .grid import (
-    CUT_CLASSES, PLACEMENT_ORDER, Cell, Rect, Tile, Tiling, _is_decimal, placement_table,
-    read_header, tile_cells,
-)
+from .errors import ResourceLimitError, StructureError
+from .grid import CUT_CLASSES, PLACEMENT_ORDER, Cell, Rect, Tile, Tiling, placement_table, tile_cells
 from .aps import maximal_runs
 
 Block = tuple[int, int]
@@ -357,24 +354,3 @@ def write_chain(graph: ChainGraph) -> str:
     for (r1, c1), (r2, c2) in graph.canonical_edges():
         lines.append(f"{r1} {c1} {r2} {c2}")
     return "\n".join(lines) + "\n"
-
-
-def read_chain(data: str | bytes) -> ChainGraph:
-    """Parse the CHAIN format; every malformed line is a :class:`ParseError`."""
-    h, w, body = read_header(data, CHAIN_MAGIC)
-    if h % 2 or w % 2:
-        raise ParseError(2, 1, f"dimensions must be even, got {h} {w}")
-    block_rows, block_cols = h // 2, w // 2
-    edges: set[Edge] = set()
-    for i, line in enumerate(body, start=3):
-        toks = line.split()
-        if len(toks) != 4 or not all(_is_decimal(t) for t in toks):
-            raise ParseError(i, 1, "expected 'r1 c1 r2 c2' in decimal digits")
-        r1, c1, r2, c2 = (int(t) for t in toks)
-        if max(r1, r2) >= block_rows or max(c1, c2) >= block_cols:
-            raise ParseError(i, 1, f"block outside the {block_rows}x{block_cols} block grid")
-        edge = ((r1, c1), (r2, c2))
-        if edge in edges:
-            raise ParseError(i, 1, "repeated edge")
-        edges.add(edge)
-    return ChainGraph(Rect(h, w), edges)

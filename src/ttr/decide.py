@@ -71,7 +71,8 @@ def compute_T(w: int, l: int, config: SearchConfig | None = None) -> ScanResult:
     for general widths, so no binary search), checking the deadline before
     each question.  For widths 4..16 and l in {3, 4} the scan is capped by
     the 4*W(2, l) ceiling, read off one extremal l-AP-free coloring; reaching
-    the ceiling without a forced answer indicates a bug and raises.  Below
+    the ceiling without a forced answer indicates a bug and raises, so a
+    deadline that passes at the ceiling question still pins T there.  Below
     the ceiling, when w/4 < l, each question's ``witness_hint`` is w/4
     stacked strip tilings of the coloring's first N/4 colors: ``decide_forces``
     re-checks it, and one that fails falls through to the solver.  (At
@@ -94,21 +95,24 @@ def compute_T(w: int, l: int, config: SearchConfig | None = None) -> ScanResult:
     lengths = range(4, (ceiling or MAX_T_SCAN) + 1, 4)
     for n in lengths:
         if config.remaining_s() == 0:
-            return ScanResult(None, n, ceiling)
+            break
         hint = None
         if strip is not None and n < ceiling:
             hint = stack_rows(GridColoring((strip[: n // 4],)), w // 4)
         try:
             forced = decide_forces(w, n, l, config, witness_hint=hint).forced
         except IndeterminateError:
-            return ScanResult(None, n, ceiling)
+            break
         if forced:
             return ScanResult(n, n, n)
-    if ceiling is not None:
-        raise LemmaViolationError(
-            f"scan passed the 4*W(2,{l}) = {ceiling} ceiling for width {w} without forcing"
-        )
-    return ScanResult(None, MAX_T_SCAN + 4, None)
+    else:
+        if ceiling is not None:
+            raise LemmaViolationError(
+                f"scan passed the 4*W(2,{l}) = {ceiling} ceiling for width {w} without forcing"
+            )
+        return ScanResult(None, MAX_T_SCAN + 4, None)
+    # Out of time at n with every shorter length avoidable; at the ceiling that pins T.
+    return ScanResult(n, n, n) if n == ceiling else ScanResult(None, n, ceiling)
 
 
 def compute_L(h: int, w: int, config: SearchConfig | None = None) -> ScanResult:

@@ -3,8 +3,9 @@
 Reads a DIMACS CNF, runs the built-in CDCL solver to a verdict, and prints
 the standard SAT-competition output (``s`` status line plus ``v`` value
 lines).  The file path is its only argument.  Exit codes follow solver
-convention: 10 for SAT, 20 for UNSAT; a file that cannot be read or parsed
-is reported in one line on stderr with exit code 1.
+convention: 10 for SAT, 20 for UNSAT; a file that cannot be read or parsed,
+or that declares more variables than the solver can allocate, is reported
+in one line on stderr with exit code 1.
 
 This doubles as a reference implementation of the external-solver contract:
 pointing ``--solver``/``TTR_SOLVER`` at this command exercises exactly the
@@ -32,7 +33,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    result = solve_clauses(num_vars, clauses)  # no budget, so never UNKNOWN
+    try:
+        result = solve_clauses(num_vars, clauses)  # no budget, so never UNKNOWN
+    except (OverflowError, MemoryError):
+        print(f"error: cannot allocate a solver for {num_vars} variables", file=sys.stderr)
+        return 1
     if result.status == "UNSAT":
         print("s UNSATISFIABLE")
         return 20

@@ -304,23 +304,6 @@ def rotate_tile_180(rect: Rect, tile: Tile) -> Tile:
     )
 
 
-def _corner_count_at(tiling: Tiling, point: Cell) -> int:
-    """Number of tile outline corners meeting at an interior grid point."""
-    r, c = point
-    owner, w = tiling._owner, tiling.rect.width
-    k = r * w + c
-    quad = (owner[k - w - 1], owner[k - w], owner[k - 1], owner[k])
-    corners = 0
-    for t in set(quad):
-        covered = quad.count(t)
-        if covered in (1, 3):
-            corners += 1
-        elif covered == 2 and (quad[0] == quad[3] == t or quad[1] == quad[2] == t):
-            # Two diagonal cells of one tile meet point-wise: two corners.
-            corners += 2
-    return corners
-
-
 #: Interior grid-point classes (row mod 4, col mod 4) where four tile corners
 #: must meet in every complete tiling.
 CUT_CLASSES = frozenset({(0, 0), (2, 2)})
@@ -382,15 +365,28 @@ def cut_cornerless_ok(tiling: Tiling) -> bool:
     or (2,0) mod 4 no tile corner lies.  Every valid tiling of a rectangle
     with both sides divisible by 4 satisfies this (verified exhaustively at
     desk scale in the tests), so a ``False`` return indicates a bug upstream.
+
+    No T-tetromino covers two diagonal cells of a 2x2 window without a third,
+    nor all four, so four corners meet at a point exactly when its four cells
+    belong to four distinct tiles, and none lies there exactly when two tiles
+    each cover an adjacent pair of them.
     """
     rect = tiling.rect
-    if rect.height % 4 or rect.width % 4:
+    h, w = rect.height, rect.width
+    if h % 4 or w % 4:
         raise ValueError(f"rectangle {rect} does not have both sides divisible by 4")
-    # The interior even-even points are exactly those in CUT_CLASSES or CORNERLESS_CLASSES.
-    for r in range(2, rect.height, 2):
-        for c in range(2, rect.width, 2):
-            expected = 4 if (r % 4, c % 4) in CUT_CLASSES else 0
-            if _corner_count_at(tiling, (r, c)) != expected:
+    owner = tiling._owner
+    # The interior even-even points are exactly those in CUT_CLASSES or CORNERLESS_CLASSES:
+    # on a row r = 0 mod 4 the cut points have c = 0 mod 4, on r = 2 mod 4 they have c = 2.
+    for r in range(2, h, 2):
+        above, below = owner[(r - 1) * w : r * w], owner[r * w : (r + 1) * w]
+        cut = 4 - r % 4
+        for c in range(cut, w, 4):
+            if len({above[c - 1], above[c], below[c - 1], below[c]}) != 4:
+                return False
+        for c in range(6 - cut, w, 4):
+            nw, ne, sw, se = above[c - 1], above[c], below[c - 1], below[c]
+            if not (nw == ne != sw == se or nw == sw != ne == se):
                 return False
     return True
 
@@ -412,10 +408,11 @@ def _is_decimal(token: str) -> bool:
 def read_header(data: str | bytes, magic: str) -> tuple[int, int, list[str]]:
     """Decode a text file and parse its ``<magic>`` and ``<h> <w>`` lines.
 
-    The TTILING, TCOLOR and CHAIN readers share these rules: bytes must be
-    valid UTF-8, lines end in LF only, and both dimensions are decimal and
-    >= 1.  Returns (h, w, the lines after the dimensions line); line i of
-    that list is line i + 3 of the file.  Raises :class:`ParseError`.
+    Its one caller in the package is :func:`read_tiling`; the tests' CHAIN
+    and TCOLOR readers share its rules too: bytes must be valid UTF-8, lines
+    end in LF only, and both dimensions are decimal and >= 1.  Returns (h, w,
+    the lines after the dimensions line); line i of that list is line i + 3
+    of the file.  Raises :class:`ParseError`.
     """
     if isinstance(data, bytes):
         try:

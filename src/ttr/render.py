@@ -24,35 +24,23 @@ def render_ascii(tiling: Tiling, *, borders: bool = False) -> str:
     if not borders:
         return "".join("".join([letters[i] for i in row]) + "\n" for row in rows)
 
-    canvas = [[" "] * (2 * w + 1) for _ in range(2 * h + 1)]
-    for r, row in enumerate(rows):
-        for c, i in enumerate(row):
-            canvas[2 * r + 1][2 * c + 1] = letters[i]
-
     def owner(r: int, c: int) -> int:
-        if 0 <= r < h and 0 <= c < w:
-            return rows[r][c]
-        return -1
+        return rows[r][c] if 0 <= r < h and 0 <= c < w else -1
 
+    # Grid point (r, c) is canvas[2r][2c]; cell (r, c) is its lower-right neighbour.
+    # A point is "+" unless its four cells (outside ones count as -1) are one tile.
+    canvas = [[" "] * (2 * w + 1) for _ in range(2 * h + 1)]
     for r in range(h + 1):
-        for c in range(w):
-            if owner(r - 1, c) != owner(r, c):
+        for c in range(w + 1):
+            nw, ne, sw, se = owner(r - 1, c - 1), owner(r - 1, c), owner(r, c - 1), owner(r, c)
+            if not nw == ne == sw == se:
+                canvas[2 * r][2 * c] = "+"
+            if c < w and ne != se:
                 canvas[2 * r][2 * c + 1] = "-"
-    for r in range(h):
-        for c in range(w + 1):
-            if owner(r, c - 1) != owner(r, c):
+            if r < h and sw != se:
                 canvas[2 * r + 1][2 * c] = "|"
-    for r in range(h + 1):
-        for c in range(w + 1):
-            y, x = 2 * r, 2 * c
-            near = [
-                canvas[y][x - 1] if x > 0 else " ",
-                canvas[y][x + 1] if x < 2 * w else " ",
-                canvas[y - 1][x] if y > 0 else " ",
-                canvas[y + 1][x] if y < 2 * h else " ",
-            ]
-            if near[0] == "-" or near[1] == "-" or near[2] == "|" or near[3] == "|":
-                canvas[y][x] = "+"
+            if r < h and c < w:
+                canvas[2 * r + 1][2 * c + 1] = letters[se]
     return "\n".join("".join(row).rstrip() for row in canvas) + "\n"
 
 

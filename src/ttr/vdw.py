@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .aps import maximal_runs
-from .errors import ParseError, ResourceLimitError
-from .grid import Cell, Rect, read_header
+from .errors import ResourceLimitError
+from .grid import Cell, Rect
 from .solver import DecideResult, ScanResult, SearchConfig, decide_sat, greatest_forced
 
 MAX_VDW_LEN = 4
@@ -124,20 +124,6 @@ class GridColoring:
 
     def to_tcolor(self) -> str:
         return f"{TCOLOR_MAGIC}\n{self.height} {self.width}\n{self}\n"
-
-    @classmethod
-    def from_tcolor(cls, data: str | bytes) -> "GridColoring":
-        """Parse TCOLOR; errors name the line and column of the first bad row or color."""
-        h, w, body = read_header(data, TCOLOR_MAGIC)
-        if len(body) != h:  # report the first missing or the first extra line
-            raise ParseError(min(len(body), h) + 3, 1, f"expected {h} rows, found {len(body)}")
-        for r, row in enumerate(body):
-            if len(row) != w:
-                raise ParseError(3 + r, 1, f"expected {w} characters, found {len(row)}")
-            for c, ch in enumerate(row):
-                if ch not in "AB":
-                    raise ParseError(3 + r, c + 1, f"bad color {ch!r} (want A or B)")
-        return cls(tuple(tuple(0 if ch == "A" else 1 for ch in row) for row in body))
 
 
 @dataclass(frozen=True)

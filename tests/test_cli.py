@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -14,7 +15,6 @@ import ttr
 from ttr.cli import build_parser, main
 from ttr.grid import read_tiling, write_tiling
 from ttr.aps import longest_ap
-from ttr.chains import read_chain
 from ttr.render import render_ascii
 from ttr.vdw import GridColoring, grid_mono_ap
 from ttr.width4 import concatenate, stack_rows
@@ -146,7 +146,7 @@ def test_vdw2d_answers_past_24_cells_with_verified_avoider(h, w, tmp_path, capsy
     cert = tmp_path / "grid.tcolor"
     assert main(["vdw2d", "--height", str(h), "--width", str(w), "--out", str(cert)]) == 0
     assert capsys.readouterr().out.strip() == "3"
-    avoider = GridColoring.from_tcolor(cert.read_bytes())
+    avoider = oracles.read_tcolor(cert.read_bytes())
     assert (avoider.height, avoider.width) == (h, w)
     assert grid_mono_ap(avoider, 4) is None
 
@@ -156,7 +156,7 @@ def test_chaingraph_output_parses(tmp_path, capsys):
     main(["tile", "--height", "4", "--width", "8", "--out", str(src)])
     chain = tmp_path / "t.chain"
     assert main(["chaingraph", "--in", str(src), "--out", str(chain)]) == 0
-    graph = read_chain(chain.read_text())
+    graph = oracles.read_chain(chain.read_text())
     assert len(graph.edges) == 8
 
 
@@ -480,3 +480,30 @@ def test_no_option_leaks_between_calls(tmp_path, capsys):
     assert main(["render", "--in", str(src), "--format", "ascii"]) == 0
     assert capsys.readouterr().out == first == render_ascii(read_tiling(src.read_text()))
     assert bordered != first
+
+
+def readme_usage_lines() -> list[tuple[list[str], str]]:
+    """(argv, comment) for each ``ttr`` line of the README's command-line usage block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "ttr", line
+        lines.append((argv[1:], comment.strip()))
+    return lines
+
+
+def test_readme_usage_block_runs_and_gives_its_answers(tmp_path, monkeypatch, capsys):
+    # A comment whose first word is capitals or digits names the first word printed.
+    monkeypatch.chdir(tmp_path)
+    answers = []
+    for argv, comment in readme_usage_lines():
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        word = comment.split()[0] if comment else ""
+        if word.isupper() or word.isdigit():
+            assert out.split()[0] == word, (argv, out)
+            answers.append(word)
+    assert answers == ["FORCED", "AVOIDABLE", "36", "2", "35", "3", "CHAIN"]

@@ -297,6 +297,14 @@ def test_dimacs_entry_point_reports_bad_input_in_one_line(tmp_path, capsys, text
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_dimacs_entry_point_reports_an_unallocatable_variable_count(tmp_path, capsys):
+    # 10^30 variables overflow the solver's arrays before anything is allocated.
+    path = tmp_path / "in.cnf"
+    path.write_text(f"p cnf {10**30} 1\n1 0\n")
+    assert dimacs.main([str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot allocate a solver for {10**30} variables\n")
+
+
 @pytest.mark.parametrize("token", ["+2", "1_0", "\u0663", "\u00b2", "1.0", "x", "--1"])
 def test_dimacs_literals_are_signed_ascii_decimal(tmp_path, capsys, token):
     text = f"p cnf 10 1\n1 {token} 0\n"

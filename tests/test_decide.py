@@ -8,6 +8,7 @@ import pytest
 
 import ttr.decide
 import ttr.vdw
+from ttr.cli import main
 
 from ttr.errors import IndeterminateError
 from ttr.grid import Rect, write_tiling
@@ -250,6 +251,23 @@ def test_t_scan_checks_the_deadline_before_each_hint(monkeypatch):
     config.deadline = time.monotonic() - 1.0
     assert compute_T(8, 3, config) == ScanResult(None, 4, 36)
     assert stacked == []
+
+
+@pytest.mark.parametrize("before, want", [(0, ScanResult(140, 140, 140)), (4, ScanResult(None, 136, 140))])
+def test_t_scan_out_of_time_at_the_ceiling_pins_it(monkeypatch, capsys, before, want):
+    # Every length below the question that runs out of time has been shown
+    # avoidable; at the ceiling, which is forced, that pins T(4, 4) = 140.
+    real = ttr.decide.decide_forces
+
+    def out_of_time(w, n, l, config, witness_hint=None):
+        if n == 140 - before:
+            raise IndeterminateError(f"no answer at N = {n}")
+        return real(w, n, l, config, witness_hint=witness_hint)
+
+    monkeypatch.setattr(ttr.decide, "decide_forces", out_of_time)
+    assert compute_T(4, 4) == want
+    assert main(["tvalue", "--width", "4", "--len", "4"]) == (0 if want.exact else 4)
+    assert capsys.readouterr().out == ("140\n" if want.exact else "UNKNOWN T in [136, 140]\n")
 
 
 @pytest.mark.parametrize("l", [3, 4])

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+import oracles
 from ttr import grid
-from ttr.chains import build_chain_graph, read_chain, write_chain
+from ttr.chains import build_chain_graph, write_chain
 from ttr.enumerator import enumerate_tilings
 from ttr.errors import ParseError, TilingError
 from ttr.grid import (
@@ -17,7 +18,6 @@ from ttr.grid import (
     Tiling,
     WALKUP_CLASSES,
     Violation,
-    _corner_count_at,
     ViolationKind,
     cut_cornerless_ok,
     is_tileable,
@@ -207,19 +207,19 @@ def test_cut_cornerless_all_small_rects(corpus):
             assert cut_cornerless_ok(t), (h, w, t.tiles)
 
 
-def test_cut_check_visits_exactly_the_checked_classes(monkeypatch, corpus):
-    checked = grid.CUT_CLASSES | grid.CORNERLESS_CLASSES
-    visited = []
-
-    def corner_count(tiling, point):
-        visited.append(point)
-        return 4 if (point[0] % 4, point[1] % 4) in grid.CUT_CLASSES else 0
-
-    monkeypatch.setattr(grid, "_corner_count_at", corner_count)
-    assert cut_cornerless_ok(corpus[(8, 12)][0])
-    assert visited == [
-        (r, c) for r in range(1, 8) for c in range(1, 12) if (r % 4, c % 4) in checked
-    ]
+def test_cut_check_rejects_a_tampered_point_of_each_class(corpus):
+    valid = corpus[(8, 8)][0]
+    assert cut_cornerless_ok(valid)
+    points = {(r % 4, c % 4): (r, c) for r, c in ((4, 4), (2, 2), (4, 2), (2, 4))}
+    assert set(points) == grid.CUT_CLASSES | grid.CORNERLESS_CLASSES
+    for cls, (r, c) in points.items():
+        # The cell above-left of the point lies around no other even-even point.
+        nw = (r - 1) * 8 + c - 1
+        tampered = Tiling(valid.rect, valid.tiles)
+        tampered._owner = list(valid._owner)
+        # Merge two tiles at a cut point; give a cornerless point a third tile.
+        tampered._owner[nw] = tampered._owner[nw + 1] if cls in grid.CUT_CLASSES else -1
+        assert not cut_cornerless_ok(tampered), (r, c)
 
 
 def test_walkup_classes_are_the_classes_seen(corpus):
@@ -419,12 +419,20 @@ def reference_corner_count(tiling, point):
     return corners
 
 
-def test_corner_count_matches_reference(corpus):
+def test_cut_rule_matches_reference_corner_count(corpus):
+    # The cut check's per-point rule: four tile corners meet exactly where four
+    # distinct tiles meet, and none lies where two tiles each cover an adjacent pair.
     for tilings in corpus.values():
-        for tiling in tilings[:40]:
+        for tiling in tilings:
             h, w = tiling.rect.height, tiling.rect.width
-            for point in itertools.product(range(1, h), range(1, w)):
-                assert _corner_count_at(tiling, point) == reference_corner_count(tiling, point)
+            for r, c in itertools.product(range(1, h), range(1, w)):
+                quad = [tiling.owner_index(q) for q in ((r - 1, c - 1), (r - 1, c), (r, c - 1), (r, c))]
+                nw, ne, sw, se = quad
+                corners = reference_corner_count(tiling, (r, c))
+                assert (len(set(quad)) == 4) == (corners == 4)
+                assert (nw == ne != sw == se or nw == sw != ne == se) == (corners == 0)
+                if r % 2 == c % 2 == 0:
+                    assert corners == (4 if (r % 4, c % 4) in grid.CUT_CLASSES else 0)
 
 
 def test_read_tiling_accepts_bytes(pinwheel_b):
@@ -434,8 +442,8 @@ def test_read_tiling_accepts_bytes(pinwheel_b):
 # One valid file per text format that shares the header rules, with its reader.
 HEADER_FORMATS = {
     "TTILING": (read_tiling, write_tiling(Tiling(Rect(4, 4), PINWHEEL_A))),
-    "TCOLOR": (GridColoring.from_tcolor, GridColoring(((0, 1, 1, 0), (1, 0, 0, 1))).to_tcolor()),
-    "CHAIN": (read_chain, write_chain(build_chain_graph(Tiling(Rect(4, 4), PINWHEEL_B)))),
+    "TCOLOR": (oracles.read_tcolor, GridColoring(((0, 1, 1, 0), (1, 0, 0, 1))).to_tcolor()),
+    "CHAIN": (oracles.read_chain, write_chain(build_chain_graph(Tiling(Rect(4, 4), PINWHEEL_B)))),
 }
 
 

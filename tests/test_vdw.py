@@ -189,4 +189,4 @@ def test_grid_coloring_tcolor_round_trip():
     grid = GridColoring(((0, 1, 1), (1, 0, 0)))
     text = grid.to_tcolor()
     assert text == "TCOLOR 1\n2 3\nABB\nBAA\n"
-    assert GridColoring.from_tcolor(text) == grid
+    assert oracles.read_tcolor(text) == grid

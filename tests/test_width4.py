@@ -268,21 +268,21 @@ def test_tcolor_round_trip():
     c = strip("ABBA")
     text = c.to_tcolor()
     assert text == "TCOLOR 1\n1 4\nABBA\n"
-    assert GridColoring.from_tcolor(text) == c
+    assert oracles.read_tcolor(text) == c
     assert tiling_to_coloring(coloring_to_tiling(c)).to_tcolor() == text
 
 
 def test_tcolor_errors():
     with pytest.raises(ParseError):
-        GridColoring.from_tcolor("TCOLOR 2\n1 1\nA\n")
+        oracles.read_tcolor("TCOLOR 2\n1 1\nA\n")
     with pytest.raises(ParseError) as exc:
-        GridColoring.from_tcolor("TCOLOR 1\n1 3\nABX\n")
+        oracles.read_tcolor("TCOLOR 1\n1 3\nABX\n")
     assert (exc.value.line, exc.value.column) == (3, 3)
     assert str(exc.value) == "line 3, column 3: bad color 'X' (want A or B)"
     with pytest.raises(ParseError) as exc:
-        GridColoring.from_tcolor("TCOLOR 1\n1 2\nAB\nAB\nAB\n")  # the first extra row is line 4
+        oracles.read_tcolor("TCOLOR 1\n1 2\nAB\nAB\nAB\n")  # the first extra row is line 4
     assert (exc.value.line, exc.value.column) == (4, 1)
     assert str(exc.value) == "line 4, column 1: expected 1 rows, found 3"
     with pytest.raises(ParseError) as exc:
-        GridColoring.from_tcolor("TCOLOR 1\n2 2\nAB\nABA\n")
+        oracles.read_tcolor("TCOLOR 1\n2 2\nAB\nABA\n")
     assert str(exc.value) == "line 4, column 1: expected 2 characters, found 3"
