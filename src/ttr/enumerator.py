@@ -9,18 +9,16 @@ ordered.
 The frontier state is the first free cell plus the cover bits from there
 on, a window of at most ``2*width`` bits: each placement's mask is relative
 to its first cell, so no mask spans the whole rectangle.  The placements are
-the interned tiles of ``grid.placement_table``.  The search records a state
-as dead when its subtree yielded no tiling, which makes emptiness proofs
-(non-tileable rectangles) fast.
+the interned tiles of ``grid.placement_table``.  The search keeps its own
+stack of parent states, so its depth (one state per tile) has no recursion
+limit, and it records a state as dead when its subtree yielded no tiling.
 
-:func:`count_tilings` shares the candidate table, the frontier window and
-the recursion guard, memoizes counts instead, and promises only the number.
+:func:`count_tilings` shares the candidate table and the frontier window,
+and counts forward: the ways to reach each state, bucketed by first free cell.
 """
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
@@ -55,20 +53,6 @@ def _frontier(rect: Rect, tiles: Sequence[Tile]) -> list[list[tuple[int, Tile]]]
     return by_cell
 
 
-@contextmanager
-def _deep_enough(rect: Rect) -> Iterator[None]:
-    """Let the recursion reach one frame per tile of ``rect``; restore the limit on exit."""
-    depth = rect.area // 4 + 80
-    old_limit = sys.getrecursionlimit()
-    if old_limit < depth:
-        sys.setrecursionlimit(depth)
-    try:
-        yield
-    finally:
-        if old_limit < depth:
-            sys.setrecursionlimit(old_limit)
-
-
 def enumerate_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> Iterator[Tiling]:
     """Yield every complete tiling of ``rect``, in canonical order.
 
@@ -88,45 +72,46 @@ def enumerate_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> Itera
 
     by_cell = _frontier(rect, placements(rect))
     area = rect.area
-    dead: set[tuple[int, int]] = set()
+    dead: list[set[int]] = [set() for _ in range(area)]  # dead windows by first free cell
     placed: list[Tile] = []
+    parents: list[tuple[int, int, Iterator[tuple[int, Tile]], int]] = []
     yielded = 0
-
-    def search(window: int, first_free: int) -> Iterator[Tiling]:
-        nonlocal yielded
-        while window & 1:
-            window >>= 1
-            first_free += 1
-        if first_free == area:
-            yielded += 1
-            yield Tiling(rect, placed)
-            return
-        key = (first_free, window)
-        if key in dead:
-            return
-        before = yielded
-        for mask, tile in by_cell[first_free]:
-            if window & mask:
-                continue
-            placed.append(tile)
-            yield from search((window | mask) >> 1, first_free + 1)
+    # The current state: first free cell, window, untried candidates, tilings yielded on entry.
+    free, window, untried, before = 0, 0, iter(by_cell[0]), 0
+    while True:
+        for mask, tile in untried:
+            if not window & mask:
+                break
+        else:
+            if yielded == before:
+                dead[free].add(window)
+            if not parents:
+                return
+            free, window, untried, before = parents.pop()
             placed.pop()
-        if yielded == before:
-            dead.add(key)
-
-    with _deep_enough(rect):
-        yield from search(0, 0)
+            continue
+        child, to = (window | mask) >> 1, free + 1
+        while child & 1:
+            child >>= 1
+            to += 1
+        if to == area:
+            yielded += 1
+            yield Tiling(rect, [*placed, tile])
+        elif child not in dead[to]:
+            placed.append(tile)
+            parents.append((free, window, untried, before))
+            free, window, untried, before = to, child, iter(by_cell[to]), yielded
 
 
 def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
-    """Number of complete tilings, via a memoized frontier count.
+    """Number of complete tilings, via a forward frontier count.
 
-    Much faster than draining :func:`enumerate_tilings` because equal
-    frontier states are counted once.  A rectangle wider than it is tall is
-    counted as its transpose: transposition maps T-tilings to T-tilings
-    (U <-> L, D <-> R), so the number is the same, and the frontier key then
-    spans the short side.  Keyed on the long side, frontier states rarely
-    repeat and the work grows exponentially with the width.
+    Much faster than draining :func:`enumerate_tilings`: the paths into
+    equal frontier states merge into one number.  A rectangle wider than it
+    is tall is counted as its transpose: transposition maps T-tilings to
+    T-tilings (U <-> L, D <-> R), so the number is the same, and the
+    frontier key then spans the short side.  Keyed on the long side,
+    frontier states rarely repeat and the work grows exponentially.
     """
     if rect.area > max_area:
         raise ResourceLimitError(
@@ -144,31 +129,26 @@ def _count(rect: Rect, tiles: Sequence[Tile]) -> int:
         return 0
     by_cell = _frontier(rect, tiles)
     area = rect.area
-    memo: dict[tuple[int, int], int] = {}
-
-    def count(window: int, first_free: int) -> int:
-        while window & 1:
-            window >>= 1
-            first_free += 1
-        if first_free == area:
-            return 1
-        key = (first_free, window)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        for mask, _tile in by_cell[first_free]:
-            if not window & mask:
-                total += count((window | mask) >> 1, first_free + 1)
-        memo[key] = total
-        return total
-
-    with _deep_enough(rect):
-        return count(0, 0)
+    # ways[f][window]: paths into the state (f, window); every placement moves f forward.
+    ways: list[dict[int, int]] = [{} for _ in range(area + 1)]
+    ways[0][0] = 1
+    for free in range(area):
+        for window, n in ways[free].items():
+            for mask, _tile in by_cell[free]:
+                if window & mask:
+                    continue
+                child, to = (window | mask) >> 1, free + 1
+                while child & 1:
+                    child >>= 1
+                    to += 1
+                bucket = ways[to]
+                bucket[child] = bucket.get(child, 0) + n
+        ways[free] = {}
+    return ways[area].get(0, 0)
 
 
 def has_tiling(rect: Rect) -> bool:
-    """Existence check backed by the same memoized frontier search.
+    """Existence check: whether :func:`enumerate_tilings` yields a first tiling.
 
     Raises :class:`ResourceLimitError` above ``MAX_EXISTENCE_AREA`` cells.
     """

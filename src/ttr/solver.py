@@ -26,6 +26,8 @@ from .cnf import CNF, Clause, clauses_to_dimacs, decode_model
 from .grid import _is_decimal
 
 SOLVER_ENV_VAR = "TTR_SOLVER"
+#: The longest budgeted external-solver wait, in s: ``poll`` takes a C int of milliseconds.
+MAX_EXTERNAL_WAIT_S = (2**31 - 1) // 1000
 
 
 class SolverStatus(Enum):
@@ -215,7 +217,8 @@ def _run_external(
                 argv + [str(path)],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
+                encoding="utf-8",
+                errors="replace",  # a bad byte can only spoil a line the parser then rejects
                 start_new_session=True,
             )
         except FileNotFoundError:
@@ -224,7 +227,8 @@ def _run_external(
             raise SolverError(f"cannot start solver command {argv[0]!r}: {e.strerror or e}") from None
         with proc:
             try:
-                output = proc.communicate(timeout=time_budget_s)[0]
+                wait = None if time_budget_s is None else min(time_budget_s, MAX_EXTERNAL_WAIT_S)
+                output = proc.communicate(timeout=wait)[0]
             except subprocess.TimeoutExpired:
                 return SolverStatus.UNKNOWN, None
             finally:  # the command's own children too, on a timeout or an interrupt

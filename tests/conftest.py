@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,17 @@ def collector_left_enabled():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the test left the cyclic garbage collector disabled")
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_left_alone():
+    """Fail any test that leaves ``sys.getrecursionlimit()`` changed, and restore it."""
+    before = sys.getrecursionlimit()
+    yield
+    after = sys.getrecursionlimit()
+    if after != before:
+        sys.setrecursionlimit(before)
+        pytest.fail(f"the test left the recursion limit at {after}, not {before}")
 
 
 PINWHEEL_A = (

@@ -341,6 +341,34 @@ def test_solver_literal_after_the_closing_zero_exits_3(tmp_path, capsys):
     assert captured.err.endswith(" after the 0 that ends the value list\n")
 
 
+def test_external_solver_budget_past_the_longest_poll_wait(capsys):
+    # 1e10 s is past what poll() accepts as a C int of milliseconds; the wait is capped instead.
+    start = time.monotonic()
+    assert main(["decide", "--height", "4", "--width", "8", "--len", "3",
+                 "--budget-seconds", "1e10", "--solver", DIMACS_SOLVER]) == 0
+    assert time.monotonic() - start < 60
+    assert capsys.readouterr().out.startswith("AVOIDABLE")
+
+
+def test_undecodable_bytes_in_a_solver_comment_line_are_ignored(tmp_path, capsys):
+    script = tmp_path / "latin.sh"
+    script.write_text("#!/bin/sh\nprintf 'c \\377\\376\\n'\necho 's UNSATISFIABLE'\n")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    assert main(["decide", "--height", "4", "--width", "8", "--len", "3", "--solver", str(script)]) == 0
+    assert capsys.readouterr().out == "FORCED\n"
+
+
+def test_undecodable_bytes_in_a_solver_status_line_exit_3(tmp_path, capsys):
+    script = tmp_path / "garbled.sh"
+    script.write_text("#!/bin/sh\nprintf 's SATISF\\377IABLE\\n'\n")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    assert main(["decide", "--height", "4", "--width", "8", "--len", "3", "--solver", str(script)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: unrecognized status line 's SATISF")
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_solver_binary_exits_3(capsys):
     code = main(["decide", "--height", "4", "--width", "8", "--len", "2",
                  "--solver", "no-such-solver-xyz"])

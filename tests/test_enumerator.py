@@ -90,7 +90,7 @@ def test_all_yielded_tilings_are_valid_objects():
 
 
 def test_recursion_limit_restored():
-    # The 64x64 search needs a recursion limit above the default 1000.
+    # The 64x64 search places 1,024 tiles deep; it must leave the limit as it found it.
     before = sys.getrecursionlimit()
     assert has_tiling(Rect(64, 64))
     assert sys.getrecursionlimit() == before
@@ -120,3 +120,38 @@ def test_tile_128x128_peak_rss_stays_bounded():
     child = subprocess.run([sys.executable, "-c", launcher], env=env,
                            capture_output=True, text=True, check=True, timeout=120)
     assert int(child.stdout) / 1024 < TILE_128_PEAK_MB
+
+
+_FIRST_4X24000 = """
+from ttr.enumerator import enumerate_tilings
+from ttr.grid import Rect
+print(next(enumerate_tilings(Rect(4, 24000), max_area=96000)).tile_count)
+"""
+
+
+def test_first_tiling_of_4x24000_in_a_child_process():
+    # 24,000 tiles deep: a search that recursed per tile would overflow the C stack,
+    # so a child process keeps such a crash out of pytest.
+    env = dict(os.environ, PYTHONPATH=str(Path(ttr.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", _FIRST_4X24000], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["24000"]
+
+
+@pytest.mark.parametrize("h, w, draws", [(64, 64, 5), (1200, 4, 2000)])
+def test_interleaved_deep_streams_leave_the_recursion_limit_alone(h, w, draws):
+    # Both searches run more than 1,000 tiles deep.  Closing the first stream
+    # must not leave the second one resuming deeper than any recursion limit.
+    # 64x64 takes about 50 ms a tiling; the 1200x4 stream draws 2,000 cheaply.
+    start = sys.getrecursionlimit()
+    rect = Rect(h, w)
+    first = enumerate_tilings(rect, max_area=rect.area)
+    second = enumerate_tilings(rect, max_area=rect.area)
+    assert next(first).tile_count == rect.area // 4
+    assert next(second).tile_count == rect.area // 4
+    first.close()
+    assert sys.getrecursionlimit() == start
+    for _ in range(draws):
+        assert next(second).tile_count == rect.area // 4
+        assert sys.getrecursionlimit() == start

@@ -183,6 +183,17 @@ def test_timeout_kills_the_solver_commands_children(tmp_path, monkeypatch):
     assert not mark.exists()
 
 
+def test_external_wait_is_capped_and_the_cap_answers_unknown(tmp_path, monkeypatch):
+    script = tmp_path / "slow.sh"
+    script.write_text("#!/bin/sh\nsleep 5\n")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    monkeypatch.setattr(ttr.solver, "MAX_EXTERNAL_WAIT_S", 0.2)
+    start = time.monotonic()
+    config = SearchConfig(solver_cmd=str(script), time_budget_s=1e10)
+    assert run_sat(2, [(1,), (2,)], config) == (SolverStatus.UNKNOWN, None)
+    assert time.monotonic() - start < 4
+
+
 QUESTIONS = {
     "tiling": ((4, 8, 3), lambda config: solve(add_ap_blocking(build_cnf(Rect(4, 8)), 3), config)),
     "coloring": ((3, 3, 3), lambda config: _forced_sat(3, 3, 3, config)),
