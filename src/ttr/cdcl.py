@@ -23,6 +23,17 @@ the first copy's in both lists, so they could never assign a literal or
 report a conflict first.  Repeats still count among the stored clauses
 (``stored``), which set the learnt-clause limit.
 
+A clause of three or more literals has its two watched literals at
+positions 0 and 1, in either order.  Propagation keeps a visited clause as
+it is when the other watch is true, and orders the two (the other watch at
+0, the false one at 1) only when it looks past the other watch; it tries
+position 2 first and positions 3 on only when that literal is false.  Each
+clause read in order was ordered on its last visit: a reason, which
+propagation enqueues, and a conflict, which it returns.  Positions 2 on
+change only when a literal trades places with the false watch.  So the
+reasons, conflicts and learnt clauses are the lists a solver that ordered
+every visited clause would build.
+
 The decision heap keeps at most one current entry per variable.  An entry
 ``(-activity, v)`` is current while ``activity[v]`` still has that value.
 ``in_heap[v]`` is set when v's entry is pushed and cleared when that entry is
@@ -219,12 +230,23 @@ class _Solver:
             for cl in it:
                 first = cl[0]
                 if first == fl:
-                    first = cl[0] = cl[1]
+                    first = cl[1]
+                    if assign[first] > 0:
+                        keep.append(cl)
+                        continue
+                    cl[0] = first
                     cl[1] = fl
-                if assign[first] > 0:
+                elif assign[first] > 0:
                     keep.append(cl)
                     continue
-                for k in range(2, len(cl)):
+                # Every watched clause has a third literal; look past it only when it is false.
+                lk = cl[2]
+                if assign[lk] >= 0:
+                    cl[1] = lk
+                    cl[2] = fl
+                    watches[lk].append(cl)
+                    continue
+                for k in range(3, len(cl)):
                     lk = cl[k]
                     if assign[lk] >= 0:
                         cl[1] = lk
@@ -261,7 +283,7 @@ class _Solver:
         index = len(trail) - 1
         cur = len(self.trail_lim)
         while True:
-            for q in cl[1:] if cl[0] == p else cl:
+            for q in cl:
                 if q == p:
                     continue
                 v = q >> 1
@@ -314,10 +336,13 @@ class _Solver:
         if len(learnt) == 1:
             bt = 0
         else:
-            # Move the highest-level tail literal to position 1.
-            mi = max(range(1, len(learnt)), key=lambda i: level[learnt[i] >> 1])
+            # Move the first highest-level tail literal to position 1.
+            mi, bt = 1, level[learnt[1] >> 1]
+            for i in range(2, len(learnt)):
+                lv = level[learnt[i] >> 1]
+                if lv > bt:
+                    mi, bt = i, lv
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
-            bt = level[learnt[1] >> 1]
         levels = {level[q >> 1] for q in learnt}
         return learnt, bt, len(levels)
 

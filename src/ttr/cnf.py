@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import combinations, compress
 from operator import attrgetter
 from typing import Sequence
 
@@ -86,9 +86,7 @@ def build_cnf(rect: Rect) -> CNF:
         if not ids:
             raise ValueError(f"cell {divmod(k, rect.width)} of {rect} cannot be covered by any placement")
         clauses.append(tuple(i + 1 for i in ids))
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                clauses.append((-(ids[a] + 1), -(ids[b] + 1)))
+        clauses += combinations([-(i + 1) for i in ids], 2)
     return CNF(rect, len(index), tuple(clauses), index)
 
 

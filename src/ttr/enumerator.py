@@ -150,10 +150,16 @@ def _count(rect: Rect, tiles: Sequence[Tile]) -> int:
 def has_tiling(rect: Rect) -> bool:
     """Existence check: whether :func:`enumerate_tilings` yields a first tiling.
 
-    Raises :class:`ResourceLimitError` above ``MAX_EXISTENCE_AREA`` cells.
+    A rectangle wider than it is tall is searched as its transpose, as in
+    :func:`count_tilings`: transposition maps tilings to tilings, so the
+    answer is the same, and the frontier window, which grows with the
+    width, then spans the short side.  Raises :class:`ResourceLimitError`
+    above ``MAX_EXISTENCE_AREA`` cells.
     """
     if rect.area % 4:
         return False
+    if rect.width > rect.height:
+        rect = Rect(rect.width, rect.height)
     for _ in enumerate_tilings(rect, max_area=MAX_EXISTENCE_AREA):
         return True
     return False

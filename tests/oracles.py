@@ -15,7 +15,7 @@ from typing import Sequence
 
 from ttr.aps import APWitness
 from ttr.chains import CHAIN_MAGIC, ChainGraph, Edge, ShadedArrow, _gray_side
-from ttr.cnf import CNF, Clause
+from ttr.cnf import CNF, Clause, PlacementIndex
 from ttr.enumerator import enumerate_tilings
 from ttr.errors import ParseError, ResourceLimitError, StructureError, TilingError
 from ttr.grid import (
@@ -195,6 +195,17 @@ def walkup_index(rect: Rect) -> tuple[tuple[Tile, ...], dict[tuple[int, int], li
         for cell in tile_cells(t):
             by_cell[cell].append(i)
     return tiles, by_cell
+
+
+def cover_clauses(rect: Rect) -> list[Clause]:
+    """The clauses of ``cnf.build_cnf``, each cell's at-most-one pairs from a nested loop."""
+    clauses: list[Clause] = []
+    for ids in PlacementIndex(rect).ids_by_cell:
+        clauses.append(tuple(i + 1 for i in ids))
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                clauses.append((-(ids[a] + 1), -(ids[b] + 1)))
+    return clauses
 
 
 def ap_blocking_clauses(cnf: CNF, l: int) -> list[Clause]:
@@ -480,6 +491,74 @@ def segments(tiling: Tiling) -> list[tuple[int, int, tuple[Tile, ...]]]:
         )
         out.append((left, right - left, seg))
     return out
+
+
+def propagate(solver) -> list[int] | None:
+    """``cdcl._Solver._propagate`` before the lazy watch swap, for ``solver``.
+
+    Every visited long clause is put in order first, the other watch at
+    position 0 and the false one at position 1, even when the other watch is
+    true; the literals from position 2 on are tried one by one.
+    """
+    assign = solver.assign
+    watches = solver.watches
+    binwatch = solver.binwatch
+    level = solver.level
+    reason = solver.reason
+    trail = solver.trail
+    lvl = len(solver.trail_lim)
+    qhead = start = solver.qhead
+    while qhead < len(trail):
+        p = trail[qhead]
+        qhead += 1
+        fl = p ^ 1
+        for q, cl in binwatch[fl]:
+            a = assign[q]
+            if a == 0:
+                assign[q] = 1
+                assign[q ^ 1] = -1
+                level[q >> 1] = lvl
+                reason[q >> 1] = cl
+                trail.append(q)
+            elif a < 0:
+                solver.qhead = qhead
+                solver.propagations += qhead - start
+                return cl
+        wl = watches[fl]
+        if not wl:
+            continue
+        keep = watches[fl] = []
+        it = iter(wl)
+        for cl in it:
+            first = cl[0]
+            if first == fl:
+                first = cl[0] = cl[1]
+                cl[1] = fl
+            if assign[first] > 0:
+                keep.append(cl)
+                continue
+            for k in range(2, len(cl)):
+                lk = cl[k]
+                if assign[lk] >= 0:
+                    cl[1] = lk
+                    cl[k] = fl
+                    watches[lk].append(cl)
+                    break
+            else:
+                keep.append(cl)
+                if assign[first] < 0:
+                    keep.extend(it)
+                    solver.qhead = qhead
+                    solver.propagations += qhead - start
+                    return cl
+                assign[first] = 1
+                assign[first ^ 1] = -1
+                level[first >> 1] = lvl
+                reason[first >> 1] = cl
+                trail.append(first)
+    solver.qhead = qhead
+    solver.propagations += qhead - start
+    return None
 
 
 def watch_invariant(solver, dropped=()) -> None:

@@ -4,6 +4,10 @@ import gc
 import hashlib
 import itertools
 import random
+import threading
+from functools import partial
+from itertools import chain, compress, islice, repeat
+from operator import is_not, itemgetter, mul, ne, not_, or_, rshift
 
 import pytest
 
@@ -317,6 +321,160 @@ def test_repeated_binary_is_watched_once():
     assert solver.stored == 5
     oracles.watch_invariant(solver)
     assert sum(map(len, solver.binwatch)) == 4
+
+
+# --------------------------------------------------------------------------
+# The same search, step by step: the solver and a copy whose ``_propagate`` is
+# the frozen ``oracles.propagate`` run in lockstep, each in its own thread, and
+# both pause after every propagate call while their states are compared.
+
+
+def same_watches(wa, wb):
+    """Equal watch lists, up to the order of each clause's two watched literals:
+    the lazy swap leaves them in either order, and positions 2 on are fixed."""
+    if len(wa) != len(wb):
+        return False
+    differ = list(map(ne, wa, wb))
+    wa, wb = list(compress(wa, differ)), list(compress(wb, differ))
+    tail = itemgetter(slice(2, None))
+    return list(map(itemgetter(1, 0), wa)) == list(map(itemgetter(0, 1), wb)) and list(map(tail, wa)) == list(map(tail, wb))
+
+
+class _Side:
+    def __init__(self, solver, propagate):
+        self.solver = solver
+        self.event = None  # ("propagate", conflict clause) or ("done", result), posted at each pause
+        self.error = None
+        self._propagate = propagate
+        self._reduce_db = solver._reduce_db
+        solver._propagate = self.propagate
+        solver._reduce_db = self.reduce_db
+        self.mark()
+
+    def mark(self):
+        self.lists = list(self.solver.watches)
+        self.lengths = list(map(len, self.solver.watches))
+        self.reduced = False
+
+    def changes(self):
+        """(literals, starts): the watch lists whose entries from ``start`` on may
+        have changed since ``mark``.  After a reduction, which filters every
+        list in place, that is every whole list; otherwise each list rebuilt
+        (every visited one) whole, and the entries appended to the others
+        (moved watches and attached learnt clauses).  A clause changes only
+        while propagation visits it, and every clause it visits ends the call
+        in one of these."""
+        watches = self.solver.watches
+        if self.reduced:
+            return list(range(len(watches))), [0] * len(watches)
+        rebuilt = list(map(is_not, watches, self.lists))
+        changed = list(map(or_, rebuilt, map(ne, map(len, watches), self.lengths)))
+        starts = map(mul, map(not_, rebuilt), self.lengths)
+        return list(compress(range(len(watches)), changed)), list(compress(starts, changed))
+
+    def entries(self, literals, starts):
+        """The entries of each listed watch list from its start on, concatenated."""
+        lists = map(self.solver.watches.__getitem__, literals)
+        return list(chain.from_iterable(map(islice, lists, starts, repeat(None))))
+
+    def propagate(self):
+        confl = self._propagate()
+        self.pause(("propagate", confl))
+        return confl
+
+    def reduce_db(self):
+        self._reduce_db()
+        self.reduced = True
+
+    def pause(self, event):
+        self.event = event
+        self.barrier.wait()
+
+    def run(self, conflict_budget):
+        try:
+            result = self.solver.solve(None, conflict_budget)
+            self.pause(("done", (result.status, result.conflicts, result.decisions,
+                                 result.propagations, result.model)))
+        except threading.BrokenBarrierError:
+            pass  # the other side failed or stopped at a different point
+        except Exception as exc:  # raised again by ``run_in_lockstep``
+            self.error = exc
+            self.barrier.abort()
+
+
+def run_in_lockstep(num_vars, clauses, conflict_budget=None):
+    """Solve with the solver and with the frozen propagation side by side.
+
+    After every propagate call both must hold the same trail, return the same
+    conflict clause, give every assigned variable the same reason clause, and
+    hold the same watched clauses as ``cl[2:]`` and ``{cl[0], cl[1]}``; then
+    both must stop with the same result.  Returns (result, propagate calls)."""
+    a = cdcl._Solver(num_vars, clauses)
+    b = cdcl._Solver(num_vars, clauses)
+    new = _Side(a, a._propagate)
+    old = _Side(b, partial(oracles.propagate, b))
+    calls = 0
+
+    def compare():
+        nonlocal calls
+        what = "the results" if new.event[0] == "done" else f"call {calls + 1}"
+        assert new.event[0] == old.event[0], f"{what}: one side stopped, the other propagated"
+        assert new.event[1] == old.event[1], f"{what}: different values returned"
+        if new.event[0] == "propagate":
+            calls += 1
+            assert a.trail == b.trail, f"{what}: the trails differ"
+            variables = list(map(rshift, a.trail, repeat(1)))
+            assert list(map(a.reason.__getitem__, variables)) == list(map(b.reason.__getitem__, variables)), (
+                f"{what}: the reasons differ")
+            changes = new.changes()
+            assert changes == old.changes(), f"{what}: different watch lists changed"
+            assert list(map(len, a.watches)) == list(map(len, b.watches)), f"{what}: watch list lengths differ"
+            assert same_watches(new.entries(*changes), old.entries(*changes)), f"{what}: watched clauses differ"
+            new.mark()
+            old.mark()
+
+    new.barrier = old.barrier = barrier = threading.Barrier(2, action=compare, timeout=120)
+    threads = [threading.Thread(target=side.run, args=(conflict_budget,)) for side in (new, old)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=600)
+        assert not t.is_alive(), "a side is still running"
+    for side in (new, old):
+        if side.error is not None:
+            raise side.error
+    assert not barrier.broken, "a side stopped waiting for the other"
+    return new.event[1], calls
+
+
+LOCKSTEP_CASES = ["construct 12x20", "construct 16x16", "construct 8x32", "construct 20x20 rot180", "8x36 l=3",
+                  "vdw2d 8x8 l=4", *[f"loader mix {seed}" for seed in range(6)], "loader mix with empty clause",
+                  "3-SAT n=250 m=1000 with 30 binaries and 30 repeats, seed 1"]
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_same_search_as_the_frozen_propagation(name):
+    make, conflict_budget, expected = {case[0]: case[1:4] for case in GOLDEN_TRAJECTORIES + REDUCTION_TRAJECTORIES}[name]
+    (status, conflicts, decisions, propagations, model), calls = run_in_lockstep(*make(), conflict_budget)
+    assert (status, conflicts, decisions, propagations, model_digest(model)) == expected
+    assert calls >= conflicts
+
+
+def test_lockstep_catches_a_reordered_clause_tail(monkeypatch):
+    # Swapping cl[2] and cl[3] of one clause the call visited changes nothing
+    # that call returns, only the order later watch moves will read.
+    def propagate_then_reorder(solver):
+        confl = oracles.propagate(solver)
+        if solver.qhead:
+            for cl in solver.watches[solver.trail[solver.qhead - 1] ^ 1]:
+                if len(cl) > 3:
+                    cl[2], cl[3] = cl[3], cl[2]
+                    break
+        return confl
+
+    monkeypatch.setattr(cdcl._Solver, "_propagate", propagate_then_reorder)
+    with pytest.raises(AssertionError, match=r"call \d+: watched clauses differ"):
+        run_in_lockstep(*tiling_cnf(12, 20, 3))
 
 
 def test_zero_time_budget_stops_at_the_first_conflict():

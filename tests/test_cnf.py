@@ -117,6 +117,18 @@ def test_every_model_decodes_to_a_valid_tiling():
     assert tiling.rect == Rect(4, 8)
 
 
+# The construct rectangles, the scan's tileable and untileable ones, and the
+# rectangles of the ROADMAP's walls table.
+COVER_RECTS = [(12, 20), (16, 16), (8, 32), (20, 20), (4, 36), (8, 36), (12, 12), (4, 6), (6, 6),
+               (48, 48), (52, 52), (56, 56), (64, 64), (20, 124), (20, 128), (20, 132), (4, 708), (4, 712)]
+
+
+@pytest.mark.parametrize("h, w", COVER_RECTS, ids=[f"{h}x{w}" for h, w in COVER_RECTS])
+def test_cover_clauses_equal_the_nested_loop(h, w):
+    # Same tuples in the same order, repeated at-most-one pairs included.
+    assert list(build_cnf(Rect(h, w)).clauses) == oracles.cover_clauses(Rect(h, w))
+
+
 def test_cover_clauses_unsat_for_4x6():
     cnf = build_cnf(Rect(4, 6))
     assert solve_clauses(cnf.num_vars, cnf.clauses).status == "UNSAT"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ttr
+from ttr import enumerator
 from ttr.errors import ResourceLimitError
 from ttr.grid import TILING_ORDER, Rect, Tiling, is_tileable
 from ttr.enumerator import count_tilings, enumerate_tilings, has_tiling, placements
@@ -74,6 +75,25 @@ def test_enumerator_matches_divisibility_rule_up_to_12():
     for h in range(4, 13):
         for w in range(4, 13):
             assert has_tiling(Rect(h, w)) == is_tileable(Rect(h, w)), (h, w)
+
+
+def test_has_tiling_searches_the_narrow_orientation(monkeypatch):
+    searched = []
+    real = enumerator.enumerate_tilings
+
+    def spy(rect, **kwargs):
+        searched.append(rect)
+        return real(rect, **kwargs)
+
+    monkeypatch.setattr(enumerator, "enumerate_tilings", spy)
+    assert not has_tiling(Rect(18, 20))
+    assert has_tiling(Rect(8, 12)) and has_tiling(Rect(12, 8))
+    assert searched == [Rect(20, 18), Rect(12, 8), Rect(12, 8)]
+
+
+@pytest.mark.parametrize("h, w", [(16, 20), (18, 20), (4, 40), (12, 30), (24, 28)])
+def test_has_tiling_matches_divisibility_both_ways(h, w):
+    assert has_tiling(Rect(h, w)) == has_tiling(Rect(w, h)) == is_tileable(Rect(h, w))
 
 
 def test_placement_index_canonical_order():
