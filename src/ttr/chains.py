@@ -261,15 +261,41 @@ def shaded_arrow_aps(graph: ChainGraph, min_len: int) -> list[ArrowProgression]:
     return out
 
 
+def _cycles(edges: list[Edge]) -> list[list[Block]]:
+    """The cycles of a 2-regular edge set, by least vertex, each walked from its least
+    vertex toward the lesser of that vertex's two neighbours."""
+    adj: dict[Block, list[Block]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    for u, nbrs in adj.items():
+        if len(nbrs) != 2:
+            raise StructureError(f"vertex {u} has degree {len(nbrs)} in HV edge set")
+    seen: set[Block] = set()
+    cycles = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        cycle, prev, node = [start], start, min(adj[start])
+        while node != start:
+            cycle.append(node)
+            a, b = adj[node]
+            prev, node = node, b if a == prev else a
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
 def hv_enumerate(rect: Rect) -> Iterator[ChainGraph]:
     """Generate every chain graph of a rectangle of at most ``MAX_HV_AREA`` cells.
 
     Step 1 forces an edge along each gray-antiblock side with no adjacent
-    antiblock; step 2 tries both horizontal edges / both vertical edges for
-    each white antiblock (row-major, H before V); step 3 orients each cycle
-    of the resulting 2-regular graph both ways (canonical direction first).
-    Steps 2 and 3 are Cartesian products, so the graphs come in that order:
-    the last white antiblock, and within a choice the last cycle, varies fastest.
+    antiblock, that is, each side on the outer ring; step 2 tries both
+    horizontal edges / both vertical edges for each white antiblock
+    (row-major, H before V); step 3 orients each cycle of the resulting
+    2-regular graph both ways (canonical direction first).  Steps 2 and 3
+    are Cartesian products, so the graphs come in that order: the last
+    white antiblock, and within a choice the last cycle, varies fastest.
     """
     if rect.height % 4 or rect.width % 4:
         raise ValueError(f"rectangle sides must be multiples of 4, got {rect}")
@@ -278,60 +304,22 @@ def hv_enumerate(rect: Rect) -> Iterator[ChainGraph]:
             f"HV enumeration of {rect} ({rect.area} cells) exceeds the bound of {MAX_HV_AREA} cells"
         )
     rows, cols = rect.height // 2, rect.width // 2
-
-    def box_sides(a: int, b: int) -> dict[str, tuple[Block, Block]]:
-        tl, tr = (a - 1, b - 1), (a - 1, b)
-        bl, br = (a, b - 1), (a, b)
-        return {"top": (tl, tr), "bottom": (bl, br), "left": (tl, bl), "right": (tr, br)}
-
-    neighbor = {"top": (-1, 0), "bottom": (1, 0), "left": (0, -1), "right": (0, 1)}
-
-    forced: list[tuple[Block, Block]] = []
+    forced: list[Edge] = []
     # Per white antiblock, its (H pair, V pair) of edge choices.
-    whites: list[tuple[list[tuple[Block, Block]], list[tuple[Block, Block]]]] = []
+    whites: list[tuple[tuple[Edge, Edge], tuple[Edge, Edge]]] = []
     for a in range(1, rows):
         for b in range(1, cols):
-            sides = box_sides(a, b)
+            tl, tr, bl, br = (a - 1, b - 1), (a - 1, b), (a, b - 1), (a, b)
+            top, bottom, left, right = (tl, tr), (bl, br), (tl, bl), (tr, br)
             if _is_gray_center((2 * a, 2 * b)):
-                for name, edge in sides.items():
-                    da, db = neighbor[name]
-                    if not (1 <= a + da <= rows - 1 and 1 <= b + db <= cols - 1):
-                        forced.append(edge)
+                forced += compress((top, bottom, left, right), (a == 1, a == rows - 1, b == 1, b == cols - 1))
             else:
-                whites.append(([sides["top"], sides["bottom"]], [sides["left"], sides["right"]]))
-
-    def cycles_of(edges: list[tuple[Block, Block]]) -> list[list[Block]]:
-        adj: dict[Block, list[Block]] = {}
-        for u, v in edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        for u, nbrs in adj.items():
-            if len(nbrs) != 2:
-                raise StructureError(f"vertex {u} has degree {len(nbrs)} in HV edge set")
-        seen: set[Block] = set()
-        cycles = []
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            first = min(adj[start])
-            cycle = [start, first]
-            seen.add(start)
-            seen.add(first)
-            while True:
-                nxt = [x for x in adj[cycle[-1]] if x != cycle[-2]]
-                node = nxt[0]
-                if node == start:
-                    break
-                cycle.append(node)
-                seen.add(node)
-            cycles.append(cycle)
-        return cycles
+                whites.append(((top, bottom), (left, right)))
 
     # One pair per white antiblock, then one of (forward, reverse) per cycle.
     for picks in product(*whites):
-        undirected = forced + [edge for pick in picks for edge in pick]
         ways = []
-        for cyc in cycles_of(undirected):
+        for cyc in _cycles(forced + [edge for pick in picks for edge in pick]):
             fwd = list(zip(cyc, cyc[1:] + cyc[:1]))
             ways.append((fwd, [(v, u) for u, v in fwd]))
         for directed in product(*ways):

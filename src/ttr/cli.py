@@ -261,9 +261,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
         return EXIT_OK
     highlight = ()
     if args.highlight_ap:
-        aps = enumerate_aps(tiling, 2)
-        top = max((ap.length for ap in aps), default=0)
-        highlight = tuple(ap for ap in aps if ap.length == top) or (longest_ap(tiling),)
+        best = longest_ap(tiling)
+        highlight = tuple(enumerate_aps(tiling, best.length)) if best.length > 1 else (best,)
     cell_size = 20 if args.cell_size is None else args.cell_size
     _emit(render_svg(tiling, cell_size=cell_size, highlight=highlight), args.out)
     return EXIT_OK

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from operator import attrgetter
 from typing import Sequence
 
@@ -28,46 +28,25 @@ from .grid import ORIENTATIONS, Rect, Tile, Tiling, _is_decimal, is_tileable, pl
 Clause = tuple[int, ...]
 
 
-class PlacementIndex:
-    """Dense ids for the placements that get a variable, canonical order.
-
-    A view of the rectangle's placement table: every placement that fits,
-    restricted to the Walkup classes when both sides of the rectangle are
-    multiples of 4.  ``ids_by_cell[r * w + c]`` lists the ids covering cell
-    (r, c) in increasing order.
-    """
-
-    def __init__(self, rect: Rect):
-        self.rect = rect
-        table = placement_table(rect)
-        tiles, cells = table.tiles, table.cells
-        if is_tileable(rect):
-            tiles, cells = tuple(compress(tiles, table.walkup)), compress(cells, table.walkup)
-        self.tiles: tuple[Tile, ...] = tiles
-        self.ids_by_cell: list[list[int]] = [[] for _ in range(rect.area)]
-        for i, quad in enumerate(cells):
-            for k in quad:
-                self.ids_by_cell[k].append(i)
-
-    def __len__(self) -> int:
-        return len(self.tiles)
-
-
 @dataclass(frozen=True)
 class CNF:
     """A propositional encoding plus the variable-to-placement map.
 
-    Variables are 1-based; variable i+1 corresponds to ``index.tiles[i]``.
-    ``blocked_len``/``rot180`` record which extra constraint groups were added
-    so witnesses can be re-verified independently after decoding.
+    Variables are 1-based; variable i+1 corresponds to ``tiles[i]``, a
+    placement of the rectangle's placement table.  ``blocked_len``/``rot180``
+    record which extra constraint groups were added so witnesses can be
+    re-verified independently after decoding.
     """
 
     rect: Rect
-    num_vars: int
     clauses: tuple[Clause, ...]
-    index: PlacementIndex = field(compare=False, repr=False)
+    tiles: tuple[Tile, ...] = field(compare=False, repr=False)
     blocked_len: int | None = None
     rot180: bool = False
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.tiles)
 
     @property
     def num_clauses(self) -> int:
@@ -77,17 +56,26 @@ class CNF:
 def build_cnf(rect: Rect) -> CNF:
     """Exact-cover encoding of complete tilings of ``rect``.
 
-    Any rectangle whose every cell is coverable is accepted; rectangles that
-    admit no tiling simply yield an unsatisfiable formula.
+    The variables are the placement table's tiles, only those in the Walkup
+    classes when both sides are multiples of 4.  Any rectangle whose every
+    cell is coverable is accepted; rectangles that admit no tiling simply
+    yield an unsatisfiable formula.
     """
-    index = PlacementIndex(rect)
+    table = placement_table(rect)
+    tiles, cells = table.tiles, table.cells
+    if is_tileable(rect):
+        tiles, cells = tuple(compress(tiles, table.walkup)), compress(cells, table.walkup)
+    ids_by_cell: list[list[int]] = [[] for _ in range(rect.area)]
+    for i, quad in enumerate(cells, start=1):
+        for k in quad:
+            ids_by_cell[k].append(i)
     clauses: list[Clause] = []
-    for k, ids in enumerate(index.ids_by_cell):
+    for k, ids in enumerate(ids_by_cell):
         if not ids:
             raise ValueError(f"cell {divmod(k, rect.width)} of {rect} cannot be covered by any placement")
-        clauses.append(tuple(i + 1 for i in ids))
-        clauses += combinations([-(i + 1) for i in ids], 2)
-    return CNF(rect, len(index), tuple(clauses), index)
+        clauses.append(tuple(ids))
+        clauses += combinations([-i for i in ids], 2)
+    return CNF(rect, tuple(clauses), tiles)
 
 
 def add_ap_blocking(cnf: CNF, l: int) -> CNF:
@@ -115,7 +103,7 @@ def add_ap_blocking(cnf: CNF, l: int) -> CNF:
     # Placement order runs by orientation, then row, then col: each list is sorted.
     keys_by_orient: list[list[int]] = [[] for _ in ORIENTATIONS]
     lits_by_orient: list[list[int]] = [[] for _ in ORIENTATIONS]
-    for i, t in enumerate(cnf.index.tiles):
+    for i, t in enumerate(cnf.tiles):
         keys_by_orient[t.orientation.index].append(t.row * m + t.col)
         lits_by_orient[t.orientation.index].append(-(i + 1))
     extra = range(l - 2)
@@ -164,7 +152,7 @@ def add_rot180_symmetry(cnf: CNF) -> CNF:
     the D block reversed, and L onto R.  So id i of the U or L block ending at
     ``end`` pairs with id 2 * end - 1 - i, and no tile is built or hashed.
     """
-    tiles = cnf.index.tiles
+    tiles = cnf.tiles
     u_end, l_start, l_end = (bisect_left(tiles, k, key=attrgetter("orientation.index")) for k in (1, 2, 3))
     assert l_start == 2 * u_end and len(tiles) == 2 * l_end - l_start, "rotation partners differ in count"
     new_clauses: list[Clause] = []
@@ -178,8 +166,7 @@ def add_rot180_symmetry(cnf: CNF) -> CNF:
 
 def decode_model(cnf: CNF, model: Sequence[bool]) -> Tiling:
     """Rebuild the tiling from a satisfying assignment (model[v] for var v)."""
-    tiles = [cnf.index.tiles[v - 1] for v in range(1, cnf.num_vars + 1) if model[v]]
-    return Tiling(cnf.rect, tiles)
+    return Tiling(cnf.rect, compress(cnf.tiles, islice(model, 1, None)))
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +184,7 @@ def var_map_sidecar(cnf: CNF) -> str:
     """One line per variable: ``<var> <orient-letter> <row> <col>``."""
     lines = [
         f"{i + 1} {t.orientation.value} {t.row} {t.col}"
-        for i, t in enumerate(cnf.index.tiles)
+        for i, t in enumerate(cnf.tiles)
     ]
     return "\n".join(lines) + "\n"
 

@@ -22,21 +22,16 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .grid import PLACEMENT_ORDER, Rect, Tile, Tiling, _flat_steps, placement_table
+from .grid import Rect, Tile, Tiling, _flat_steps, placement_table
 
 DEFAULT_ENUM_AREA = 96
 #: The area bound of :func:`has_tiling`.
 MAX_EXISTENCE_AREA = 4096
 
 
-def placements(rect: Rect) -> tuple[Tile, ...]:
-    """All placements that fit inside ``rect``, in canonical order (the placement table's tiles)."""
-    return placement_table(rect).tiles
-
-
 def _frontier(rect: Rect, tiles: Sequence[Tile]) -> list[list[tuple[int, Tile]]]:
     """Candidate table of a search: per cell index, the ``(mask, tile)`` pairs of the placements
-    in ``tiles`` whose first (smallest row-major) cell is there, in canonical order.
+    in ``tiles`` whose first (smallest row-major) cell is there, in the order of ``tiles``.
 
     Bit ``i`` of a mask is the cell ``i`` places after that first cell, so
     each orientation has one mask at a given width.
@@ -47,7 +42,7 @@ def _frontier(rect: Rect, tiles: Sequence[Tile]) -> list[list[tuple[int, Tile]]]
         first = min(steps)
         relative.append((first, sum(1 << (s - first) for s in steps)))
     by_cell: list[list[tuple[int, Tile]]] = [[] for _ in range(rect.area)]
-    for tile in sorted(tiles, key=PLACEMENT_ORDER):
+    for tile in tiles:
         first, mask = relative[tile.orientation.index]
         by_cell[tile.row * w + tile.col + first].append((mask, tile))
     return by_cell
@@ -70,7 +65,7 @@ def enumerate_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> Itera
     if rect.area % 4:
         return
 
-    by_cell = _frontier(rect, placements(rect))
+    by_cell = _frontier(rect, placement_table(rect).tiles)
     area = rect.area
     dead: list[set[int]] = [set() for _ in range(area)]  # dead windows by first free cell
     placed: list[Tile] = []
@@ -120,7 +115,7 @@ def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
         )
     if rect.width > rect.height:
         rect = Rect(rect.width, rect.height)
-    return _count(rect, placements(rect))
+    return _count(rect, placement_table(rect).tiles)
 
 
 def _count(rect: Rect, tiles: Sequence[Tile]) -> int:

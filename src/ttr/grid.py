@@ -14,8 +14,10 @@ renderers) index it or slice one row at a time.
 ``placement_table(rect)`` interns every placement that fits, once per
 rectangle in a bounded cache: the tiles in canonical placement order, their
 flat cells, a lookup from a sorted cell quadruple to the tile, and the
-Walkup flags.  The enumerator, the CNF placement index, ``read_tiling`` and
-the layers above them take their tiles from it, by lookup or by index.
+Walkup flags.  The enumerator, ``read_tiling``, ``build_cnf`` (a CNF's
+variables are the table's tiles, only the Walkup ones on a tileable
+rectangle) and the layers above them take their tiles from it, by lookup
+or by index.
 """
 
 from __future__ import annotations

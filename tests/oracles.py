@@ -15,7 +15,7 @@ from typing import Sequence
 
 from ttr.aps import APWitness
 from ttr.chains import CHAIN_MAGIC, ChainGraph, Edge, ShadedArrow, _gray_side
-from ttr.cnf import CNF, Clause, PlacementIndex
+from ttr.cnf import CNF, Clause
 from ttr.enumerator import enumerate_tilings
 from ttr.errors import ParseError, ResourceLimitError, StructureError, TilingError
 from ttr.grid import (
@@ -185,22 +185,23 @@ def placements(rect: Rect) -> tuple[Tile, ...]:
     return tuple(out)
 
 
-def walkup_index(rect: Rect) -> tuple[tuple[Tile, ...], dict[tuple[int, int], list[int]]]:
-    """The CNF placement index built by filtering ``placements``: (tiles, ids per cell)."""
+def walkup_placements(rect: Rect) -> tuple[Tile, ...]:
+    """The CNF's variables, built by filtering ``placements`` through the Walkup classes."""
     tiles = placements(rect)
     if is_tileable(rect):
         tiles = tuple(t for t in tiles if (t.orientation, t.row % 4, t.col % 4) in WALKUP_CLASSES)
-    by_cell: dict[tuple[int, int], list[int]] = {cell: [] for cell in rect.cells()}
-    for i, t in enumerate(tiles):
-        for cell in tile_cells(t):
-            by_cell[cell].append(i)
-    return tiles, by_cell
+    return tiles
 
 
 def cover_clauses(rect: Rect) -> list[Clause]:
-    """The clauses of ``cnf.build_cnf``, each cell's at-most-one pairs from a nested loop."""
+    """The clauses of ``cnf.build_cnf``: per cell in row-major order, the ids of
+    ``walkup_placements`` covering it, then their at-most-one pairs from a nested loop."""
+    by_cell: dict[tuple[int, int], list[int]] = {cell: [] for cell in rect.cells()}
+    for i, t in enumerate(walkup_placements(rect)):
+        for cell in tile_cells(t):
+            by_cell[cell].append(i)
     clauses: list[Clause] = []
-    for ids in PlacementIndex(rect).ids_by_cell:
+    for ids in by_cell.values():
         clauses.append(tuple(i + 1 for i in ids))
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
@@ -211,7 +212,7 @@ def cover_clauses(rect: Rect) -> list[Clause]:
 def ap_blocking_clauses(cnf: CNF, l: int) -> list[Clause]:
     """The AP-blocking clauses, from every ordered pair of same-orientation anchors."""
     anchors_by_orient: dict[Orientation, list[tuple[tuple[int, int], int]]] = {o: [] for o in ORIENTATIONS}
-    for i, t in enumerate(cnf.index.tiles):
+    for i, t in enumerate(cnf.tiles):
         anchors_by_orient[t.orientation].append((t.anchor, i))
     new_clauses: list[Clause] = []
     for orient in ORIENTATIONS:
@@ -244,7 +245,7 @@ def ap_blocking_windows(cnf: CNF, l: int) -> list[Clause]:
     kept as (row, col) tuples in a sorted list and looked up in a tuple dict.
     """
     anchors_by_orient: dict[Orientation, list[tuple[tuple[int, int], int]]] = {o: [] for o in ORIENTATIONS}
-    for i, t in enumerate(cnf.index.tiles):
+    for i, t in enumerate(cnf.tiles):
         anchors_by_orient[t.orientation].append((t.anchor, i))
     height, extra = cnf.rect.height, range(l - 2)
     new_clauses: list[Clause] = []
@@ -283,9 +284,9 @@ def ap_blocking_windows(cnf: CNF, l: int) -> list[Clause]:
 
 def rot180_clauses(cnf: CNF) -> list[Clause]:
     """The rotation-symmetry clauses, pairing ids through a tile-to-id dict."""
-    id_of = {t: i for i, t in enumerate(cnf.index.tiles)}
+    id_of = {t: i for i, t in enumerate(cnf.tiles)}
     new_clauses: list[Clause] = []
-    for i, t in enumerate(cnf.index.tiles):
+    for i, t in enumerate(cnf.tiles):
         j = id_of[rotate_tile_180(cnf.rect, t)]
         if i < j:
             new_clauses.append((-(i + 1), j + 1))

@@ -13,8 +13,9 @@ import pytest
 import oracles
 import ttr
 from ttr.cli import build_parser, main
-from ttr.grid import read_tiling, write_tiling
-from ttr.aps import longest_ap
+from ttr.grid import Rect, read_tiling, write_tiling
+from ttr.aps import enumerate_aps, longest_ap
+from ttr.enumerator import enumerate_tilings
 from ttr.render import render_ascii
 from ttr.vdw import GridColoring, grid_mono_ap
 from ttr.width4 import concatenate, stack_rows
@@ -184,6 +185,25 @@ def test_highlight_ap_strokes_every_longest_ap(kinds, tmp_path, capsys):
     src.write_text(write_tiling(tiling))
     assert main(["render", "--in", str(src), "--format", "svg", "--highlight-ap"]) == 0
     assert capsys.readouterr().out.count('stroke-width="4"') == top * lengths.count(top)
+
+
+def test_highlight_ap_equals_the_filter_over_every_pair(tmp_path, monkeypatch):
+    # The former highlight set: every maximal AP of length >= 2, kept at the top length.
+    def every_pair_filter(tiling):
+        aps = enumerate_aps(tiling, 2)
+        top = max((ap.length for ap in aps), default=0)
+        return tuple(ap for ap in aps if ap.length == top) or (longest_ap(tiling),)
+
+    drawn = []
+    monkeypatch.setattr("ttr.render.render_svg", lambda tiling, *, cell_size, highlight: drawn.append(highlight) or "")
+    tilings = [t for h, w in [(4, 4), (4, 8), (8, 8), (8, 12), (12, 8), (4, 24), (24, 4)]
+               for t in enumerate_tilings(Rect(h, w))]
+    src = tmp_path / "t.ttiling"
+    for tiling in tilings:
+        src.write_text(write_tiling(tiling))
+        assert main(["render", "--in", str(src), "--format", "svg", "--highlight-ap"]) == 0
+    assert len(drawn) == len(tilings) == 3428
+    assert drawn == [every_pair_filter(t) for t in tilings]
 
 
 @pytest.mark.parametrize("size", ["0", "-5"])

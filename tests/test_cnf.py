@@ -4,7 +4,6 @@ import itertools
 import subprocess
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +13,6 @@ from ttr.enumerator import _count, count_tilings, enumerate_tilings
 from ttr.grid import ORIENTATIONS, Rect, is_tileable, placement_table, rotate_tile_180
 from ttr.cnf import (
     CNF,
-    PlacementIndex,
     add_ap_blocking,
     add_rot180_symmetry,
     build_cnf,
@@ -43,19 +41,27 @@ def placements_of_all_tilings(rect: Rect) -> set:
 def test_4x4_has_8_placement_variables():
     # The Walkup classes keep exactly the placements of the two pinwheels.
     cnf = build_cnf(Rect(4, 4))
-    assert set(cnf.index.tiles) == placements_of_all_tilings(Rect(4, 4))
-    assert cnf.num_vars == 8
+    assert set(cnf.tiles) == placements_of_all_tilings(Rect(4, 4))
+    assert cnf.num_vars == len(cnf.tiles) == 8
 
 
 @pytest.mark.parametrize("h, w", [(4, 6), (6, 6), (2, 2), (5, 8)])
 def test_untileable_rectangles_keep_every_placement(h, w):
     rect = Rect(h, w)
-    assert len(PlacementIndex(rect)) == brute_force_placement_count(rect)
+    if (h, w) == (2, 2):
+        # No placement fits, so the first uncovered cell is reported.
+        assert brute_force_placement_count(rect) == 0
+        with pytest.raises(ValueError, match=r"^cell \(0, 0\) of "):
+            build_cnf(rect)
+        return
+    cnf = build_cnf(rect)
+    assert len(cnf.tiles) == brute_force_placement_count(rect)
+    assert cnf.tiles is placement_table(rect).tiles
 
 
 def test_corpus_tilings_use_only_indexed_placements(corpus):
     for (h, w), tilings in corpus.items():
-        allowed = set(PlacementIndex(Rect(h, w)).tiles)
+        allowed = set(build_cnf(Rect(h, w)).tiles)
         for tiling in tilings:
             assert set(tiling.tiles) <= allowed, tiling
 
@@ -89,7 +95,7 @@ def test_restricted_placements_keep_every_tiling(h, w, tilings):
     # placement outside the Walkup classes.
     rect = Rect(h, w)
     unrestricted = count_tilings(rect, max_area=rect.area)
-    assert _count(rect, PlacementIndex(rect).tiles) == unrestricted
+    assert _count(rect, build_cnf(rect).tiles) == unrestricted
     assert tilings is None or unrestricted == tilings
 
 
@@ -97,7 +103,7 @@ def test_index_closed_under_rotation():
     for h in range(4, 25, 4):
         for w in range(4, 25, 4):
             rect = Rect(h, w)
-            tiles = set(PlacementIndex(rect).tiles)
+            tiles = set(build_cnf(rect).tiles)
             assert {rotate_tile_180(rect, t) for t in tiles} == tiles, rect
 
 
@@ -140,9 +146,11 @@ def test_build_cnf_rejects_uncoverable_cells():
 
 
 def test_ap_blocking_marks_metadata():
-    cnf = add_ap_blocking(build_cnf(Rect(4, 8)), 2)
+    base = build_cnf(Rect(4, 8))
+    cnf = add_ap_blocking(base, 2)
     assert cnf.blocked_len == 2
-    assert cnf.num_clauses > build_cnf(Rect(4, 8)).num_clauses
+    assert cnf.num_clauses > base.num_clauses
+    assert cnf.tiles is base.tiles
 
 
 def test_blocking_clauses_cover_every_window():
@@ -151,10 +159,9 @@ def test_blocking_clauses_cover_every_window():
     base = build_cnf(rect)
     blocked = add_ap_blocking(base, 2)
     added = blocked.num_clauses - base.num_clauses
-    index = PlacementIndex(rect)
     expect = 0
     for o in ORIENTATIONS:
-        anchors = [t.anchor for t in index.tiles if t.orientation is o]
+        anchors = [t.anchor for t in base.tiles if t.orientation is o]
         expect += sum(
             1 for a, b in itertools.combinations(sorted(anchors), 2) if a != b
         )
@@ -179,9 +186,8 @@ def ap_steps(rect: Rect, *, mod4_only: bool = False) -> list[tuple[int, int]]:
 
 def blocking_clauses_by_step(cnf: CNF, l: int, *, mod4_only: bool = False) -> set:
     """Reference AP-blocking windows: every step from every anchor."""
-    index = cnf.index
     anchors_by_orient = {o: {} for o in ORIENTATIONS}
-    for i, t in enumerate(index.tiles):
+    for i, t in enumerate(cnf.tiles):
         anchors_by_orient[t.orientation][t.anchor] = i
     clauses = set()
     for orient in ORIENTATIONS:
@@ -213,7 +219,7 @@ def test_anchor_pair_windows_match_step_oracle(h, w, l, mod4_only):
     # With mod4_only the oracle keeps only steps congruent to (0,0) or (2,2)
     # mod 4.  On the Walkup-restricted anchors at l >= 3 those are the only
     # steps any window has, so restricting the steps drops nothing; at l = 2,
-    # or on an untileable rectangle (every placement indexed), it does.
+    # or on an untileable rectangle (every placement kept), it does.
     base = build_cnf(Rect(h, w))
     blocked = add_ap_blocking(base, l)
     added = set(blocked.clauses[base.num_clauses:])
@@ -228,7 +234,7 @@ def test_anchor_pair_windows_match_step_oracle(h, w, l, mod4_only):
 PACKED_WINDOW_SIZES = [(h, w) for h in (4, 5, 7, 8, 12, 16) for w in (4, 5, 7, 8, 12, 16)] + [
     (20, 20), (24, 24), (32, 32), (16, 32), (32, 16), (4, 36), (8, 36), (3, 9), (9, 3), (4, 140),
 ]
-# Tileable sizes again with every placement indexed, as if the Walkup restriction were off.
+# Tileable sizes again with every placement kept, as if the Walkup restriction were off.
 PACKED_WINDOW_CASES = [(h, w, True) for h, w in PACKED_WINDOW_SIZES] + [
     (h, w, False) for h, w in PACKED_WINDOW_SIZES if is_tileable(Rect(h, w)) and h * w <= 512
 ]
@@ -240,7 +246,7 @@ def test_packed_windows_equal_the_tuple_reference(h, w, walkup):
     # Same clauses in the same order as the (row, col) tuple loop, for l = 2..5.
     base = build_cnf(Rect(h, w))
     if not walkup:
-        base = replace(base, index=SimpleNamespace(tiles=placement_table(base.rect).tiles))
+        base = replace(base, tiles=placement_table(base.rect).tiles)
     for l in (2, 3, 4, 5):
         added = add_ap_blocking(base, l).clauses[base.num_clauses:]
         assert list(added) == oracles.ap_blocking_windows(base, l), l
@@ -251,6 +257,7 @@ def test_rot180_symmetry_clauses_pair_variables():
     base = build_cnf(rect)
     sym = add_rot180_symmetry(base)
     assert sym.rot180
+    assert sym.tiles is base.tiles
     added = sym.num_clauses - base.num_clauses
     assert added == base.num_vars  # two implications per unordered pair
 
@@ -352,7 +359,7 @@ def test_var_map_sidecar_lines():
     }
     assert [int(line.split()[0]) for line in lines] == list(range(1, 9))
     var, letter, row, col = lines[7].split()
-    t = cnf.index.tiles[int(var) - 1]
+    t = cnf.tiles[int(var) - 1]
     assert (t.orientation.value, str(t.row), str(t.col)) == (letter, row, col)
 
 

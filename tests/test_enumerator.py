@@ -10,8 +10,8 @@ import pytest
 import ttr
 from ttr import enumerator
 from ttr.errors import ResourceLimitError
-from ttr.grid import TILING_ORDER, Rect, Tiling, is_tileable
-from ttr.enumerator import count_tilings, enumerate_tilings, has_tiling, placements
+from ttr.grid import TILING_ORDER, Rect, Tiling, is_tileable, placement_table
+from ttr.enumerator import count_tilings, enumerate_tilings, has_tiling
 
 from conftest import PINWHEEL_A, PINWHEEL_B
 
@@ -97,7 +97,8 @@ def test_has_tiling_matches_divisibility_both_ways(h, w):
 
 
 def test_placement_index_canonical_order():
-    tiles = placements(Rect(4, 4))
+    # The search tries each cell's candidates in the table's order, so this order is the stream's.
+    tiles = placement_table(Rect(4, 4)).tiles
     assert len(tiles) == 24
     keys = [(t.orientation.index, t.row, t.col) for t in tiles]
     assert keys == sorted(keys)

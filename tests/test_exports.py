@@ -17,14 +17,14 @@ TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 HOMES = {
     "grid": ("Orientation", "ORIENTATIONS", "Rect", "Tile", "Tiling", "ValidityReport", "cut_cornerless_ok",
              "is_tileable", "read_tiling", "tile_cells", "validate", "write_tiling"),
-    "enumerator": ("count_tilings", "enumerate_tilings", "has_tiling", "placements"),
+    "enumerator": ("count_tilings", "enumerate_tilings", "has_tiling"),
     "aps": ("APWitness", "dxdy_class", "enumerate_aps", "longest_ap", "mod4_class"),
     "boundary": ("BoundaryCovering", "boundary_forces", "enumerate_boundary_coverings"),
     "width4": ("ab_map", "coloring_to_tiling", "d1_equiv_check", "decompose", "enumerate_units", "stack_rows",
                "tiling_to_coloring"),
     "chains": ("ChainGraph", "ShadedArrow", "antiblock_coloring", "arrow_for_tile", "build_chain_graph",
                "chain_to_tiling", "hv_enumerate", "shaded_arrow_aps", "tile_for_arrow"),
-    "cnf": ("CNF", "PlacementIndex", "add_ap_blocking", "add_rot180_symmetry", "build_cnf"),
+    "cnf": ("CNF", "add_ap_blocking", "add_rot180_symmetry", "build_cnf"),
     "solver": ("DecideResult", "ScanResult", "SearchConfig", "SolverStatus", "solve"),
     "decide": ("compute_L", "compute_T", "decide_forces"),
     "vdw": ("GridAP", "GridColoring", "compute_Lvdw", "extremal_coloring", "grid_mono_ap", "vdw_number"),
