@@ -2,16 +2,16 @@
 
 The boundary squares are row-0 cells 0..n-1; tiles lie entirely below the
 line (rows 0..2), may stick out up to two columns on either side of the
-covered range, and each must cover at least one of the n squares.
+covered range, and each must cover at least one of the n squares.  The
+candidate placements come from the placement table of that band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import ResourceLimitError
-from .grid import PLACEMENT_ORDER, TILING_ORDER, Orientation, Tile, tile_cells
+from .grid import TILING_ORDER, Rect, Tile, placement_table
 from .aps import maximal_runs
 
 MAX_BOUNDARY_LEN = 12
@@ -27,9 +27,9 @@ class BoundaryCovering:
     tiles: tuple[Tile, ...]
 
     def longest_ap_length(self) -> int:
-        by_orient: dict[Orientation, set] = {}
+        by_orient: dict[int, set] = {}
         for t in self.tiles:
-            by_orient.setdefault(t.orientation, set()).add(t.anchor)
+            by_orient.setdefault(t.orientation.index, set()).add(t.anchor)
         best = 1 if self.tiles else 0
         for anchors in by_orient.values():
             for _start, _step, length in maximal_runs(anchors, 2):
@@ -40,14 +40,22 @@ class BoundaryCovering:
         return self.longest_ap_length() >= l
 
 
-def _candidates_covering(col: int) -> list[Tile]:
-    """Placements covering boundary square ``col``, canonically ordered.
+def _candidates(n: int) -> list[list[tuple[int, Tile]]]:
+    """Per boundary square, the (cell mask, tile) pairs of the placements covering it.
 
-    Only anchor-row-0 tiles can touch row 0: one per row-0 offset of each
-    orientation, so a D bar can cover the square as any of its three cells.
+    The band ``Rect(3, n + 2 * _COL_SLACK)`` holds rows 0..2 and boundary
+    columns -_COL_SLACK..n+_COL_SLACK-1, so square c is its flat cell
+    ``c + _COL_SLACK``.  Masks are over the band's flat cells; tiles are moved
+    back to boundary columns.  Each list is in placement order.
     """
-    cands = [Tile(o, 0, col - dc) for o in Orientation for dr, dc in o.offsets if dr == 0]
-    return sorted(cands, key=PLACEMENT_ORDER)
+    table = placement_table(Rect(3, n + 2 * _COL_SLACK))
+    by_square: list[list[tuple[int, Tile]]] = [[] for _ in range(n)]
+    for tile, cells in zip(table.tiles, table.cells):
+        pair = (sum(1 << k for k in cells), tile.translated(0, -_COL_SLACK))
+        for k in cells:
+            if _COL_SLACK <= k < n + _COL_SLACK:
+                by_square[k - _COL_SLACK].append(pair)
+    return by_square
 
 
 def enumerate_boundary_coverings(n: int) -> list[BoundaryCovering]:
@@ -58,54 +66,33 @@ def enumerate_boundary_coverings(n: int) -> list[BoundaryCovering]:
     a covering.  Tiles may extend at most ``_COL_SLACK`` columns beyond the
     covered range (the geometry never needs more).
     """
-    return list(iter_boundary_coverings(n))
-
-
-def iter_boundary_coverings(n: int) -> Iterator[BoundaryCovering]:
     if not 1 <= n <= MAX_BOUNDARY_LEN:
         raise ResourceLimitError(
             f"boundary length must be in 1..{MAX_BOUNDARY_LEN}, got {n}"
         )
-    # Bitmask geometry over rows 0..2, columns -2..n+1 (shifted by +2).
-    width = n + 2 * _COL_SLACK
-
-    def mask_of(tile: Tile) -> int:
-        m = 0
-        for r, c in tile_cells(tile):
-            if not (0 <= r <= 2 and -_COL_SLACK <= c < n + _COL_SLACK):
-                return -1
-            m |= 1 << (r * width + c + _COL_SLACK)
-        return m
-
-    cand_by_col: list[list[tuple[int, Tile]]] = []
-    for col in range(n):
-        pairs = []
-        for t in _candidates_covering(col):
-            m = mask_of(t)
-            if m >= 0:
-                pairs.append((m, t))
-        cand_by_col.append(pairs)
-
+    candidates = _candidates(n)
+    coverings: list[BoundaryCovering] = []
     chosen: list[Tile] = []
 
-    def search(occupied: int, col: int) -> Iterator[BoundaryCovering]:
+    def search(occupied: int, col: int) -> None:
         while col < n and occupied >> (col + _COL_SLACK) & 1:
             col += 1
         if col == n:
-            yield BoundaryCovering(n, tuple(sorted(chosen, key=TILING_ORDER)))
+            coverings.append(BoundaryCovering(n, tuple(sorted(chosen, key=TILING_ORDER))))
             return
-        for m, tile in cand_by_col[col]:
+        for m, tile in candidates[col]:
             if occupied & m:
                 continue
             chosen.append(tile)
-            yield from search(occupied | m, col + 1)
+            search(occupied | m, col + 1)
             chosen.pop()
 
-    yield from search(0, 0)
+    search(0, 0)
+    return coverings
 
 
 def boundary_forces(n: int, l: int) -> bool:
     """Whether every covering of n consecutive boundary squares has an AP of length >= l."""
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    return all(cov.has_ap(l) for cov in iter_boundary_coverings(n))
+    return all(cov.has_ap(l) for cov in enumerate_boundary_coverings(n))

@@ -288,19 +288,11 @@ class Tiling:
         return f"Tiling({self.rect}, {self.tile_count} tiles)"
 
 
-_ROT_ORIENT = {
-    Orientation.U: Orientation.D,
-    Orientation.D: Orientation.U,
-    Orientation.L: Orientation.R,
-    Orientation.R: Orientation.L,
-}
-
-
 def rotate_tile_180(rect: Rect, tile: Tile) -> Tile:
     """Image of a placement under 180-degree rotation of ``rect``."""
     rows, cols = tile.orientation.bbox
     return Tile(
-        _ROT_ORIENT[tile.orientation],
+        ORIENTATIONS[tile.orientation.index ^ 1],
         rect.height - rows - tile.row,
         rect.width - cols - tile.col,
     )

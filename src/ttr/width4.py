@@ -190,7 +190,7 @@ def d1_equiv_check(tiling: Tiling, l: int) -> tuple[bool, bool]:
         raise ValueError(f"expected a height-4 tiling, got {tiling.rect}")
     any_ap = has_ap_of_length(tiling, l)
     anchors = {t.anchor for t in d1_tiles(tiling)}
-    d1_ap = any(length >= l for _s, _st, length in maximal_runs(anchors, 2))
+    d1_ap = bool(maximal_runs(anchors, l))
     return any_ap, d1_ap
 
 

@@ -102,7 +102,9 @@ def test_boundary_and_width4_match_the_tuple_scan(groups):
     tiles = tuple(Tile(o, r, c) for o, anchors in zip(ORIENTATIONS, groups) for r, c in anchors)
     lengths = [length for anchors in groups for _s, _st, length in oracles.maximal_runs(anchors, 2)]
     expected = max(lengths, default=1 if tiles else 0)
-    assert BoundaryCovering(len(tiles), tiles).longest_ap_length() == expected
+    covering = BoundaryCovering(len(tiles), tiles)
+    assert covering.longest_ap_length() == expected
+    assert [covering.has_ap(l) for l in range(6)] == [expected >= l for l in range(6)]
 
     tiling, shifted = stand_in_tiling(groups)
     tiling.rect = Rect(4, tiling.rect.width)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from ttr.errors import ResourceLimitError
 from ttr.grid import PLACEMENT_ORDER, Orientation, Tile, tile_cells
-from ttr.boundary import _candidates_covering, boundary_forces, enumerate_boundary_coverings
+from ttr.boundary import _candidates, boundary_forces, enumerate_boundary_coverings
 
 
 def test_single_square_has_six_coverings():
@@ -17,21 +19,36 @@ def test_single_square_has_six_coverings():
 
 def test_candidates_are_the_six_row0_placements():
     # U's stem, the top of an L or R bar, or any of a D bar's three cells.
-    for col in range(-3, 15):
-        listed = [
-            Tile(Orientation.U, 0, col - 1),
-            Tile(Orientation.D, 0, col - 2),
-            Tile(Orientation.D, 0, col - 1),
-            Tile(Orientation.D, 0, col),
-            Tile(Orientation.L, 0, col - 1),
-            Tile(Orientation.R, 0, col),
-        ]
-        assert _candidates_covering(col) == sorted(listed, key=PLACEMENT_ORDER)
+    # Masks set bit r * (n + 4) + c + 2 for each cell (r, c) of the tile.
+    for n in range(1, 13):
+        candidates = _candidates(n)
+        assert len(candidates) == n
+        for col, pairs in enumerate(candidates):
+            listed = [
+                Tile(Orientation.U, 0, col - 1),
+                Tile(Orientation.D, 0, col - 2),
+                Tile(Orientation.D, 0, col - 1),
+                Tile(Orientation.D, 0, col),
+                Tile(Orientation.L, 0, col - 1),
+                Tile(Orientation.R, 0, col),
+            ]
+            assert [tile for _mask, tile in pairs] == sorted(listed, key=PLACEMENT_ORDER)
+            for mask, tile in pairs:
+                assert mask == sum(1 << (r * (n + 4) + c + 2) for r, c in tile_cells(tile))
 
 
 def test_covering_counts_are_pinned():
     assert [len(enumerate_boundary_coverings(n)) for n in range(1, 13)] == [
         6, 10, 14, 18, 31, 50, 70, 99, 161, 251, 359, 528]
+
+
+def test_covering_stream_is_pinned():
+    # SHA-256 of repr((n, tiles)) of every covering in enumeration order.
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        for cov in enumerate_boundary_coverings(n):
+            digest.update(repr((cov.n, cov.tiles)).encode())
+    assert digest.hexdigest() == "cb52f3113d026bfc4d6f2f82a9d67df51e7e6cef353f7327e01ca9550bf60860"
 
 
 def test_coverings_are_disjoint_and_minimal():
