@@ -10,8 +10,9 @@ anchors only where the classes mod 4 leave room for a third term.
 When both sides are multiples of 4, only placements in the Walkup classes
 (``grid.WALKUP_CLASSES``) get a variable: no complete tiling uses any other,
 so the models are the same tilings with a fraction of the variables.  The
-enumerator and ``has_tiling`` keep every placement and serve as the
-independent oracles for this restriction.
+enumerator restricts its search the same way.  ``count_tilings`` keeps
+every placement and is the independent oracle: the tests check that the
+restricted model count and the enumerator's stream length both equal it.
 """
 
 from __future__ import annotations

@@ -9,27 +9,32 @@ ordered.
 The frontier state is the first free cell plus the cover bits from there
 on, a window of at most ``2*width`` bits: each placement's mask is relative
 to its first cell, so no mask spans the whole rectangle.  The placements are
-the interned tiles of ``grid.placement_table``.  The search keeps its own
-stack of parent states, so its depth (one state per tile) has no recursion
-limit, and it records a state as dead when its subtree yielded no tiling.
+the interned tiles of ``grid.placement_table``; on a rectangle with both
+sides divisible by 4, only the Walkup ones, as in ``build_cnf``: no tiling
+uses any other, so any other leads only into dead ends.  The search keeps
+its own stack of parent states, so its depth (one state per tile) has no
+recursion limit, and it records a state as dead when its subtree yielded no
+tiling.
 
-:func:`count_tilings` shares the candidate table and the frontier window,
-and counts forward: the ways to reach each state, bucketed by first free cell.
+:func:`count_tilings` shares the frontier window but tries every placement,
+and counts forward: the ways to reach each state, bucketed by first free
+cell.  The tests prove both Walkup restrictions complete against it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import compress
+from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
-from .grid import Rect, Tile, Tiling, _flat_steps, placement_table
+from .grid import Rect, Tile, Tiling, _flat_steps, is_tileable, placement_table
 
 DEFAULT_ENUM_AREA = 96
 #: The area bound of :func:`has_tiling`.
 MAX_EXISTENCE_AREA = 4096
 
 
-def _frontier(rect: Rect, tiles: Sequence[Tile]) -> list[list[tuple[int, Tile]]]:
+def _frontier(rect: Rect, tiles: Iterable[Tile]) -> list[list[tuple[int, Tile]]]:
     """Candidate table of a search: per cell index, the ``(mask, tile)`` pairs of the placements
     in ``tiles`` whose first (smallest row-major) cell is there, in the order of ``tiles``.
 
@@ -51,6 +56,8 @@ def _frontier(rect: Rect, tiles: Sequence[Tile]) -> list[list[tuple[int, Tile]]]
 def enumerate_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> Iterator[Tiling]:
     """Yield every complete tiling of ``rect``, in canonical order.
 
+    On a rectangle with both sides divisible by 4 it tries only the Walkup
+    placements; on any other rectangle it tries every placement.
     Only enumerations run it (the tests' oracles and ``has_tiling``); no
     forcing answer does.  The stream is lazy: a caller that stops early
     (``has_tiling``, ``itertools.islice``) pays only for the tilings it took.  Raises
@@ -65,7 +72,8 @@ def enumerate_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> Itera
     if rect.area % 4:
         return
 
-    by_cell = _frontier(rect, placement_table(rect).tiles)
+    table = placement_table(rect)
+    by_cell = _frontier(rect, compress(table.tiles, table.walkup) if is_tileable(rect) else table.tiles)
     area = rect.area
     dead: list[set[int]] = [set() for _ in range(area)]  # dead windows by first free cell
     placed: list[Tile] = []
@@ -99,7 +107,7 @@ def enumerate_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> Itera
 
 
 def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
-    """Number of complete tilings, via a forward frontier count.
+    """Number of complete tilings, via a forward frontier count over every placement.
 
     Much faster than draining :func:`enumerate_tilings`: the paths into
     equal frontier states merge into one number.  A rectangle wider than it
@@ -118,7 +126,7 @@ def count_tilings(rect: Rect, *, max_area: int = DEFAULT_ENUM_AREA) -> int:
     return _count(rect, placement_table(rect).tiles)
 
 
-def _count(rect: Rect, tiles: Sequence[Tile]) -> int:
+def _count(rect: Rect, tiles: Iterable[Tile]) -> int:
     """Number of tilings of ``rect`` that use only placements from ``tiles`` (no transpose)."""
     if rect.area % 4:
         return 0
@@ -145,6 +153,9 @@ def _count(rect: Rect, tiles: Sequence[Tile]) -> int:
 def has_tiling(rect: Rect) -> bool:
     """Existence check: whether :func:`enumerate_tilings` yields a first tiling.
 
+    A ``True`` is backed by the tiling found.  A ``False`` comes from a
+    rectangle with a side not divisible by 4, whose search tries every
+    placement, so the proof that it has no tiling assumes nothing.
     A rectangle wider than it is tall is searched as its transpose, as in
     :func:`count_tilings`: transposition maps tilings to tilings, so the
     answer is the same, and the frontier window, which grows with the

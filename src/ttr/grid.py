@@ -14,10 +14,10 @@ renderers) index it or slice one row at a time.
 ``placement_table(rect)`` interns every placement that fits, once per
 rectangle in a bounded cache: the tiles in canonical placement order, their
 flat cells, a lookup from a sorted cell quadruple to the tile, and the
-Walkup flags.  The enumerator, ``read_tiling``, ``build_cnf`` (a CNF's
-variables are the table's tiles, only the Walkup ones on a tileable
-rectangle) and the layers above them take their tiles from it, by lookup
-or by index.
+Walkup flags.  The enumerator and ``build_cnf`` (a CNF's variables are
+the table's tiles; both keep only the Walkup ones on a tileable rectangle),
+``read_tiling`` and the layers above them take their tiles from it, by
+lookup or by index.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter, getitem, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, TilingError
@@ -434,13 +434,21 @@ def read_header(data: str | bytes, magic: str) -> tuple[int, int, list[str]]:
 
 
 def write_tiling(tiling: Tiling) -> str:
-    """Serialize with canonical tile ids 0..n-1 (canonical tile order)."""
+    """Serialize with canonical tile ids 0..n-1 (canonical tile order).
+
+    One join over the flat cell map: each cell's id is spelled with the
+    separator that follows it, a space or, at the end of a row, a line feed.
+    """
     h, w = tiling.rect.height, tiling.rect.width
-    name = _id_names(tiling.tile_count).__getitem__
-    owner = tiling._owner
-    lines = [FORMAT_MAGIC, f"{h} {w}"]
-    lines += [" ".join(map(name, owner[k : k + w])) for k in range(0, h * w, w)]
-    return "\n".join(lines) + "\n"
+    spaced, ended = _cell_tokens(tiling.tile_count)
+    cell_names = ((spaced,) * (w - 1) + (ended,)) * h
+    return f"{FORMAT_MAGIC}\n{h} {w}\n" + "".join(map(getitem, cell_names, tiling._owner))
+
+
+@lru_cache(maxsize=8)
+def _cell_tokens(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Per id 0..n-1, ``f"{i} "`` and ``f"{i}\\n"``: its token inside a row and at a row's end."""
+    return tuple(f"{i} " for i in range(n)), tuple(f"{i}\n" for i in range(n))
 
 
 @lru_cache(maxsize=8)

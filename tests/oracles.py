@@ -31,6 +31,7 @@ from ttr.grid import (
     Violation,
     ViolationKind,
     _flat_steps,
+    _id_names,
     _is_decimal,
     is_tileable,
     read_header,
@@ -365,6 +366,15 @@ def read_tiling(data: str | bytes) -> Tiling:
         raise TilingError(ValidityReport(tuple(violations)))
     return Tiling(Rect(h, w), tiles)
 
+
+def write_tiling(tiling: Tiling) -> str:
+    """The TTILING writer that joins each row, then the lines."""
+    h, w = tiling.rect.height, tiling.rect.width
+    name = _id_names(tiling.tile_count).__getitem__
+    owner = tiling._owner
+    lines = [FORMAT_MAGIC, f"{h} {w}"]
+    lines += [" ".join(map(name, owner[k : k + w])) for k in range(0, h * w, w)]
+    return "\n".join(lines) + "\n"
 
 
 def read_tcolor(data: str | bytes) -> GridColoring:

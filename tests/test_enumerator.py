@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import ttr
 from ttr import enumerator
 from ttr.errors import ResourceLimitError
-from ttr.grid import TILING_ORDER, Rect, Tiling, is_tileable, placement_table
+from ttr.grid import TILING_ORDER, WALKUP_CLASSES, Rect, Tiling, is_tileable, placement_table, write_tiling
 from ttr.enumerator import count_tilings, enumerate_tilings, has_tiling
 
 from conftest import PINWHEEL_A, PINWHEEL_B
@@ -57,6 +58,31 @@ def test_count_is_transpose_invariant(corpus):
 def test_enumeration_and_count_agree(corpus):
     for (h, w), tilings in corpus.items():
         assert count_tilings(Rect(h, w), max_area=128) == len(tilings)
+
+
+#: Every tileable rectangle of at most 96 cells (the oracle domain of the
+#: decision tests) plus 8x16 and 16x8.
+STREAM_RECTS = [(h, w) for h in range(4, 25, 4) for w in range(4, 25, 4) if h * w <= 96] + [(8, 16), (16, 8)]
+#: SHA-256 over the TTILING texts of the streams of ``STREAM_RECTS``, in that
+#: order.  Taken while the stream still tried every placement.
+STREAM_SHA256 = "a25423a7a0b4b94af5fb20942ecae7f28ae88e91d6451ae7828a35a2b1fbb33b"
+
+
+def test_walkup_stream_is_complete():
+    # The stream tries only Walkup placements on these rectangles; the
+    # unrestricted count proves that it misses no tiling.
+    assert len(STREAM_RECTS) == 16
+    sha = hashlib.sha256()
+    for h, w in STREAM_RECTS:
+        rect = Rect(h, w)
+        keys = []
+        for tiling in enumerate_tilings(rect, max_area=rect.area):
+            assert all((t.orientation, t.row % 4, t.col % 4) in WALKUP_CLASSES for t in tiling.tiles), rect
+            keys.append(tuple(map(TILING_ORDER, tiling.tiles)))
+            sha.update(write_tiling(tiling).encode())
+        assert all(a < b for a, b in zip(keys, keys[1:])), rect
+        assert len(keys) == count_tilings(rect, max_area=rect.area), rect
+    assert sha.hexdigest() == STREAM_SHA256
 
 
 def test_canonical_stream_order(corpus):
@@ -158,6 +184,24 @@ def test_first_tiling_of_4x24000_in_a_child_process():
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert child.stdout.split() == ["24000"]
+
+
+_THREE_4X1200 = """
+from itertools import islice
+from ttr.enumerator import enumerate_tilings
+from ttr.grid import Rect
+print(*(t.tile_count for t in islice(enumerate_tilings(Rect(4, 1200), max_area=4800), 3)))
+"""
+
+
+def test_second_tiling_of_4x1200_in_a_child_process():
+    # A search over every placement found no second tiling of 4x1200 in
+    # minutes; the child process bounds the wait.
+    env = dict(os.environ, PYTHONPATH=str(Path(ttr.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", _THREE_4X1200], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["1200"] * 3
 
 
 @pytest.mark.parametrize("h, w, draws", [(64, 64, 5), (1200, 4, 2000)])

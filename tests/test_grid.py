@@ -8,6 +8,7 @@ import pytest
 import oracles
 from ttr import grid
 from ttr.chains import build_chain_graph, write_chain
+from ttr.cli import main
 from ttr.enumerator import enumerate_tilings
 from ttr.errors import ParseError, TilingError
 from ttr.grid import (
@@ -223,6 +224,9 @@ def test_cut_check_rejects_a_tampered_point_of_each_class(corpus):
 
 
 def test_walkup_classes_are_the_classes_seen(corpus):
+    # The corpus comes from the stream, which tries only Walkup placements, so
+    # the "no other class" half rests on test_enumeration_and_count_agree: the
+    # unrestricted count finds no tiling the corpus lacks.
     seen = {
         (t.orientation, t.row % 4, t.col % 4)
         for tilings in corpus.values()
@@ -249,6 +253,19 @@ def test_write_tiling_canonical_ids(pinwheel_a):
     assert lines[2] == "0 1 1 1"
     back = read_tiling(text)
     assert back == pinwheel_a
+
+
+def test_writer_matches_the_per_row_writer(corpus, periodic_20x20, tmp_path):
+    for tilings in corpus.values():
+        for t in tilings:
+            assert write_tiling(t) == oracles.write_tiling(t)
+    assert write_tiling(periodic_20x20) == oracles.write_tiling(periodic_20x20)
+    # The 128x128 block tiling has 4,096 tiles: ids of 1 to 4 digits.
+    out = tmp_path / "t.ttiling"
+    assert main(["tile", "--height", "128", "--width", "128", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert oracles.write_tiling(read_tiling(text)) == text
+    assert write_tiling(read_tiling(text)) == text
 
 
 def test_read_write_round_trip(corpus):
