@@ -147,11 +147,12 @@ class _Solver:
             lits = self._simplify(list(map(get, cl)))
             if lits is None:
                 continue
-            if len(lits) < 2:
-                if lits and self._enqueue(lits[0], None):
-                    continue
+            if not lits:
                 self.ok = False
                 break
+            if len(lits) == 1:
+                self._enqueue(lits[0], None)
+                continue
             stored += 1
             if len(lits) > 2:
                 watches[lits[0]].append(lits)
@@ -183,18 +184,15 @@ class _Solver:
             out.append(l)
         return out
 
-    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        if self.assign[lit] < 0:
-            return False
-        if self.assign[lit] > 0:
-            return True
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
+        # Every caller passes a free literal: a simplified input unit, the asserting
+        # literal after a backjump, or a decision.
         self.assign[lit] = 1
         self.assign[lit ^ 1] = -1
         v = lit >> 1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
-        return True
 
     def _propagate(self) -> list[int] | None:
         # ``_enqueue`` inlined: a literal is only enqueued here while free.

@@ -163,14 +163,7 @@ def ab_map(tiling: Tiling) -> Tiling:
     colors: list[int] = []
     for _left, width, seg in _segments(tiling):
         colors += [_unit_class(seg)] * (width // 4)
-    return _ab_strip(colors)
-
-
-def _ab_strip(colors: Sequence[int]) -> Tiling:
-    """The height-4 strip of unit A (color 0) or B (color 1) per 4-column block, left to right."""
-    units = (UNIT_A_TILES, UNIT_B_TILES)
-    tiles = [t.translated(0, 4 * i) for i, color in enumerate(colors) for t in units[color]]
-    return Tiling(Rect(4, 4 * len(colors)), tiles)
+    return coloring_to_tiling(GridColoring((tuple(colors),)))
 
 
 def d1_tiles(tiling: Tiling) -> list[Tile]:
@@ -199,9 +192,7 @@ def coloring_to_tiling(coloring: GridColoring) -> Tiling:
 
     The inverse of :func:`tiling_to_coloring`; more than one row is a ``ValueError``.
     """
-    if coloring.height != 1:
-        raise ValueError(f"expected a one-row coloring, got {coloring.height} rows")
-    return _ab_strip(coloring.rows[0])
+    return stack_rows(coloring, 1)
 
 
 def tiling_to_coloring(tiling: Tiling) -> GridColoring:
@@ -218,8 +209,9 @@ def stack_rows(coloring: GridColoring, k: int) -> Tiling:
     """k vertically stacked copies of the strip tiling of a one-row ``coloring``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    strip = coloring_to_tiling(coloring)
-    tiles: list[Tile] = []
-    for j in range(k):
-        tiles.extend(t.translated(4 * j, 0) for t in strip.tiles)
-    return Tiling(Rect(4 * k, strip.rect.width), tiles)
+    if coloring.height != 1:
+        raise ValueError(f"expected a one-row coloring, got {coloring.height} rows")
+    colors = coloring.rows[0]
+    units = (UNIT_A_TILES, UNIT_B_TILES)
+    tiles = [t.translated(4 * j, 4 * i) for j in range(k) for i, color in enumerate(colors) for t in units[color]]
+    return Tiling(Rect(4 * k, 4 * len(colors)), tiles)

@@ -281,6 +281,11 @@ def test_budget_exhaustion_exits_4(capsys):
     assert "UNKNOWN" in capsys.readouterr().out
 
 
+def test_budget_exhaustion_in_decide_reports_on_stderr(capsys):
+    assert main(["decide", "--height", "24", "--width", "24", "--len", "3", "--budget-seconds", "1e-9"]) == 4
+    assert capsys.readouterr() == ("", "UNKNOWN budget exhausted deciding (24,24) -> 3\n")
+
+
 @pytest.mark.parametrize("argv", [["lvalue", "--height", "32", "--width", "32"],
                                   ["tvalue", "--width", "16", "--len", "4"],
                                   ["vdw2d", "--height", "24", "--width", "24"]])

@@ -285,6 +285,21 @@ def test_dimacs_parse_errors():
         parse_dimacs("p cnf 2 5\n1 2 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p dnf 1 1\n1 0\n", "line 1, column 1: bad problem line 'p dnf 1 1'"),
+    ("c no problem line\n", "line 1, column 1: missing problem line"),
+    ("", "line 1, column 1: missing problem line"),
+])
+def test_dimacs_problem_line_is_required(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == message
+
+
+def test_dimacs_last_clause_may_omit_its_zero():
+    assert parse_dimacs("p cnf 2 2\n1 0\n-1 2") == (2, [(1,), (-1, 2)])
+
+
 def test_dimacs_second_problem_line_is_refused(tmp_path):
     text = "p cnf 1 1\n1 0\np cnf 5 2\n5 0\n"
     with pytest.raises(ParseError) as exc:

@@ -141,6 +141,16 @@ def test_rejects_bad_arguments():
         decide_forces(8, 32, 3, witness_hint=stack_rows(GridColoring(((0, 1),)), 2))
 
 
+@pytest.mark.parametrize("scan, message", [
+    (lambda: compute_T(6, 3), "width must be a multiple of 4, got 6"),
+    (lambda: compute_L(4, 6), "sides must be multiples of 4, got 4x6"),
+    (lambda: compute_L(10, 8), "sides must be multiples of 4, got 10x8"),
+], ids=["T", "L-width", "L-height"])
+def test_scans_reject_sides_off_a_multiple_of_four(scan, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        scan()
+
+
 def test_budget_exhaustion_is_explicit():
     config = SearchConfig(time_budget_s=1e-9)
     with pytest.raises(IndeterminateError):

@@ -91,6 +91,18 @@ def test_canonical_stream_order(corpus):
         assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("h, w", [(3, 5), (5, 6), (1, 1)])
+def test_areas_off_a_multiple_of_four_have_no_tilings(h, w):
+    assert count_tilings(Rect(h, w)) == 0
+    assert list(enumerate_tilings(Rect(h, w))) == []
+
+
+def test_count_area_bound_enforced():
+    with pytest.raises(ResourceLimitError, match=r"^counting for 12x12 \(144 cells\) exceeds the configured "
+                                                 r"bound of 100 cells$"):
+        count_tilings(Rect(12, 12), max_area=100)
+
+
 def test_area_bound_enforced():
     with pytest.raises(ResourceLimitError):
         list(enumerate_tilings(Rect(12, 12)))
@@ -208,7 +220,8 @@ def test_second_tiling_of_4x1200_in_a_child_process():
 def test_interleaved_deep_streams_leave_the_recursion_limit_alone(h, w, draws):
     # Both searches run more than 1,000 tiles deep.  Closing the first stream
     # must not leave the second one resuming deeper than any recursion limit.
-    # 64x64 takes about 50 ms a tiling; the 1200x4 stream draws 2,000 cheaply.
+    # 64x64 gives its first six tilings in about 30 ms (5 ms a tiling); the 1200x4
+    # stream draws 2,000 cheaply.
     start = sys.getrecursionlimit()
     rect = Rect(h, w)
     first = enumerate_tilings(rect, max_area=rect.area)

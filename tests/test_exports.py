@@ -124,3 +124,44 @@ def test_unused_import_check_sees_an_unused_name():
 def test_module_reads_every_import(path):
     # No linter ships with the project; this catches an import an edit leaves behind.
     assert unused_imports(path.read_text()) == []
+
+
+# bench/tracing.py wraps these two by name; ROADMAP items 9 and 13 move them out of
+# the package at the next benchmark change.
+UNREAD_PRIVATE_ALLOWED = ["decide._decide_by_enumeration", "vdw._forced_brute"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level private function or class, and each private
+    method, that no source reads."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            for d in [node, *(node.body if isinstance(node, ast.ClassDef) else ())]:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and d.name.startswith("_") and not d.name.endswith("__")):
+                    defined.append((module, d.name))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_unread_private_check_sees_an_unread_name():
+    sources = {
+        "a": "def _f():\n    return _G\n\nclass _G:\n    def _m(self):\n        pass\n\n"
+             "    def _n(self):\n        return self._m()\n\n    def __init__(self):\n        pass\n",
+        "b": "from .a import _h\n\ndef _k():\n    pass\n",
+    }
+    assert unread_private_names(sources) == ["a._f", "a._n", "b._k"]
+
+
+def test_package_reads_every_private_name():
+    # No linter ships with the project; this catches a helper an edit leaves behind.
+    assert unread_private_names({p.stem: p.read_text() for p in MODULES}) == UNREAD_PRIVATE_ALLOWED

@@ -300,6 +300,17 @@ def test_read_tiling_parse_errors_carry_position():
     assert (exc.value.line, exc.value.column) == (3, 5)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("TTILING 1\n4 4\n0 0 0 1\n2 0 1 1\n", "line 5, column 1: expected 4 grid rows, found 2"),
+    ("TTILING 1\n4 4\n", "line 3, column 1: expected 4 grid rows, found 0"),
+    ("TTILING 1\n", "line 2, column 1: missing dimensions line"),
+])
+def test_read_tiling_reports_missing_lines(text, message):
+    with pytest.raises(ParseError) as exc:
+        read_tiling(text)
+    assert str(exc.value) == message
+
+
 def test_read_tiling_id_table_never_outgrows_the_input(pinwheel_a):
     # A header claiming 4,000,000 cells over a few bytes of rows builds no id table.
     before = grid._id_values.cache_info()

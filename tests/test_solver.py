@@ -9,7 +9,8 @@ import pytest
 import ttr.solver
 from ttr.errors import IndeterminateError, SolverError
 from ttr.grid import Rect
-from ttr.cnf import add_ap_blocking, build_cnf
+from ttr.aps import longest_ap
+from ttr.cnf import add_ap_blocking, add_rot180_symmetry, build_cnf
 from ttr.solver import (
     SearchConfig,
     SolverStatus,
@@ -18,6 +19,7 @@ from ttr.solver import (
     solve,
 )
 from ttr.vdw import _forced_sat
+from ttr.width4 import concatenate
 
 DIMACS_SOLVER = f"{sys.executable} -m ttr.dimacs"
 
@@ -168,6 +170,20 @@ def test_external_witness_ap_bound_reverified(tmp_path):
     blocked = add_ap_blocking(base, 2)
     with pytest.raises(SolverError):
         solve(blocked, SearchConfig(solver_cmd=str(script)))
+
+
+def test_external_witness_rotation_reverified(tmp_path):
+    # A solver that returns a valid tiling which meets the AP bound but is not its
+    # own 180-degree rotation: replay the A/B strip against the rot180 CNF.
+    cnf = add_rot180_symmetry(add_ap_blocking(build_cnf(Rect(4, 8)), 3))
+    tiling = concatenate(["A", "B"])
+    assert longest_ap(tiling).length < 3 and tiling != tiling.rotated_180()
+    lits = " ".join(str(v if tile in tiling.tiles else -v) for v, tile in enumerate(cnf.tiles, start=1))
+    script = tmp_path / "replay.sh"
+    script.write_text(f'#!/bin/sh\necho "s SATISFIABLE"\necho "v {lits} 0"\n')
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    with pytest.raises(SolverError, match="^witness re-verification failed: not rotationally symmetric$"):
+        solve(cnf, SearchConfig(solver_cmd=str(script)))
 
 
 def test_timeout_kills_the_solver_commands_children(tmp_path, monkeypatch):

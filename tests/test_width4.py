@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 import ttr.enumerator
+import ttr.grid
 from ttr import width4
 from ttr.errors import CatalogError, ParseError, ResourceLimitError, StructureError
 from ttr.grid import Orientation, Rect, Tiling, write_tiling
@@ -77,7 +78,7 @@ def test_fault_free_tilings_are_the_two_closed_form_units(length):
     assert (oracles.first_column_class(a), oracles.first_column_class(b)) == ("A", "B")
     # ab_map reads the class of a unit of any length, also past MAX_UNIT_LEN.
     for color, tiles in enumerate((a, b)):
-        assert ab_map(Tiling(Rect(4, length), tiles)) == width4._ab_strip([color] * (length // 4))
+        assert ab_map(Tiling(Rect(4, length), tiles)) == coloring_to_tiling(GridColoring(((color,) * (length // 4),)))
 
 
 def test_width4_runs_without_the_enumerator(monkeypatch, corpus):
@@ -217,6 +218,30 @@ def test_colorings_of_two_rows_are_rejected():
         coloring_to_tiling(two_rows)
     with pytest.raises(ValueError, match="one-row"):
         stack_rows(two_rows, 2)
+
+
+@pytest.mark.parametrize("coloring", [GridColoring(((0, 1),)), GridColoring(((0, 1), (1, 0)))])
+def test_stack_rows_rejects_k_below_one_first(coloring):
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        stack_rows(coloring, 0)
+
+
+def test_each_strip_construction_validates_once(monkeypatch):
+    c = strip("ABBA")
+    units = concatenate(["C", "B"])
+    calls = []
+    validate = ttr.grid.validate
+
+    def recorded(*args):
+        calls.append(args)
+        return validate(*args)
+
+    # Tiling.__init__ calls validate by its module-global name.
+    monkeypatch.setattr(ttr.grid, "validate", recorded)
+    for construct in (lambda: stack_rows(c, 3), lambda: coloring_to_tiling(c), lambda: ab_map(units)):
+        calls.clear()
+        construct()
+        assert len(calls) == 1
 
 
 def test_reduction_to_monochromatic_aps():
