@@ -62,15 +62,24 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass
+from enum import Enum
 from heapq import heappop, heappush
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass
-class SatResult:
-    status: str  # "SAT", "UNSAT", or "UNKNOWN"
+class SolverStatus(str, Enum):
+    """A SAT answer; each compares equal to its value string."""
+
+    SAT = "SAT"
+    UNSAT = "UNSAT"
+    UNKNOWN = "UNKNOWN"
+
+
+class SatResult(NamedTuple):
+    """One SAT answer, from either backend; an external solver reports no counters."""
+
+    status: SolverStatus
     model: list[bool] | None = None  # model[v] for v in 1..num_vars; model[0] unused
     conflicts: int = 0
     decisions: int = 0
@@ -407,7 +416,7 @@ class _Solver:
 
     def solve(self, time_budget: float | None, conflict_budget: int | None) -> SatResult:
         if not self.ok:
-            return self._result("UNSAT")
+            return self._result(SolverStatus.UNSAT)
         deadline = None if time_budget is None else time.monotonic() + time_budget
         max_learnts = max(4000, self.stored // 3)
         restart_round = 0
@@ -419,7 +428,7 @@ class _Solver:
             if confl is not None:
                 self.conflicts += 1
                 if not self.trail_lim:
-                    return self._result("UNSAT")
+                    return self._result(SolverStatus.UNSAT)
                 learnt, bt, lbd = self._analyze(confl)
                 self._cancel_until(bt)
                 if len(learnt) == 1:
@@ -438,7 +447,7 @@ class _Solver:
                 if (deadline is not None and time.monotonic() >= deadline) or (
                     conflict_budget is not None and self.conflicts >= conflict_budget
                 ):
-                    return self._result("UNKNOWN")
+                    return self._result(SolverStatus.UNKNOWN)
                 if self.conflicts - conflicts_at_restart >= restart_budget:
                     restart_round += 1
                     restart_budget = 100 * _luby(restart_round)
@@ -449,9 +458,9 @@ class _Solver:
                     max_learnts = int(max_learnts * 1.2)
             else:
                 if not self._decide():
-                    return self._result("SAT", [False] + [a > 0 for a in self.assign[2::2]])
+                    return self._result(SolverStatus.SAT, [False] + [a > 0 for a in self.assign[2::2]])
 
-    def _result(self, status: str, model: list[bool] | None = None) -> SatResult:
+    def _result(self, status: SolverStatus, model: list[bool] | None = None) -> SatResult:
         return SatResult(status, model, self.conflicts, self.decisions, self.propagations)
 
 
@@ -477,7 +486,7 @@ def solve_clauses(
     try:
         solver = _Solver(num_vars, clauses)
         result = solver.solve(time_budget, conflict_budget)
-        if result.status == "SAT":
+        if result.status is SolverStatus.SAT:
             model = result.model
             assert model is not None
             # truth[l] for DIMACS literal l; truth[-v] wraps around to the tail.

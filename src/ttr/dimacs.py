@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cdcl import solve_clauses
+from .cdcl import SolverStatus, solve_clauses
 from .cnf import parse_dimacs
 from .errors import ParseError
 
@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OverflowError, MemoryError):
         print(f"error: cannot allocate a solver for {num_vars} variables", file=sys.stderr)
         return 1
-    if result.status == "UNSAT":
+    if result.status is SolverStatus.UNSAT:
         print("s UNSATISFIABLE")
         return 20
     print("s SATISFIABLE")

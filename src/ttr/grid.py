@@ -452,14 +452,9 @@ def _cell_tokens(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 @lru_cache(maxsize=8)
-def _id_names(n: int) -> tuple[str, ...]:
-    return tuple(map(str, range(n)))
-
-
-@lru_cache(maxsize=8)
 def _id_values(n: int) -> dict[str, int]:
     """``{str(i): i}`` for ids 0..n-1: the canonical spelling of every id of an n-tile file."""
-    return {name: i for i, name in enumerate(_id_names(n))}
+    return {str(i): i for i in range(n)}
 
 
 def _parse_ids(body: list[str], h: int, w: int) -> list[int]:

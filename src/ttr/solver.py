@@ -15,11 +15,11 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import cdcl
+from .cdcl import SatResult, SolverStatus
 from .errors import IndeterminateError, LemmaViolationError, SolverError, TilingError
 from .aps import longest_ap
 from .cnf import CNF, Clause, clauses_to_dimacs, decode_model
@@ -28,23 +28,23 @@ from .grid import _is_decimal
 SOLVER_ENV_VAR = "TTR_SOLVER"
 #: The longest budgeted external-solver wait, in s: ``poll`` takes a C int of milliseconds.
 MAX_EXTERNAL_WAIT_S = (2**31 - 1) // 1000
-
-
-class SolverStatus(Enum):
-    SAT = "SAT"
-    UNSAT = "UNSAT"
-    UNKNOWN = "UNKNOWN"
+#: The words of an ``s`` status line.
+_STATUS_WORDS = {
+    "SATISFIABLE": SolverStatus.SAT,
+    "UNSATISFIABLE": SolverStatus.UNSAT,
+    "UNKNOWN": SolverStatus.UNKNOWN,
+}
 
 
 @dataclass
 class SearchConfig:
     """Settings shared by the decision procedures; each one changes what runs.
 
-    ``solver_cmd`` (or the TTR_SOLVER environment variable) switches SAT
-    solving to an external DIMACS command.  ``time_budget_s`` is a positive
-    finite number of seconds, or None for no bound; it fixes one monotonic
-    ``deadline`` when the config is built, and every question asked under
-    the config shares it.
+    ``solver_cmd`` switches SAT solving to an external DIMACS command; when
+    it is not given, the TTR_SOLVER environment variable is read once, when
+    the config is built.  ``time_budget_s`` is a positive finite number of
+    seconds, or None for no bound; it fixes one monotonic ``deadline`` when
+    the config is built, and every question asked under the config shares it.
     """
 
     solver_cmd: str | None = None
@@ -56,13 +56,11 @@ class SearchConfig:
         if budget is not None and not 0 < budget < math.inf:
             raise ValueError(f"time budget must be a positive finite number of seconds, got {budget}")
         self.deadline = None if budget is None else time.monotonic() + budget
+        self.solver_cmd = self.solver_cmd or os.environ.get(SOLVER_ENV_VAR) or None
 
     def remaining_s(self) -> float | None:
         """Seconds left before the deadline, 0 once it has passed; None without a budget."""
         return None if self.deadline is None else max(0.0, self.deadline - time.monotonic())
-
-    def resolved_solver_cmd(self) -> str | None:
-        return self.solver_cmd or os.environ.get(SOLVER_ENV_VAR) or None
 
 
 @dataclass
@@ -131,7 +129,7 @@ def run_sat(
     num_vars: int,
     clauses: Sequence[Clause],
     config: SearchConfig | None = None,
-) -> tuple[SolverStatus, list[bool] | None]:
+) -> SatResult:
     """Solve a raw CNF on the configured backend, within the time left before the deadline.
 
     Once the deadline has passed the answer is UNKNOWN without solving.
@@ -139,12 +137,10 @@ def run_sat(
     config = config or SearchConfig()
     left = config.remaining_s()
     if left == 0:
-        return SolverStatus.UNKNOWN, None
-    cmd = config.resolved_solver_cmd()
-    if cmd:
-        return _run_external(cmd, num_vars, clauses, left)
-    result = cdcl.solve_clauses(num_vars, clauses, time_budget=left)
-    return SolverStatus(result.status), result.model
+        return SatResult(SolverStatus.UNKNOWN)
+    if config.solver_cmd:
+        return _run_external(config.solver_cmd, num_vars, clauses, left)
+    return cdcl.solve_clauses(num_vars, clauses, time_budget=left)
 
 
 def decide_sat(
@@ -156,13 +152,13 @@ def decide_sat(
     On SAT, ``recheck(model)`` decodes the witness, checks it again from
     scratch and returns ``(witness, reason)``; a reason raises :class:`SolverError`.
     """
-    status, model = run_sat(num_vars, clauses, config)
-    if status is SolverStatus.UNKNOWN:
+    result = run_sat(num_vars, clauses, config)
+    if result.status is SolverStatus.UNKNOWN:
         raise IndeterminateError(f"budget exhausted deciding ({h},{w}) -> {l}")
-    method = "external" if config.resolved_solver_cmd() else "internal"
-    if status is SolverStatus.UNSAT:
+    method = "external" if config.solver_cmd else "internal"
+    if result.status is SolverStatus.UNSAT:
         return DecideResult(h, w, l, forced=True, method=method)
-    witness, reason = recheck(model)
+    witness, reason = recheck(result.model)
     if reason is not None:
         raise SolverError(f"witness re-verification failed: {reason}")
     return DecideResult(h, w, l, forced=False, method=method, witness=witness)
@@ -195,7 +191,7 @@ def _run_external(
     num_vars: int,
     clauses: Sequence[Clause],
     time_budget_s: float | None,
-) -> tuple[SolverStatus, list[bool] | None]:
+) -> SatResult:
     # Imported here, not at start-up: starting the process costs far more.
     import shlex
     import signal
@@ -230,7 +226,7 @@ def _run_external(
                 wait = None if time_budget_s is None else min(time_budget_s, MAX_EXTERNAL_WAIT_S)
                 output = proc.communicate(timeout=wait)[0]
             except subprocess.TimeoutExpired:
-                return SolverStatus.UNKNOWN, None
+                return SatResult(SolverStatus.UNKNOWN)
             finally:  # the command's own children too, on a timeout or an interrupt
                 try:
                     os.killpg(proc.pid, signal.SIGKILL)
@@ -240,7 +236,7 @@ def _run_external(
     return parse_solver_output(output, num_vars)
 
 
-def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[bool] | None]:
+def parse_solver_output(output: str, num_vars: int) -> SatResult:
     """Parse SAT-competition style output (``s`` status line, ``v`` value lines).
 
     Status lines may repeat but must agree, the value lines may not
@@ -252,14 +248,8 @@ def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[
     for line in output.splitlines():
         line = line.strip()
         if line.startswith("s "):
-            word = line[2:].strip()
-            if word == "SATISFIABLE":
-                said = SolverStatus.SAT
-            elif word == "UNSATISFIABLE":
-                said = SolverStatus.UNSAT
-            elif word == "UNKNOWN":
-                said = SolverStatus.UNKNOWN
-            else:
+            said = _STATUS_WORDS.get(line[2:].strip())
+            if said is None:
                 raise SolverError(f"unrecognized status line {line!r}")
             if status is not None and said is not status:
                 raise SolverError(f"status line {line!r} contradicts an earlier {status.name} line")
@@ -278,7 +268,7 @@ def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[
     if status is None:
         raise SolverError("solver output contained no 's' status line")
     if status is not SolverStatus.SAT:
-        return status, None
+        return SatResult(status)
     model = [False] * (num_vars + 1)
     seen = set()
     for lit in values:
@@ -292,4 +282,4 @@ def parse_solver_output(output: str, num_vars: int) -> tuple[SolverStatus, list[
     if len(seen) < num_vars:
         missing = num_vars - len(seen)
         raise SolverError(f"solver value lines left {missing} variables unassigned")
-    return status, model
+    return SatResult(status, model)

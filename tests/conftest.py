@@ -52,6 +52,17 @@ def recursion_limit_left_alone():
         pytest.fail(f"the test left the recursion limit at {after}, not {before}")
 
 
+@pytest.fixture(autouse=True)
+def working_directory_left_clean():
+    """Fail any test that leaves a new regular file in the directory it started in."""
+    cwd = Path.cwd()
+    before = {p.name for p in cwd.iterdir() if p.is_file()}
+    yield
+    left = sorted(p.name for p in cwd.iterdir() if p.is_file() and p.name not in before)
+    if left:
+        pytest.fail(f"the test left {', '.join(left)} in {cwd}")
+
+
 PINWHEEL_A = (
     Tile(Orientation.R, 0, 0),
     Tile(Orientation.D, 0, 1),

@@ -31,7 +31,6 @@ from ttr.grid import (
     Violation,
     ViolationKind,
     _flat_steps,
-    _id_names,
     _is_decimal,
     is_tileable,
     read_header,
@@ -370,10 +369,9 @@ def read_tiling(data: str | bytes) -> Tiling:
 def write_tiling(tiling: Tiling) -> str:
     """The TTILING writer that joins each row, then the lines."""
     h, w = tiling.rect.height, tiling.rect.width
-    name = _id_names(tiling.tile_count).__getitem__
     owner = tiling._owner
     lines = [FORMAT_MAGIC, f"{h} {w}"]
-    lines += [" ".join(map(name, owner[k : k + w])) for k in range(0, h * w, w)]
+    lines += [" ".join(map(str, owner[k : k + w])) for k in range(0, h * w, w)]
     return "\n".join(lines) + "\n"
 
 

@@ -208,3 +208,9 @@ def test_longest_ap_on_long_strip_certificate():
 def test_has_ap_of_length_rejects_lengths_below_two(pinwheel_a, l):
     with pytest.raises(ValueError, match=f"l must be >= 2, got {l}"):
         has_ap_of_length(pinwheel_a, l)
+
+
+@pytest.mark.parametrize("min_len", [1, 0])
+def test_enumerate_aps_rejects_lengths_below_two(pinwheel_a, min_len):
+    with pytest.raises(ValueError, match=f"^min_len must be >= 2, got {min_len}$"):
+        enumerate_aps(pinwheel_a, min_len)

@@ -107,3 +107,8 @@ def test_resource_bound():
         enumerate_boundary_coverings(13)
     with pytest.raises(ResourceLimitError):
         boundary_forces(0, 2)
+
+
+def test_boundary_forces_rejects_lengths_below_one():
+    with pytest.raises(ValueError, match="^l must be >= 1, got 0$"):
+        boundary_forces(4, 0)

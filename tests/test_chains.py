@@ -391,3 +391,14 @@ def test_cycle_decomposition_property(corpus):
             outs[u] = v
             ins[v] = u
         assert set(outs) == set(ins)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChainGraph(Rect(4, 5), []), "rectangle sides must be even, got 4x5"),
+    (lambda: antiblock_coloring(Rect(4, 6)), "rectangle sides must be multiples of 4, got 4x6"),
+    (lambda: next(hv_enumerate(Rect(6, 8))), "rectangle sides must be multiples of 4, got 6x8"),
+    (lambda: shaded_arrow_aps(ChainGraph(Rect(4, 4), []), 1), "min_len must be >= 2, got 1"),
+], ids=["chain-graph-odd", "antiblocks", "hv-enumerate", "shaded-arrow-aps"])
+def test_chain_inputs_are_checked(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

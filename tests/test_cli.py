@@ -299,13 +299,14 @@ def test_budget_bounds_the_whole_scan(argv, capsys):
 
 
 def test_budget_bounds_the_ceiling_of_a_t_scan(capsys):
-    # compute_T finds W(2, 4) for its ceiling before the first deadline check.
-    # The 4x4 question may still finish inside the budget, so the lower end is 4 or more.
+    # compute_T finds W(2, 4) for its ceiling before the first deadline check,
+    # and a budget spent before the first question leaves the bracket [4, 4 * W(2, 4)].
+    # Running out mid-scan and at the ceiling is test_decide's
+    # test_t_scan_out_of_time_at_the_ceiling_pins_it.
     start = time.monotonic()
-    assert main(["tvalue", "--width", "4", "--len", "4", "--budget-seconds", "0.01"]) == 4
+    assert main(["tvalue", "--width", "4", "--len", "4", "--budget-seconds", "1e-9"]) == 4
     assert time.monotonic() - start < 0.08
-    out = capsys.readouterr().out.strip()
-    assert out.startswith("UNKNOWN T in [") and out.endswith(", 140]")
+    assert capsys.readouterr().out == "UNKNOWN T in [4, 140]\n"
 
 
 def test_solver_flag_uses_external_command(capsys):
@@ -366,13 +367,15 @@ def test_solver_literal_after_the_closing_zero_exits_3(tmp_path, capsys):
     assert captured.err.endswith(" after the 0 that ends the value list\n")
 
 
-def test_external_solver_budget_past_the_longest_poll_wait(capsys):
+def test_external_solver_budget_past_the_longest_poll_wait(tmp_path, monkeypatch, capsys):
     # 1e10 s is past what poll() accepts as a C int of milliseconds; the wait is capped instead.
+    monkeypatch.chdir(tmp_path)  # without --out the certificate lands in the working directory
     start = time.monotonic()
     assert main(["decide", "--height", "4", "--width", "8", "--len", "3",
                  "--budget-seconds", "1e10", "--solver", DIMACS_SOLVER]) == 0
     assert time.monotonic() - start < 60
-    assert capsys.readouterr().out.startswith("AVOIDABLE")
+    assert capsys.readouterr().out == "AVOIDABLE certificate=ttr-cert-4x8-l3.ttiling\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ttr-cert-4x8-l3.ttiling"]
 
 
 def test_undecodable_bytes_in_a_solver_comment_line_are_ignored(tmp_path, capsys):

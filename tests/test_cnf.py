@@ -381,3 +381,8 @@ def test_var_map_sidecar_lines():
 def test_clauses_to_dimacs_header():
     text = clauses_to_dimacs(3, [(1, -2), (2, 3)])
     assert text.splitlines()[0] == "p cnf 3 2"
+
+
+def test_ap_blocking_rejects_lengths_below_two():
+    with pytest.raises(ValueError, match="^l must be >= 2, got 1$"):
+        add_ap_blocking(build_cnf(Rect(4, 4)), 1)

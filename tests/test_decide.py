@@ -10,12 +10,12 @@ import ttr.decide
 import ttr.vdw
 from ttr.cli import main
 
-from ttr.errors import IndeterminateError
+from ttr.errors import IndeterminateError, LemmaViolationError
 from ttr.grid import Rect, write_tiling
 from ttr.aps import longest_ap
-from ttr.decide import compute_L, compute_T, decide_forces, _decide_by_enumeration
+from ttr.decide import MAX_T_SCAN, compute_L, compute_T, decide_forces, _decide_by_enumeration
 from ttr.cnf import add_ap_blocking, build_cnf
-from ttr.solver import ScanResult, SearchConfig, solve
+from ttr.solver import DecideResult, ScanResult, SearchConfig, solve
 from ttr.vdw import GridColoring, extremal_coloring, vdw_number
 from ttr.width4 import stack_rows
 
@@ -288,3 +288,27 @@ def test_stacked_prefixes_of_the_extremal_coloring(l):
         for k in range(1, l):
             assert longest_ap(stack_rows(prefix, k)).length < l, (n, k)
         assert longest_ap(stack_rows(prefix, l)).length >= l, n
+
+
+def every_question(forced):
+    """A ``decide_forces`` stand-in that answers every question ``forced``."""
+    def answer(h, w, l, config=None, witness_hint=None):
+        return DecideResult(h, w, l, forced=forced, method="stub")
+    return answer
+
+
+def test_t_scan_without_a_ceiling_stops_after_the_last_length(monkeypatch):
+    monkeypatch.setattr(ttr.decide, "decide_forces", every_question(False))
+    assert compute_T(20, 3) == ScanResult(None, MAX_T_SCAN + 4, None) == ScanResult(None, 404, None)
+
+
+def test_t_scan_past_its_ceiling_is_a_lemma_violation(monkeypatch):
+    monkeypatch.setattr(ttr.decide, "decide_forces", every_question(False))
+    with pytest.raises(LemmaViolationError, match=r"^scan passed the 4\*W\(2,3\) = 36 ceiling for width 4 "):
+        compute_T(4, 3)
+
+
+def test_l_scan_with_every_length_forced_is_a_lemma_violation(monkeypatch):
+    monkeypatch.setattr(ttr.decide, "decide_forces", every_question(True))
+    with pytest.raises(LemmaViolationError, match="^every length up to 5 is forced on 4x4; impossible$"):
+        compute_L(4, 4)

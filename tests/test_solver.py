@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+import ttr.cdcl
 import ttr.solver
+from ttr.cdcl import SatResult, solve_clauses
 from ttr.errors import IndeterminateError, SolverError
 from ttr.grid import Rect
 from ttr.aps import longest_ap
@@ -26,9 +28,9 @@ DIMACS_SOLVER = f"{sys.executable} -m ttr.dimacs"
 
 def test_parse_solver_output_sat():
     out = "c hello\ns SATISFIABLE\nv 1 -2\nv 3 0\n"
-    status, model = parse_solver_output(out, 3)
-    assert status is SolverStatus.SAT
-    assert model[1:] == [True, False, True]
+    result = parse_solver_output(out, 3)
+    assert result.status is SolverStatus.SAT
+    assert result.model[1:] == [True, False, True]
 
 
 def test_parse_solver_output_unsat_and_unknown():
@@ -61,9 +63,9 @@ def test_status_lines_must_agree():
         parse_solver_output("s SATISFIABLE\nv 1 2 0\ns UNSATISFIABLE", 2)
     with pytest.raises(SolverError, match="contradicts an earlier UNKNOWN line"):
         parse_solver_output("s UNKNOWN\ns UNSATISFIABLE\n", 2)
-    assert parse_solver_output("s UNSATISFIABLE\ns UNSATISFIABLE\n", 2) == (SolverStatus.UNSAT, None)
-    status, model = parse_solver_output("s SATISFIABLE\nv 1 -2 0\ns SATISFIABLE\n", 2)
-    assert status is SolverStatus.SAT and model[1:] == [True, False]
+    assert parse_solver_output("s UNSATISFIABLE\ns UNSATISFIABLE\n", 2) == SatResult(SolverStatus.UNSAT)
+    result = parse_solver_output("s SATISFIABLE\nv 1 -2 0\ns SATISFIABLE\n", 2)
+    assert result.status is SolverStatus.SAT and result.model[1:] == [True, False]
 
 
 def test_value_list_ends_at_its_zero():
@@ -101,9 +103,33 @@ def test_unknown_raises_with_the_question():
 def test_builtin_solver_takes_any_number_of_variables():
     # The built-in solver has no variable cap; only the time budget bounds it.
     n = 6000
-    status, model = run_sat(n, [(v if v % 2 else -v,) for v in range(1, n + 1)], SearchConfig())
-    assert status is SolverStatus.SAT
-    assert model[1:] == [v % 2 == 1 for v in range(1, n + 1)]
+    result = run_sat(n, [(v if v % 2 else -v,) for v in range(1, n + 1)], SearchConfig())
+    assert result.status is SolverStatus.SAT
+    assert result.model[1:] == [v % 2 == 1 for v in range(1, n + 1)]
+
+
+def test_one_status_type_from_engine_to_package():
+    assert ttr.SolverStatus is ttr.solver.SolverStatus is ttr.cdcl.SolverStatus
+    assert list(SolverStatus) == ["SAT", "UNSAT", "UNKNOWN"]
+
+
+@pytest.mark.parametrize("blocked_len, status", [(3, SolverStatus.SAT), (2, SolverStatus.UNSAT)])
+def test_run_sat_answers_with_a_sat_result_on_every_path(blocked_len, status):
+    cnf = add_ap_blocking(build_cnf(Rect(4, 8)), blocked_len)
+    engine = solve_clauses(cnf.num_vars, cnf.clauses)
+    assert engine.status is status and engine.conflicts + engine.propagations > 0
+
+    builtin = run_sat(cnf.num_vars, cnf.clauses, SearchConfig())
+    assert isinstance(builtin, SatResult)
+    assert builtin == engine  # the engine's own answer, counters included
+
+    external = run_sat(cnf.num_vars, cnf.clauses, SearchConfig(solver_cmd=DIMACS_SOLVER))
+    assert isinstance(external, SatResult)
+    assert external == SatResult(status, engine.model)  # a command reports no counters
+
+    config = SearchConfig(time_budget_s=1e-9)
+    time.sleep(0.001)
+    assert run_sat(cnf.num_vars, cnf.clauses, config) == SatResult(SolverStatus.UNKNOWN, None, 0, 0, 0)
 
 
 @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
@@ -133,9 +159,9 @@ def test_external_solver_not_found():
 
 def test_env_var_configures_solver(monkeypatch):
     monkeypatch.setenv("TTR_SOLVER", DIMACS_SOLVER)
-    assert SearchConfig().resolved_solver_cmd() == DIMACS_SOLVER
+    assert SearchConfig().solver_cmd == DIMACS_SOLVER
     # the explicit flag wins over the environment
-    assert SearchConfig(solver_cmd="other").resolved_solver_cmd() == "other"
+    assert SearchConfig(solver_cmd="other").solver_cmd == "other"
     result = solve(build_cnf(Rect(4, 4)), SearchConfig())
     assert result.method == "external"
     assert result.forced is False
@@ -194,7 +220,7 @@ def test_timeout_kills_the_solver_commands_children(tmp_path, monkeypatch):
     script.write_text('#!/bin/sh\n(sleep 0.5; touch "$MARK") &\nsleep 5\n')
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     config = SearchConfig(solver_cmd=str(script), time_budget_s=0.2)
-    assert run_sat(2, [(1,), (2,)], config) == (SolverStatus.UNKNOWN, None)
+    assert run_sat(2, [(1,), (2,)], config) == SatResult(SolverStatus.UNKNOWN)
     time.sleep(1.0)
     assert not mark.exists()
 
@@ -206,7 +232,7 @@ def test_external_wait_is_capped_and_the_cap_answers_unknown(tmp_path, monkeypat
     monkeypatch.setattr(ttr.solver, "MAX_EXTERNAL_WAIT_S", 0.2)
     start = time.monotonic()
     config = SearchConfig(solver_cmd=str(script), time_budget_s=1e10)
-    assert run_sat(2, [(1,), (2,)], config) == (SolverStatus.UNKNOWN, None)
+    assert run_sat(2, [(1,), (2,)], config) == SatResult(SolverStatus.UNKNOWN)
     assert time.monotonic() - start < 4
 
 
@@ -222,7 +248,7 @@ def test_both_question_kinds_answer_through_the_one_route(kind, monkeypatch):
     status = SolverStatus.UNKNOWN
 
     def stub(num_vars, clauses, config):
-        return status, [False] * (num_vars + 1) if status is SolverStatus.SAT else None
+        return SatResult(status, [False] * (num_vars + 1) if status is SolverStatus.SAT else None)
 
     monkeypatch.setattr(ttr.solver, "run_sat", stub)
     with pytest.raises(IndeterminateError) as exc:

@@ -190,3 +190,18 @@ def test_grid_coloring_tcolor_round_trip():
     text = grid.to_tcolor()
     assert text == "TCOLOR 1\n2 3\nABB\nBAA\n"
     assert oracles.read_tcolor(text) == grid
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((), "grid must be nonempty"),
+    (((0, 1), (0,)), "grid rows must have equal length"),
+    (((0, 2),), "colors must be 0 or 1"),
+], ids=["no-rows", "ragged", "color-2"])
+def test_grid_coloring_rejects_bad_grids(rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GridColoring(rows)
+
+
+def test_grid_mono_ap_rejects_lengths_below_two():
+    with pytest.raises(ValueError, match="^l must be >= 2, got 1$"):
+        grid_mono_ap(GridColoring(((0, 1),)), 1)

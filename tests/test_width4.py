@@ -311,3 +311,10 @@ def test_tcolor_errors():
     with pytest.raises(ParseError) as exc:
         oracles.read_tcolor("TCOLOR 1\n2 2\nAB\nABA\n")
     assert str(exc.value) == "line 4, column 1: expected 2 characters, found 3"
+
+
+def test_d1_equiv_check_rejects_short_lengths_and_other_heights(pinwheel_a):
+    with pytest.raises(ValueError, match="^l must be >= 3, got 2$"):
+        d1_equiv_check(pinwheel_a, 2)
+    with pytest.raises(ValueError, match="^expected a height-4 tiling, got 8x4$"):
+        d1_equiv_check(stack_rows(GridColoring(((0,),)), 2), 3)
